@@ -1,6 +1,6 @@
 // Shared helpers for the benchmark binaries.
 //
-// Conventions (see DESIGN.md section 3 and EXPERIMENTS.md):
+// Conventions (see bench/README.md):
 //  * Complexity claims are measured in *steps* -- base-object operations
 //    counted by the exec layer -- exactly the unit of Theorems 1-3.  Steps
 //    are independent of machine noise and of core oversubscription, so the
@@ -85,44 +85,62 @@ class JsonReport {
 // uniform over the run (late samples are as likely kept as early ones) and
 // memory stays O(cap) -- tail percentiles over minutes-long sweeps without
 // gigabyte sample vectors.
+//
+// Each retained sample carries a weight: the number of operations it
+// stands for (the stride it was taken at; a compaction folds each dropped
+// sample's weight into its kept neighbour).  Percentiles are taken over the
+// weighted samples, so merging samplers that thinned to different strides
+// -- a fast worker's and a slow one's -- counts every operation once
+// instead of over-weighting the slow worker's sparser record.
 class LatencySampler {
  public:
   explicit LatencySampler(std::size_t cap = std::size_t{1} << 15)
       : cap_(cap) {
     samples_.reserve(cap_);
+    weights_.reserve(cap_);
   }
 
   void add(double x) {
     if (++tick_ % stride_ != 0) return;
     if (samples_.size() == cap_) {
       std::size_t w = 0;
-      for (std::size_t i = 0; i < samples_.size(); i += 2) {
-        samples_[w++] = samples_[i];
+      for (std::size_t i = 0; i < samples_.size(); i += 2, ++w) {
+        samples_[w] = samples_[i];
+        weights_[w] =
+            weights_[i] + (i + 1 < weights_.size() ? weights_[i + 1] : 0);
       }
       samples_.resize(w);
+      weights_.resize(w);
       stride_ *= 2;
       if (tick_ % stride_ != 0) return;
     }
     samples_.push_back(x);
+    weights_.push_back(stride_);
   }
 
   const std::vector<double>& samples() const { return samples_; }
+  // weights()[k] is the number of operations samples()[k] stands for.
+  const std::vector<std::uint64_t>& weights() const { return weights_; }
 
-  // Concatenates another sampler's retained samples (parallel reduction;
-  // strides may differ -- percentiles over the union stay representative
-  // because each worker's retention is uniform over its own run).
+  // Appends another sampler's retained samples with their weights
+  // (parallel reduction).  Never thins: the result may exceed the cap.
   void merge(const LatencySampler& other) {
     samples_.insert(samples_.end(), other.samples_.begin(),
                     other.samples_.end());
+    weights_.insert(weights_.end(), other.weights_.begin(),
+                    other.weights_.end());
   }
 
-  Percentiles summarize() const { return summarize_percentiles(samples_); }
+  Percentiles summarize() const {
+    return summarize_weighted_percentiles(samples_, weights_);
+  }
 
  private:
   std::size_t cap_;
   std::uint64_t tick_ = 0;
   std::uint64_t stride_ = 1;
   std::vector<double> samples_;
+  std::vector<std::uint64_t> weights_;
 };
 
 // Statistics one worker gathers about its own operations.

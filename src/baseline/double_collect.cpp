@@ -77,6 +77,35 @@ void DoubleCollectSnapshotT<Value>::update_blob(
 }
 
 template <class Value>
+template <class Fill>
+void DoubleCollectSnapshotT<Value>::do_seed(std::size_t count, Fill&& fill) {
+  require_seed_size(count);
+  core::seed_initial_records(
+      size_.load(), [this](std::uint32_t i) { return r_.at(i).peek(); },
+      fill);
+}
+
+template <class Value>
+void DoubleCollectSnapshotT<Value>::seed(
+    std::span<const std::uint64_t> values) {
+  do_seed(values.size(), [values](std::uint32_t i, ValueType& out) {
+    Value::encode(values[i], out);
+  });
+}
+
+template <class Value>
+void DoubleCollectSnapshotT<Value>::seed_blobs(
+    std::span<const psnap::value::Blob> blobs) {
+  if constexpr (Value::kIndirect) {
+    do_seed(blobs.size(), [blobs](std::uint32_t i, ValueType& out) {
+      Value::copy(blobs[i], out);
+    });
+  } else {
+    core::PartialSnapshot::seed_blobs(blobs);
+  }
+}
+
+template <class Value>
 template <class EntryT, class Fill>
 void DoubleCollectSnapshotT<Value>::do_update_batch(
     std::span<const EntryT> entries, Fill&& fill) {

@@ -71,6 +71,9 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<psnap::value::Blob>& out,
                   core::ScanContext& ctx) override;
+  // Rewrites the initial records' payloads in place.
+  void seed(std::span<const std::uint64_t> values) override;
+  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // Batched updates share one EBR pin and one retire wave, but each of
   // the k exchanges still linearizes on its own (there is no helping
   // round here to amortize) -- kAmortized.
@@ -100,6 +103,8 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
 
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
+  template <class Fill>
+  void do_seed(std::size_t count, Fill&& fill);
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
   // Runs the double collect; `extract` receives the stable collect (record

@@ -85,6 +85,9 @@ class FullSnapshotT final : public core::PartialSnapshot {
   std::uint64_t scan_versioned(std::span<const std::uint32_t> indices,
                                std::vector<std::uint64_t>& out,
                                core::ScanContext& ctx) override;
+  // Rewrites the initial records' payloads in place.
+  void seed(std::span<const std::uint64_t> values) override;
+  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // Batched updates: collect planes share ONE embedded full scan (the
   // Omega(m) helping cost, paid once for k writes) and publish k records
   // by exchange -- kAmortized.  The versioned plane shares one stamp
@@ -153,6 +156,9 @@ class FullSnapshotT final : public core::PartialSnapshot {
 
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
+  // The one seed body; `fill(i, payload)` writes component i's payload.
+  template <class Fill>
+  void do_seed(std::size_t count, Fill&& fill);
   // The one scan body; `extract` pulls the caller's components out of the
   // full view (u64 decoding or blob copies).
   template <class Extract>

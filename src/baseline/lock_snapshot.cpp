@@ -39,6 +39,29 @@ void LockSnapshotT<Value>::update_blob(std::uint32_t i,
 }
 
 template <class Value>
+void LockSnapshotT<Value>::seed(std::span<const std::uint64_t> values) {
+  require_seed_size(values.size());
+  std::scoped_lock lock(mu_);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    Value::encode(values[i], data_[i]);
+  }
+}
+
+template <class Value>
+void LockSnapshotT<Value>::seed_blobs(
+    std::span<const psnap::value::Blob> blobs) {
+  if constexpr (Value::kIndirect) {
+    require_seed_size(blobs.size());
+    std::scoped_lock lock(mu_);
+    for (std::size_t i = 0; i < blobs.size(); ++i) {
+      Value::copy(blobs[i], data_[i]);
+    }
+  } else {
+    core::PartialSnapshot::seed_blobs(blobs);
+  }
+}
+
+template <class Value>
 void LockSnapshotT<Value>::update_batch(
     std::span<const core::BatchEntry> entries) {
   std::scoped_lock lock(mu_);

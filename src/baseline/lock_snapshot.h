@@ -55,6 +55,9 @@ class LockSnapshotT final : public core::PartialSnapshot {
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<psnap::value::Blob>& out,
                   core::ScanContext& ctx) override;
+  // Overwrites the guarded vector in place.
+  void seed(std::span<const std::uint64_t> values) override;
+  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // One critical section covers all k writes, so batches are trivially
   // atomic -- the lock baseline is the reference implementation the
   // batch-atomicity oracle checks the clever ones against.

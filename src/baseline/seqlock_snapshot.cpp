@@ -169,6 +169,48 @@ void SeqlockSnapshotT<Value>::update_blob(std::uint32_t i,
 }
 
 template <class Value>
+template <class Fill>
+void SeqlockSnapshotT<Value>::do_seed(std::size_t count, Fill&& fill) {
+  require_seed_size(count);
+  // Every writer section bumps the version, so a zero version means no
+  // update has run: each cell still holds what init_cell installed, and
+  // the seed contract makes it reachable by nobody else.
+  PSNAP_ASSERT_MSG(version_.peek() == 0,
+                   "seed() after an update: the seed contract requires a "
+                   "freshly constructed object");
+  const std::uint32_t m = size_.load();
+  for (std::uint32_t i = 0; i < m; ++i) fill(data_.at(i), i);
+}
+
+template <class Value>
+void SeqlockSnapshotT<Value>::seed(std::span<const std::uint64_t> values) {
+  do_seed(values.size(), [values](Cell& cell, std::uint32_t i) {
+    if constexpr (Value::kVersioned) {
+      // The chain's initial node keeps its stamp 0: every epoch sees it.
+      const_cast<primitives::VersionNodeU64*>(cell.peek())->value = values[i];
+    } else if constexpr (Value::kIndirect) {
+      Value::encode(values[i],
+                    const_cast<primitives::BlobNode*>(cell.peek())->bytes);
+    } else {
+      cell.init(values[i], /*label=*/i);
+    }
+  });
+}
+
+template <class Value>
+void SeqlockSnapshotT<Value>::seed_blobs(
+    std::span<const psnap::value::Blob> blobs) {
+  if constexpr (Value::kIndirect) {
+    do_seed(blobs.size(), [blobs](Cell& cell, std::uint32_t i) {
+      Value::copy(blobs[i],
+                  const_cast<primitives::BlobNode*>(cell.peek())->bytes);
+    });
+  } else {
+    core::PartialSnapshot::seed_blobs(blobs);
+  }
+}
+
+template <class Value>
 template <class EntryT, class Fill>
 void SeqlockSnapshotT<Value>::do_update_batch(std::span<const EntryT> entries,
                                               Fill&& fill) {

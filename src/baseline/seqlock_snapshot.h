@@ -84,6 +84,10 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   std::uint64_t scan_versioned(std::span<const std::uint32_t> indices,
                                std::vector<std::uint64_t>& out,
                                core::ScanContext& ctx) override;
+  // Rewrites the cells' construction-time payloads in place: the raw word
+  // on the u64 plane, the initial node's payload on the others.
+  void seed(std::span<const std::uint64_t> values) override;
+  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // Batched updates: every plane is kAtomic here, because the global
   // writer section is a natural multi-component critical section -- all k
   // writes land inside one odd/even window, so a collect-plane scan either
@@ -142,6 +146,9 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
 
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
+  // The one seed body; `fill(cell, i)` writes component i's payload.
+  template <class Fill>
+  void do_seed(std::size_t count, Fill&& fill);
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
   // Runs the versioned retry loop; `collect` re-reads the components into

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "common/assert.h"
 
@@ -78,6 +80,49 @@ Percentiles summarize_percentiles(std::vector<double> samples) {
   out.p90 = sorted_percentile(samples, 90.0);
   out.p99 = sorted_percentile(samples, 99.0);
   out.max = samples.back();
+  return out;
+}
+
+Percentiles summarize_weighted_percentiles(
+    const std::vector<double>& samples,
+    const std::vector<std::uint64_t>& weights) {
+  PSNAP_ASSERT(samples.size() == weights.size());
+  if (std::adjacent_find(weights.begin(), weights.end(),
+                         std::not_equal_to<>()) == weights.end()) {
+    return summarize_percentiles(samples);  // uniform: a plain sample
+  }
+  std::vector<std::pair<double, std::uint64_t>> sorted(samples.size());
+  std::uint64_t total = 0;
+  for (std::size_t k = 0; k < samples.size(); ++k) {
+    PSNAP_ASSERT(weights[k] >= 1);
+    sorted[k] = {samples[k], weights[k]};
+    total += weights[k];
+  }
+  std::sort(sorted.begin(), sorted.end());
+
+  // The value at position q (0-based) of the expanded population.
+  auto at = [&sorted](std::uint64_t q) {
+    std::uint64_t end = 0;
+    for (const auto& [value, weight] : sorted) {
+      end += weight;
+      if (q < end) return value;
+    }
+    return sorted.back().first;
+  };
+  auto rank_percentile = [&](double p) {
+    double rank = p / 100.0 * static_cast<double>(total - 1);
+    std::uint64_t lo = static_cast<std::uint64_t>(rank);
+    std::uint64_t hi = std::min(lo + 1, total - 1);
+    double frac = rank - static_cast<double>(lo);
+    return at(lo) * (1.0 - frac) + at(hi) * frac;
+  };
+
+  Percentiles out;
+  out.count = samples.size();
+  out.p50 = rank_percentile(50.0);
+  out.p90 = rank_percentile(90.0);
+  out.p99 = rank_percentile(99.0);
+  out.max = sorted.back().first;
   return out;
 }
 

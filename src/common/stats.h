@@ -46,6 +46,16 @@ struct Percentiles {
 };
 Percentiles summarize_percentiles(std::vector<double> samples);
 
+// The same summary over samples that stand for different numbers of
+// observations: sample k counts weights[k] times (weights.size() must
+// equal samples.size(), every weight >= 1).  Ranks interpolate over the
+// expanded population, as summarize_percentiles does over the samples; with
+// all weights equal the result is exactly summarize_percentiles(samples).
+// `count` stays the number of samples.
+Percentiles summarize_weighted_percentiles(
+    const std::vector<double>& samples,
+    const std::vector<std::uint64_t>& weights);
+
 // Least-squares fit of y = a + b*x; returns {a, b}.  Used by the benchmark
 // harness to report empirical growth exponents (fit on log-log data).
 struct LinearFit {

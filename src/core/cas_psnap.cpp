@@ -527,6 +527,36 @@ void CasPartialSnapshotT<Policy, Value>::update(std::uint32_t i,
 }
 
 template <class Policy, class Value>
+template <class Fill>
+void CasPartialSnapshotT<Policy, Value>::do_seed(std::size_t count,
+                                                 Fill&& fill) {
+  require_seed_size(count);
+  seed_initial_records(
+      size_.load(), [this](std::uint32_t i) { return r_.at(i)->peek(); },
+      fill);
+}
+
+template <class Policy, class Value>
+void CasPartialSnapshotT<Policy, Value>::seed(
+    std::span<const std::uint64_t> values) {
+  do_seed(values.size(), [values](std::uint32_t i, ValueType& out) {
+    Value::encode(values[i], out);
+  });
+}
+
+template <class Policy, class Value>
+void CasPartialSnapshotT<Policy, Value>::seed_blobs(
+    std::span<const value::Blob> blobs) {
+  if constexpr (Value::kIndirect) {
+    do_seed(blobs.size(), [blobs](std::uint32_t i, ValueType& out) {
+      Value::copy(blobs[i], out);
+    });
+  } else {
+    PartialSnapshot::seed_blobs(blobs);
+  }
+}
+
+template <class Policy, class Value>
 void CasPartialSnapshotT<Policy, Value>::resolve_batch(const BatchDesc& desc) {
   if constexpr (Value::kVersioned) {
     primitives::batch_install_and_resolve<Policy>(

@@ -186,6 +186,11 @@ class CasPartialSnapshotT final : public PartialSnapshot {
             std::vector<std::uint64_t>& out, ScanContext& ctx) override;
   void update_blob(std::uint32_t i,
                    std::span<const std::byte> bytes) override;
+  // Rewrites the initial records' payloads in place (on every plane and
+  // both reclamation planes: no record has been published or retired
+  // yet, so neither EBR nor hp has anything to protect).
+  void seed(std::span<const std::uint64_t> values) override;
+  void seed_blobs(std::span<const value::Blob> blobs) override;
   // Batched updates.  Collect planes amortize: ONE getSet + announced-set
   // union + embedded scan (the helping round) is shared by all k records,
   // which then publish with fig3's per-entry try-once CAS -- kAmortized.
@@ -297,6 +302,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // The one update body; `fill` writes the new payload into the record.
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
+  // The one seed body; `fill(i, payload)` writes component i's payload.
+  template <class Fill>
+  void do_seed(std::size_t count, Fill&& fill);
   // The versioned plane's singleton update; returns whether the CAS
   // published (false = linearized immediately before the winner).  Batch
   // code retries it until true -- versioned batches must not drop writes.

@@ -86,6 +86,30 @@ class PartialSnapshot {
   // exec::ctx().pid.
   virtual void update(std::uint32_t i, std::uint64_t v) = 0;
 
+  // ---- Seeding ----
+  //
+  // Makes values[i] component i's INITIAL value, for every i <
+  // num_components(): the object then behaves exactly as if it had been
+  // constructed from that vector (Section 2.1's initial vector).  This is
+  // what recovery::restore() rebuilds a checkpoint with -- one pass over
+  // the components instead of m update protocols.
+  //
+  // Contract: the caller is the thread that constructed the object (and
+  // grew it, if it did), no operation has run on it yet, and no other
+  // thread holds it.  The payloads are written in place: no record
+  // allocation, no EBR pin, no getSet, no CAS, no camera fetch-add, no
+  // base-object steps, and no pid is needed.  On the versioned plane the
+  // seeded values keep the initial records' stamp 0, so every epoch sees
+  // them.
+  //
+  // values.size() != num_components() throws std::invalid_argument.  On
+  // the blob plane seed() writes each value as update() would (an 8-byte
+  // payload); seed_blobs() sets arbitrary payloads and, like update_blob,
+  // requires the blob plane (std::logic_error elsewhere).  The default
+  // implementations throw std::logic_error.
+  virtual void seed(std::span<const std::uint64_t> values);
+  virtual void seed_blobs(std::span<const value::Blob> blobs);
+
   // ---- Batched updates ----
   //
   // Applies k component writes as ONE protocol instance: one EBR pin, one
@@ -208,6 +232,11 @@ class PartialSnapshot {
   }
   // Complete scan (partial scan of all components).
   std::vector<std::uint64_t> scan_all();
+
+ protected:
+  // The seed()/seed_blobs() size check: throws std::invalid_argument
+  // unless `count` equals num_components().
+  void require_seed_size(std::size_t count) const;
 };
 
 }  // namespace psnap::core

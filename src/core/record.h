@@ -27,6 +27,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/assert.h"
 #include "primitives/value_plane.h"
 #include "primitives/version_chain.h"
 
@@ -111,6 +112,26 @@ RecordFor<Value>* make_initial_record(std::uint64_t initial_value,
                        std::memory_order_relaxed);
   }
   return rec;
+}
+
+// The seed() loop of the record-publishing implementations (fig1, fig3,
+// the full-snapshot and double-collect baselines).  The seed contract (no
+// operation has run, no other thread holds the object) leaves every
+// component's head the initial record the constructor or add_components
+// installed, reachable by nobody else, so its payload is written in place;
+// on the versioned plane it keeps its stamp 0 and null prev.
+// `head_at(i)` is a non-step read of component i's head; `fill(i, payload)`
+// writes component i's payload.
+template <class HeadAt, class Fill>
+void seed_initial_records(std::uint32_t m, HeadAt&& head_at, Fill&& fill) {
+  for (std::uint32_t i = 0; i < m; ++i) {
+    const auto* head = head_at(i);
+    PSNAP_ASSERT_MSG(head->pid == kInitPid,
+                     "seed() after an update: the seed contract requires a "
+                     "freshly constructed object");
+    using Rec = std::remove_cvref_t<decltype(*head)>;
+    fill(i, const_cast<Rec*>(head)->value);
+  }
 }
 
 // An announced index set (the contents of the paper's A[p] / S[p]

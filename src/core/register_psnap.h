@@ -116,6 +116,9 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
                    std::span<const std::byte> bytes) override;
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<value::Blob>& out, ScanContext& ctx) override;
+  // Rewrites the initial records' payloads in place.
+  void seed(std::span<const std::uint64_t> values) override;
+  void seed_blobs(std::span<const value::Blob> blobs) override;
   using PartialSnapshot::scan;
   using PartialSnapshot::scan_blobs;
 
@@ -138,6 +141,9 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // (u64 encoding or blob bytes).
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
+  // The one seed body; `fill(i, payload)` writes component i's payload.
+  template <class Fill>
+  void do_seed(std::size_t count, Fill&& fill);
   // The one scan body; `extract` pulls the caller's components out of the
   // final view (u64 decoding or blob copies).
   template <class Extract>

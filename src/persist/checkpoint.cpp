@@ -1,6 +1,7 @@
 #include "persist/checkpoint.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "common/assert.h"
 #include "persist/crc32.h"
 
 namespace psnap::persist {
@@ -161,7 +163,20 @@ std::vector<std::byte> serialize_frame(const CheckpointData& frame) {
     }
   }
 
+  // The exact image size, so the one allocation below is the only one.
+  std::size_t size = sizeof(kMagic) + 2 * sizeof(std::uint64_t) +
+                     6 * sizeof(std::uint32_t) + frame.impl_spec.size() +
+                     frame.indices.size() * sizeof(std::uint32_t) + kCrcBytes;
+  if (*plane == Plane::kBlob) {
+    for (const value::Blob& blob : frame.blobs) {
+      size += sizeof(std::uint32_t) + blob.size();
+    }
+  } else {
+    size += frame.values.size() * sizeof(std::uint64_t);
+  }
+
   std::vector<std::byte> out;
+  out.reserve(size);
   append_bytes(out, std::as_bytes(std::span(kMagic)));
   append_raw(out, frame.sequence);
   append_raw(out, frame.epoch);
@@ -182,6 +197,7 @@ std::vector<std::byte> serialize_frame(const CheckpointData& frame) {
     append_bytes(out, std::as_bytes(std::span(frame.values)));
   }
   append_raw(out, crc32(out));
+  PSNAP_ASSERT(out.size() == size);
   return out;
 }
 
@@ -256,12 +272,14 @@ std::optional<CheckpointData> parse_frame(std::span<const std::byte> bytes,
       frame.blobs.emplace_back(payload.begin(), payload.end());
     }
   } else {
-    if (entries > cur.remaining() / sizeof(std::uint64_t)) {
+    std::span<const std::byte> payload;
+    if (entries > cur.remaining() / sizeof(std::uint64_t) ||
+        !cur.read_bytes(entries * sizeof(std::uint64_t), payload)) {
       return reject("truncated value payload");
     }
     frame.values.resize(entries);
-    for (std::uint64_t& v : frame.values) {
-      if (!cur.read(v)) return reject("truncated value payload");
+    if (!payload.empty()) {
+      std::memcpy(frame.values.data(), payload.data(), payload.size());
     }
   }
   if (cur.remaining() != 0) {
@@ -363,18 +381,29 @@ std::optional<CheckpointData> CheckpointLoader::load_newest(
         }
         continue;
       }
-      std::byte buf[1 << 16];
-      ssize_t n;
-      while ((n = ::read(fd, buf, sizeof buf)) > 0) {
-        image.insert(image.end(), buf, buf + n);
+      // Committed frames never change after their rename, so the size
+      // fstat reports is the image's size: read straight into a buffer of
+      // that size.  A short read leaves a truncated image, which the
+      // parser rejects like any other torn frame.
+      struct stat st {};
+      bool ok = ::fstat(fd, &st) == 0;
+      if (ok) image.resize(static_cast<std::size_t>(st.st_size));
+      std::size_t got = 0;
+      while (ok && got < image.size()) {
+        ssize_t n = ::read(fd, image.data() + got, image.size() - got);
+        if (n < 0 && errno == EINTR) continue;
+        if (n < 0) ok = false;
+        if (n <= 0) break;
+        got += static_cast<std::size_t>(n);
       }
       ::close(fd);
-      if (n < 0) {
+      if (!ok) {
         if (report != nullptr) {
           report->rejected.push_back(path + ": read failed");
         }
         continue;
       }
+      image.resize(got);
     }
     std::string error;
     if (auto frame = parse_frame(image, &error)) {

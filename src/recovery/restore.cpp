@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "exec/exec.h"
 #include "registry/registry.h"
 
 namespace psnap::recovery {
@@ -16,11 +15,6 @@ std::unique_ptr<core::PartialSnapshot> restore(
         std::to_string(frame.indices.size()) + " of " +
         std::to_string(frame.num_components) +
         " components); only full frames are restorable");
-  }
-  if (exec::ctx().pid == exec::kInvalidPid) {
-    throw std::logic_error(
-        "restore: calling thread holds no pid; replaying a frame is made "
-        "of ordinary updates (register via exec::ThreadHandle)");
   }
 
   std::uint32_t max_threads = frame.max_threads != 0 ? frame.max_threads : 1;
@@ -48,14 +42,12 @@ std::unique_ptr<core::PartialSnapshot> restore(
     snap->add_components(frame.num_components - constructed);
   }
 
+  // The frame is the object's initial vector: nothing has run on the
+  // fresh object yet, so one seed pass writes every payload in place.
   if (frame.value_plane == "blob") {
-    for (std::uint32_t i = 0; i < frame.num_components; ++i) {
-      snap->update_blob(i, frame.blobs[i]);
-    }
+    snap->seed_blobs(frame.blobs);
   } else {
-    for (std::uint32_t i = 0; i < frame.num_components; ++i) {
-      snap->update(i, frame.values[i]);
-    }
+    snap->seed(frame.values);
   }
   return snap;
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "bench/harness.h"
 
 namespace psnap {
 namespace {
@@ -83,6 +86,61 @@ TEST(Percentile, Interpolates) {
 
 TEST(Percentile, SingleElement) {
   EXPECT_DOUBLE_EQ(percentile({7.0}, 99), 7.0);
+}
+
+TEST(WeightedPercentiles, UniformWeightsMatchUnweighted) {
+  std::vector<double> v{5, 1, 4, 2, 3, 9, 7};
+  Percentiles plain = summarize_percentiles(v);
+  Percentiles weighted =
+      summarize_weighted_percentiles(v, std::vector<std::uint64_t>(7, 3));
+  EXPECT_EQ(weighted.count, plain.count);
+  EXPECT_DOUBLE_EQ(weighted.p50, plain.p50);
+  EXPECT_DOUBLE_EQ(weighted.p90, plain.p90);
+  EXPECT_DOUBLE_EQ(weighted.p99, plain.p99);
+  EXPECT_DOUBLE_EQ(weighted.max, plain.max);
+}
+
+TEST(WeightedPercentiles, WeightsCountAsRepeatedSamples) {
+  std::vector<double> v{8, 1, 5, 3, 13, 2};
+  std::vector<std::uint64_t> w{1, 4, 2, 1, 3, 2};
+  std::vector<double> expanded;
+  for (std::size_t k = 0; k < v.size(); ++k) {
+    expanded.insert(expanded.end(), w[k], v[k]);
+  }
+  Percentiles want = summarize_percentiles(expanded);
+  Percentiles got = summarize_weighted_percentiles(v, w);
+  EXPECT_EQ(got.count, v.size());
+  EXPECT_DOUBLE_EQ(got.p50, want.p50);
+  EXPECT_DOUBLE_EQ(got.p90, want.p90);
+  EXPECT_DOUBLE_EQ(got.p99, want.p99);
+  EXPECT_DOUBLE_EQ(got.max, want.max);
+}
+
+// A sampler that thinned to stride 4 stands for four times as many ops per
+// sample as one that never thinned; the merge must count each op once.
+TEST(LatencySampler, MergeWeightsEachSampleByItsStride) {
+  bench::LatencySampler busy(4), idle(64);
+  for (int i = 0; i < 16; ++i) busy.add(100.0);  // thins to stride 4
+  for (int i = 0; i < 4; ++i) idle.add(1.0);
+  ASSERT_EQ(busy.samples().size(), 4u);
+  EXPECT_EQ(busy.weights(), (std::vector<std::uint64_t>{4, 4, 4, 4}));
+
+  bench::LatencySampler merged;
+  merged.merge(busy);
+  merged.merge(idle);
+  EXPECT_EQ(merged.samples().size(), 8u);
+  // 16 ops at 100 against 4 at 1: the median op took 100.  Concatenating
+  // the unequal strides would have put the median at 50.5.
+  EXPECT_DOUBLE_EQ(merged.summarize().p50, 100.0);
+}
+
+TEST(LatencySampler, EqualStridesMergeByConcatenation) {
+  bench::LatencySampler a, b;
+  for (double x : {1.0, 2.0, 3.0}) a.add(x);
+  for (double x : {4.0, 5.0}) b.add(x);
+  a.merge(b);
+  EXPECT_EQ(a.samples(), (std::vector<double>{1, 2, 3, 4, 5}));
+  EXPECT_DOUBLE_EQ(a.summarize().p50, 3.0);
 }
 
 TEST(FitLinear, ExactLine) {

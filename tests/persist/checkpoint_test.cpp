@@ -9,7 +9,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "persist/checkpoint.h"
 #include "persist/crc32.h"
@@ -57,6 +60,42 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   state = crc32_update(state, bytes.subspan(7, 9));
   state = crc32_update(state, bytes.subspan(16));
   EXPECT_EQ(crc32_finish(state), crc32(bytes));
+}
+
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
+// table-driven implementation must reproduce bit for bit.
+std::uint32_t reference_crc32(std::span<const std::byte> bytes) {
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (std::byte b : bytes) {
+    c ^= static_cast<std::uint32_t>(b);
+    for (int bit = 0; bit < 8; ++bit) {
+      c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+    }
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+// Random lengths 0..4096 at odd start offsets (so the 8-byte blocks never
+// line up with the buffer's alignment), one-shot and split at a random
+// point into two incremental updates.
+TEST(Crc32, MatchesBytewiseReference) {
+  std::mt19937_64 rng(0x5eed);
+  std::vector<std::byte> buf(4096 + 64);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng());
+  for (std::size_t trial = 0; trial < 400; ++trial) {
+    const std::size_t offset = 2 * (rng() % 16) + 1;
+    const std::size_t len = trial < 17 ? trial : rng() % 4097;
+    auto bytes = std::span<const std::byte>(buf).subspan(offset, len);
+    const std::uint32_t want = reference_crc32(bytes);
+    EXPECT_EQ(crc32(bytes), want) << "offset " << offset << " len " << len;
+
+    const std::size_t split = len == 0 ? 0 : rng() % (len + 1);
+    std::uint32_t state = crc32_init();
+    state = crc32_update(state, bytes.first(split));
+    state = crc32_update(state, bytes.subspan(split));
+    EXPECT_EQ(crc32_finish(state), want)
+        << "offset " << offset << " len " << len << " split " << split;
+  }
 }
 
 TEST(CheckpointFrame, RoundTripU64) {

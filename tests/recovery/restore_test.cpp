@@ -141,15 +141,20 @@ TEST(Restore, PartialFrameRejected) {
   EXPECT_THROW(restore(frame), std::invalid_argument);
 }
 
-TEST(Restore, RequiresRegisteredPid) {
+TEST(Restore, SucceedsWithoutPid) {
   CheckpointData frame;
   frame.impl_spec = "fig3_cas";
   frame.initial_m = 2;
-  frame.num_components = 2;
+  frame.num_components = 3;
   frame.max_threads = 2;
-  frame.values = {1, 2};
+  frame.values = {1, 2, 3};
   ASSERT_EQ(exec::ctx().pid, exec::kInvalidPid);
-  EXPECT_THROW(restore(frame), std::logic_error);
+  auto restored = restore(frame);
+  ASSERT_EQ(exec::ctx().pid, exec::kInvalidPid);
+
+  exec::ThreadHandle pid;  // reading the result back is an ordinary scan
+  EXPECT_EQ(restored->num_components(), 3u);
+  EXPECT_EQ(restored->scan_all(), frame.values);
 }
 
 TEST(Restore, PlaneMismatchRejected) {
