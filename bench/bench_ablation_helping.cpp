@@ -77,8 +77,8 @@ void run(std::uint64_t scans, std::uint64_t cap) {
       std::string bound;
     };
     const Row rows[] = {
-        {"double_collect:cap=" + std::to_string(cap), "double-collect (cap)",
-         "none"},
+        {"double_collect:max_attempts=" + std::to_string(cap),
+         "double-collect (cap)", "none"},
         {"double_collect", "double-collect (uncapped)", "unbounded"},
         {"fig1_register", "fig1-register (helping)",
          "2n+3 = " + std::to_string(2 * (updaters + 1) + 3)},

@@ -785,7 +785,7 @@ int main(int argc, char** argv) {
                "record every operation of a full-speed mixed run into a "
                "JSONL artifact at this path (audit with "
                "tools/trace_audit); uses the first --impls spec, default "
-               "fig3_cas_versioned_batch");
+               "fig3_cas_batch:value=versioned");
   if (!flags.parse(argc, argv)) return 1;
 
   if (flags.get_string("impls") == "help") {
@@ -796,7 +796,7 @@ int main(int argc, char** argv) {
 
   if (!flags.get_string("trace").empty()) {
     std::string spec = flags.get_string("impls").empty()
-                           ? "fig3_cas_versioned_batch"
+                           ? "fig3_cas_batch:value=versioned"
                            : impl_specs(flags.get_string("impls")).front();
     try {
       return trace_profile(

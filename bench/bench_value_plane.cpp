@@ -140,7 +140,7 @@ int main(int argc, char** argv) {
   const std::vector<std::array<std::string, 3>> families = {
       {"fig1", "fig1_register_fast", "fig1_register_fast:value=blob"},
       {"fig3", "fig3_cas_fast", "fig3_cas_fast:value=blob"},
-      {"fig3_instrumented", "fig3_cas", "fig3_cas_blob"},
+      {"fig3_instrumented", "fig3_cas", "fig3_cas:value=blob"},
       {"seqlock", "seqlock", "seqlock:value=blob"},
   };
 

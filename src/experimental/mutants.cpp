@@ -178,8 +178,6 @@ void register_mutant_snapshots(registry::SnapshotRegistry& reg) {
   registry::SnapshotInfo torn_scan;
   torn_scan.name = "mut_torn_scan";
   torn_scan.description = "MUTANT: scan is one unvalidated collect";
-  torn_scan.is_wait_free = true;
-  torn_scan.is_local = true;
   torn_scan.make = factory<TornScanMutant>();
   reg.add(std::move(torn_scan));
 
@@ -188,8 +186,6 @@ void register_mutant_snapshots(registry::SnapshotRegistry& reg) {
   skipped_helping.description =
       "MUTANT: double collect gives up after two attempts and returns the "
       "dirty collect";
-  skipped_helping.is_wait_free = true;
-  skipped_helping.is_local = true;
   skipped_helping.make = factory<SkippedHelpingMutant>();
   reg.add(std::move(skipped_helping));
 
@@ -197,8 +193,6 @@ void register_mutant_snapshots(registry::SnapshotRegistry& reg) {
   torn_batch.name = "mut_torn_batch";
   torn_batch.description =
       "MUTANT: claims atomic batches, applies them entry-wise";
-  torn_batch.is_wait_free = true;
-  torn_batch.is_local = true;
   torn_batch.supports_batch = true;
   torn_batch.make = factory<TornBatchMutant>();
   reg.add(std::move(torn_batch));

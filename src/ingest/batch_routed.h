@@ -2,18 +2,19 @@
 // through the batch entry points (update(i,v) becomes a k=1
 // update_batch).
 //
-// Purpose: the registry's canned *_batch twins.  Registering a BatchRouted
-// wrapper of an existing implementation puts the batch protocol -- the
-// shared announcement record, the descriptor install/resolve engine, the
-// pooled batch descriptors -- on the exact paths every registry-driven
-// suite already drives (linearizability, validity, growth, churn, crash,
-// allocation), with zero per-suite wiring.  Scans and plane accessors
-// forward untouched.
+// Purpose: the registry's batch-routed entries (fig3_cas_batch,
+// full_snapshot_versioned_batch).  Each registry::variants() cell of such
+// an entry puts the batch protocol -- the shared announcement record, the
+// descriptor install/resolve engine, the pooled batch descriptors -- on
+// the exact paths every registry-driven suite already drives
+// (linearizability, validity, growth, churn, crash, allocation), on every
+// plane the entry lists, with zero per-suite wiring.  Scans and plane
+// accessors forward untouched.
 //
 // Wait-freedom is a constructor argument rather than forwarded: on the
 // versioned plane the batch engine CAS-retries until every member is
 // installed (lock-free), so a wrapper of a wait-free singleton
-// implementation is NOT wait-free even at k=1, and the registry flag must
+// implementation is NOT wait-free even at k=1, and is_wait_free() must
 // describe the wrapper, not the wrappee.
 #pragma once
 

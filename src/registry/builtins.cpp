@@ -1,18 +1,14 @@
 // Built-in implementation catalogue.
 //
-// Adding an implementation (or a canned ablation) is ONE add() call here;
-// every registry-driven test, bench, and example picks it up automatically.
+// Adding an implementation (or an ablation) is ONE add() call here; every
+// registry-driven test, bench, and example picks it up automatically.
 //
-// Value planes: every snapshot entry accepts the universal
-// value=u64|blob|versioned option (primitives/value_plane.h; validated
-// centrally in SnapshotRegistry::make against the entry's `values` list).
-// The three core algorithms additionally register canned *_blob entries --
-// first-class, sim_safe catalogue rows -- so the DFS/random
-// linearizability, validity, crash, growth, churn, and allocation suites
-// enumerate the indirect plane automatically, with zero per-suite wiring;
-// the versioned read plane (primitives/version_chain.h) gets the same
-// treatment through canned *_versioned entries on the implementations
-// that support it (fig3_cas, full_snapshot, seqlock).
+// Planes are options, not entries: an entry lists the value planes
+// (value=u64|blob|versioned, primitives/value_plane.h) and reclamation
+// planes (reclaim=ebr|hp, reclaim/) it supports, and registry::variants()
+// expands every entry over both lists.  Registry-driven suites iterate
+// those variants, so every plane an entry lists is linearizability-,
+// crash-, growth- and allocation-tested.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -55,26 +51,21 @@ activeset::FaiCasActiveSet::Options faicas_options(const Options& options,
   return out;
 }
 
-// The entry's value plane.  `def` is the entry's default (the first plane
-// in its SnapshotInfo::values list); SnapshotRegistry::make has already
-// rejected planes the entry does not list.
-bool blob_plane(const Options& options, std::string_view def) {
-  return options.get_string("value", def) == "blob";
-}
-
-bool versioned_plane(const Options& options, std::string_view def) {
-  return options.get_string("value", def) == "versioned";
+// The entry's value plane.  SnapshotRegistry::make has already rejected
+// planes the entry does not list; every entry that reads the option lists
+// u64 first.
+std::string value_plane(const Options& options) {
+  return options.get_string("value", "u64");
 }
 
 // The fig3 reclamation knobs (core/cas_psnap.h): reclaim=ebr|hp selects
 // the plane (the registry has already validated it against the entry's
-// `reclaims` list; `def_reclaim` is that list's first entry) and
-// shards=<k> the EBR domain count.  The plane/shard combination rules the
-// constructor would assert are checked here so a bad spec throws instead.
+// `reclaims` list) and shards=<k> the EBR domain count.  The plane/shard
+// combination rules the constructor would assert are checked here so a
+// bad spec throws instead.
 void apply_reclaim_options(core::CasSnapshotOptions& impl,
-                           const Options& options, bool versioned,
-                           std::string_view def_reclaim) {
-  impl.use_hp = options.get_string("reclaim", def_reclaim) == "hp";
+                           const Options& options, bool versioned) {
+  impl.use_hp = options.get_string("reclaim", "ebr") == "hp";
   std::uint64_t shards = options.get_uint("shards", 1);
   if (shards == 0 || shards > reclaim::ShardedEbr::kMaxShards) {
     throw std::invalid_argument(
@@ -141,16 +132,13 @@ std::unique_ptr<activeset::ActiveSet> fig1_active_set(const Options& options,
   return make_active_set(as_spec, n);
 }
 
-// Plane-dispatching constructors shared by the base entries (default
-// plane u64) and the canned *_blob entries (default plane blob).
 std::unique_ptr<core::PartialSnapshot> make_fig1(std::uint32_t m,
                                                  std::uint32_t n,
-                                                 const Options& options,
-                                                 std::string_view def) {
+                                                 const Options& options) {
   auto as = fig1_active_set(options, n);
   std::uint64_t initial = options.get_uint("initial", 0);
   exec::PidBound bound = pid_bound(options, n);
-  if (blob_plane(options, def)) {
+  if (value_plane(options) == "blob") {
     return std::make_unique<core::RegisterPartialSnapshotBlob>(
         m, n, std::move(as), initial, bound);
   }
@@ -158,22 +146,21 @@ std::unique_ptr<core::PartialSnapshot> make_fig1(std::uint32_t m,
                                                          initial, bound);
 }
 
-std::unique_ptr<core::PartialSnapshot> make_fig3(
-    std::uint32_t m, std::uint32_t n, const Options& options,
-    std::string_view def, bool use_cas,
-    std::string_view def_reclaim = "ebr") {
+std::unique_ptr<core::PartialSnapshot> make_fig3(std::uint32_t m,
+                                                 std::uint32_t n,
+                                                 const Options& options) {
   core::CasPartialSnapshot::Options impl;
-  impl.use_cas = use_cas;
+  impl.use_cas = options.get_bool("cas", true);
   impl.active_set = faicas_options(options, n);
   impl.bound = impl.active_set.bound;
-  apply_reclaim_options(impl, options, versioned_plane(options, def),
-                        def_reclaim);
+  const std::string plane = value_plane(options);
+  apply_reclaim_options(impl, options, plane == "versioned");
   std::uint64_t initial = options.get_uint("initial", 0);
-  if (versioned_plane(options, def)) {
+  if (plane == "versioned") {
     return std::make_unique<core::CasPartialSnapshotVersioned>(m, n, impl,
                                                                initial);
   }
-  if (blob_plane(options, def)) {
+  if (plane == "blob") {
     return std::make_unique<core::CasPartialSnapshotBlob>(m, n, impl,
                                                           initial);
   }
@@ -182,44 +169,19 @@ std::unique_ptr<core::PartialSnapshot> make_fig3(
 
 std::unique_ptr<core::PartialSnapshot> make_full(std::uint32_t m,
                                                  std::uint32_t n,
-                                                 const Options& options,
-                                                 std::string_view def) {
+                                                 const Options& options) {
   std::uint64_t initial = options.get_uint("initial", 0);
   exec::PidBound bound = pid_bound(options, n);
-  if (versioned_plane(options, def)) {
+  const std::string plane = value_plane(options);
+  if (plane == "versioned") {
     return std::make_unique<baseline::FullSnapshotVersioned>(m, n, initial,
                                                              bound);
   }
-  if (blob_plane(options, def)) {
+  if (plane == "blob") {
     return std::make_unique<baseline::FullSnapshotBlob>(m, n, initial,
                                                         bound);
   }
   return std::make_unique<baseline::FullSnapshot>(m, n, initial, bound);
-}
-
-// The scan-attempt cap of the starvation-prone baselines.  `max_attempts`
-// is the service-facing spelling (the Checkpointer's graceful-degradation
-// knob: a capped scan throws StarvationError and the Checkpointer backs
-// off and retries); `cap` remains as the historical alias.  When both are
-// given, max_attempts wins.
-std::uint64_t scan_attempt_cap(const Options& options) {
-  std::uint64_t cap = options.get_uint("cap", 0);
-  return options.get_uint("max_attempts", cap);
-}
-
-std::unique_ptr<core::PartialSnapshot> make_seqlock(std::uint32_t m,
-                                                    const Options& options,
-                                                    std::string_view def) {
-  std::uint64_t cap = scan_attempt_cap(options);
-  std::uint64_t initial = options.get_uint("initial", 0);
-  if (versioned_plane(options, def)) {
-    return std::make_unique<baseline::SeqlockSnapshotVersioned>(m, cap,
-                                                                initial);
-  }
-  if (blob_plane(options, def)) {
-    return std::make_unique<baseline::SeqlockSnapshotBlob>(m, cap, initial);
-  }
-  return std::make_unique<baseline::SeqlockSnapshot>(m, cap, initial);
 }
 
 }  // namespace
@@ -230,15 +192,10 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .description =
           "Figure 1: wait-free partial snapshot from registers (Theorem 1)",
       .options_help = "as=<name[;k=v...]>,initial=<u64>,adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = true,
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob",
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig1(m, n, options, "u64");
-          },
+      .make = make_fig1,
   });
   registry.add(SnapshotInfo{
       .name = "fig1_register_fast",
@@ -246,8 +203,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "publication, no step accounting or sim hooks "
                      "(counts_steps=false; wall-clock benches only)",
       .options_help = "initial=<u64>,adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = true,
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob",
@@ -256,28 +211,12 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t initial = options.get_uint("initial", 0);
             exec::PidBound bound = pid_bound(options, n);
-            if (blob_plane(options, "u64")) {
+            if (value_plane(options) == "blob") {
               return std::make_unique<core::RegisterPartialSnapshotBlobFast>(
                   m, n, nullptr, initial, bound);
             }
             return std::make_unique<core::RegisterPartialSnapshotFast>(
                 m, n, nullptr, initial, bound);
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "fig1_register_blob",
-      .description = "Figure 1 on the indirect value plane: byte payloads "
-                     "embedded in the pooled records (sim-covered twin of "
-                     "fig1_register:value=blob)",
-      .options_help = "as=<name[;k=v...]>,initial=<u64>,adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "blob",
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig1(m, n, options, "blob");
           },
   });
   registry.add(SnapshotInfo{
@@ -287,18 +226,12 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .options_help =
           "cas=<bool>,coalesce=<bool>,publish=<bool>,max_joins=<u64>,"
           "initial=<u64>,adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
-      .is_wait_free = true,
-      .is_local = true,
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
       .reclaims = "ebr,hp",
       .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig3(m, n, options, "u64",
-                             options.get_bool("cas", true));
-          },
+      .make = make_fig3,
   });
   registry.add(SnapshotInfo{
       .name = "fig3_cas_fast",
@@ -308,8 +241,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .options_help =
           "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
           "adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
-      .is_wait_free = true,
-      .is_local = true,
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob,versioned",
@@ -321,14 +252,14 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
             core::CasPartialSnapshotFast::Options impl;
             impl.active_set = faicas_options(options, n);
             impl.bound = impl.active_set.bound;
-            apply_reclaim_options(impl, options,
-                                  versioned_plane(options, "u64"), "ebr");
+            const std::string plane = value_plane(options);
+            apply_reclaim_options(impl, options, plane == "versioned");
             std::uint64_t initial = options.get_uint("initial", 0);
-            if (versioned_plane(options, "u64")) {
+            if (plane == "versioned") {
               return std::make_unique<core::CasPartialSnapshotVersionedFast>(
                   m, n, impl, initial);
             }
-            if (blob_plane(options, "u64")) {
+            if (plane == "blob") {
               return std::make_unique<core::CasPartialSnapshotBlobFast>(
                   m, n, impl, initial);
             }
@@ -337,183 +268,10 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
           },
   });
   registry.add(SnapshotInfo{
-      .name = "fig3_cas_blob",
-      .description = "Figure 3 on the indirect value plane: byte payloads "
-                     "embedded in the CAS'd records (sim-covered twin of "
-                     "fig3_cas:value=blob)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
-      .is_wait_free = true,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "blob",
-      .reclaims = "ebr,hp",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig3(m, n, options, "blob", /*use_cas=*/true);
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "fig3_cas_versioned",
-      .description = "Figure 3 on the versioned read plane: scans walk "
-                     "version chains under a camera epoch instead of "
-                     "double-collecting (sim-covered twin of "
-                     "fig3_cas:value=versioned)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
-      .is_wait_free = true,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "versioned",
-      .reclaims = "ebr,hp",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig3(m, n, options, "versioned", /*use_cas=*/true);
-          },
-  });
-  // Canned hazard-pointer twins: the same fig3 construction with
-  // reclaim=hp as its default plane, registered first-class so every
-  // registry-driven suite (DFS/random linearizability, validity, crash,
-  // growth, churn, allocation, fuzz enumeration) exercises the hp
-  // protocol automatically, with zero per-suite wiring.
-  registry.add(SnapshotInfo{
-      .name = "fig3_cas_hp",
-      .description = "Figure 3 reclaiming through hazard pointers instead "
-                     "of epochs: a parked scanner delays only the records "
-                     "it protects (sim-covered twin of "
-                     "fig3_cas:reclaim=hp)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "u64",
-      .reclaims = "hp",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig3(m, n, options, "u64", /*use_cas=*/true, "hp");
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "fig3_cas_versioned_hp",
-      .description = "the versioned read plane reclaiming through hazard "
-                     "pointers: scans protect a depth-2 chain window and "
-                     "restart past it, so this twin is lock-free, not "
-                     "wait-free (twin of "
-                     "fig3_cas_versioned:reclaim=hp)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>",
-      .is_wait_free = false,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "versioned",
-      .reclaims = "hp",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_fig3(m, n, options, "versioned", /*use_cas=*/true,
-                             "hp");
-          },
-  });
-  registry.add(SnapshotInfo{
       .name = "fig3_write_ablation",
       .description = "ABL-3: Figure 3 publishing updates with plain "
                      "overwrites instead of CAS (loses the 2r+1 bound)",
       .options_help = "initial=<u64>,adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "u64,blob",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            // No faicas options exposed here historically; keep the bound
-            // wiring identical to before.
-            core::CasPartialSnapshot::Options impl;
-            impl.use_cas = false;
-            impl.bound = pid_bound(options, n);
-            impl.active_set.bound = impl.bound;
-            std::uint64_t initial = options.get_uint("initial", 0);
-            if (blob_plane(options, "u64")) {
-              return std::unique_ptr<core::PartialSnapshot>(
-                  std::make_unique<core::CasPartialSnapshotBlob>(m, n, impl,
-                                                                 initial));
-            }
-            return std::unique_ptr<core::PartialSnapshot>(
-                std::make_unique<core::CasPartialSnapshot>(m, n, impl,
-                                                           initial));
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "full_snapshot",
-      .description = "complete-scan extraction baseline (Afek et al.): "
-                     "every operation costs Omega(m)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = false,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "u64,blob,versioned",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_full(m, n, options, "u64");
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "full_snapshot_blob",
-      .description = "the complete-scan baseline on the indirect value "
-                     "plane: every full view carries m byte payloads "
-                     "(sim-covered twin of full_snapshot:value=blob)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
-      .is_wait_free = true,
-      .is_local = false,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "blob",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_full(m, n, options, "blob");
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "full_snapshot_versioned",
-      .description = "the complete-scan baseline rescued by the versioned "
-                     "read plane: scans walk only the requested chains, "
-                     "updates CAS-retry (lock-free; sim-covered twin of "
-                     "full_snapshot:value=versioned)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
-      .is_wait_free = false,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "versioned",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return make_full(m, n, options, "versioned");
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "double_collect",
-      .description = "lock-free double collect, no helping: scans can "
-                     "starve (max_attempts>0 throws StarvationError)",
-      .options_help = "max_attempts=<u64>,cap=<u64>,initial=<u64>",
-      .is_wait_free = false,
-      .is_local = true,
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob",
@@ -521,9 +279,48 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .make =
           [](std::uint32_t m, std::uint32_t n,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            std::uint64_t cap = scan_attempt_cap(options);
+            // No faicas options exposed here historically; keep the bound
+            // wiring identical to before.
+            core::CasPartialSnapshot::Options impl;
+            impl.use_cas = false;
+            impl.bound = pid_bound(options, n);
+            impl.active_set.bound = impl.bound;
             std::uint64_t initial = options.get_uint("initial", 0);
-            if (blob_plane(options, "u64")) {
+            if (value_plane(options) == "blob") {
+              return std::make_unique<core::CasPartialSnapshotBlob>(m, n, impl,
+                                                                    initial);
+            }
+            return std::make_unique<core::CasPartialSnapshot>(m, n, impl,
+                                                              initial);
+          },
+  });
+  registry.add(SnapshotInfo{
+      .name = "full_snapshot",
+      .description = "complete-scan extraction baseline (Afek et al.): "
+                     "every operation costs Omega(m); value=versioned "
+                     "rescues scans (lock-free CAS-retry updates)",
+      .options_help = "initial=<u64>,adaptive=<bool>",
+      .counts_steps = true,
+      .sim_safe = true,
+      .values = "u64,blob,versioned",
+      .supports_batch = true,
+      .make = make_full,
+  });
+  registry.add(SnapshotInfo{
+      .name = "double_collect",
+      .description = "lock-free double collect, no helping: scans can "
+                     "starve (max_attempts>0 throws StarvationError)",
+      .options_help = "max_attempts=<u64>,initial=<u64>",
+      .counts_steps = true,
+      .sim_safe = true,
+      .values = "u64,blob",
+      .supports_batch = true,
+      .make =
+          [](std::uint32_t m, std::uint32_t n,
+             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
+            std::uint64_t cap = options.get_uint("max_attempts", 0);
+            std::uint64_t initial = options.get_uint("initial", 0);
+            if (value_plane(options) == "blob") {
               return std::make_unique<baseline::DoubleCollectSnapshotBlob>(
                   m, n, cap, initial);
             }
@@ -536,8 +333,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .description = "global-mutex reference (blocking; performs no "
                      "base-object steps in the paper's model)",
       .options_help = "initial=<u64>",
-      .is_wait_free = false,
-      .is_local = true,
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob",
@@ -546,7 +341,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
           [](std::uint32_t m, std::uint32_t /*n*/,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t initial = options.get_uint("initial", 0);
-            if (blob_plane(options, "u64")) {
+            if (value_plane(options) == "blob") {
               return std::make_unique<baseline::LockSnapshotBlob>(m, initial);
             }
             return std::make_unique<baseline::LockSnapshot>(m, initial);
@@ -556,10 +351,9 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .name = "seqlock",
       .description = "global-seqlock reference: invisible readers, one "
                      "global conflict domain (max_attempts>0 throws "
-                     "StarvationError)",
-      .options_help = "max_attempts=<u64>,cap=<u64>,initial=<u64>",
-      .is_wait_free = false,
-      .is_local = true,
+                     "StarvationError); value=versioned scans walk version "
+                     "chains and never retry",
+      .options_help = "max_attempts=<u64>,initial=<u64>",
       .counts_steps = true,
       .sim_safe = false,
       .values = "u64,blob,versioned",
@@ -567,75 +361,44 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .make =
           [](std::uint32_t m, std::uint32_t /*n*/,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            return make_seqlock(m, options, "u64");
+            std::uint64_t cap = options.get_uint("max_attempts", 0);
+            std::uint64_t initial = options.get_uint("initial", 0);
+            const std::string plane = value_plane(options);
+            if (plane == "versioned") {
+              return std::make_unique<baseline::SeqlockSnapshotVersioned>(
+                  m, cap, initial);
+            }
+            if (plane == "blob") {
+              return std::make_unique<baseline::SeqlockSnapshotBlob>(
+                  m, cap, initial);
+            }
+            return std::make_unique<baseline::SeqlockSnapshot>(m, cap,
+                                                               initial);
           },
   });
-  registry.add(SnapshotInfo{
-      .name = "seqlock_versioned",
-      .description = "the global seqlock on the versioned read plane: "
-                     "writers still serialize, but scans walk version "
-                     "chains and never retry (twin of "
-                     "seqlock:value=versioned)",
-      .options_help = "max_attempts=<u64>,cap=<u64>,initial=<u64>",
-      .is_wait_free = false,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = false,
-      .values = "versioned",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t /*n*/,
-             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            return make_seqlock(m, options, "versioned");
-          },
-  });
-  // Canned batch-routed twins (ingest/batch_routed.h): every singleton
-  // update goes through the k=1 batch path, so the registry-driven suites
+  // Batch-routed entries (ingest/batch_routed.h): every singleton update
+  // goes through the k=1 batch path, so the registry-driven suites
   // exercise the batch protocol -- descriptor install/resolve, shared
   // counters, pooled batch records -- on their existing workloads.
   registry.add(SnapshotInfo{
       .name = "fig3_cas_batch",
       .description = "Figure 3 with updates routed through the batch "
-                     "entry points (sim-covered twin driving the shared "
-                     "announcement/helping path at k=1)",
+                     "entry points (drives the shared announcement/helping "
+                     "path at k=1; lock-free on the versioned plane, whose "
+                     "descriptor install engine CAS-retries)",
       .options_help =
           "cas=<bool>,coalesce=<bool>,publish=<bool>,max_joins=<u64>,"
           "initial=<u64>,adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
-      .is_wait_free = true,
-      .is_local = true,
       .counts_steps = true,
       .sim_safe = true,
-      .values = "u64,blob",
+      .values = "u64,blob,versioned",
       .reclaims = "ebr,hp",
       .supports_batch = true,
       .make =
           [](std::uint32_t m, std::uint32_t n, const Options& options) {
+            const bool versioned = value_plane(options) == "versioned";
             return std::make_unique<ingest::BatchRouted>(
-                make_fig3(m, n, options, "u64",
-                          options.get_bool("cas", true)),
-                /*wait_free=*/true);
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "fig3_cas_versioned_batch",
-      .description = "Figure 3 on the versioned plane with batch-routed "
-                     "updates: the descriptor install engine CAS-retries, "
-                     "so this twin is lock-free, not wait-free",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
-      .is_wait_free = false,
-      .is_local = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "versioned",
-      .reclaims = "ebr,hp",
-      .supports_batch = true,
-      .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
-            return std::make_unique<ingest::BatchRouted>(
-                make_fig3(m, n, options, "versioned", /*use_cas=*/true),
-                /*wait_free=*/false);
+                make_fig3(m, n, options), /*wait_free=*/!versioned);
           },
   });
   registry.add(SnapshotInfo{
@@ -644,8 +407,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "batch-routed updates (lock-free descriptor engine "
                      "over the full-view records)",
       .options_help = "initial=<u64>,adaptive=<bool>",
-      .is_wait_free = false,
-      .is_local = true,
       .counts_steps = true,
       .sim_safe = true,
       .values = "versioned",
@@ -653,7 +414,9 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .make =
           [](std::uint32_t m, std::uint32_t n, const Options& options) {
             return std::make_unique<ingest::BatchRouted>(
-                make_full(m, n, options, "versioned"),
+                std::make_unique<baseline::FullSnapshotVersioned>(
+                    m, n, options.get_uint("initial", 0),
+                    pid_bound(options, n)),
                 /*wait_free=*/false);
           },
   });

@@ -405,15 +405,26 @@ std::unique_ptr<activeset::ActiveSet> make_active_set(
   return ActiveSetRegistry::instance().make(spec, max_threads);
 }
 
-bool value_plane_supported(std::string_view values, std::string_view plane) {
+namespace {
+
+// The items of a comma-separated plane list, in order.
+std::vector<std::string_view> split_list(std::string_view list) {
+  std::vector<std::string_view> items;
   std::size_t pos = 0;
-  while (pos <= values.size()) {
-    std::size_t comma = values.find(',', pos);
-    if (comma == std::string_view::npos) comma = values.size();
-    if (values.substr(pos, comma - pos) == plane) return true;
+  while (pos <= list.size()) {
+    std::size_t comma = list.find(',', pos);
+    if (comma == std::string_view::npos) comma = list.size();
+    items.push_back(list.substr(pos, comma - pos));
     pos = comma + 1;
   }
-  return false;
+  return items;
+}
+
+}  // namespace
+
+bool value_plane_supported(std::string_view values, std::string_view plane) {
+  std::vector<std::string_view> planes = split_list(values);
+  return std::find(planes.begin(), planes.end(), plane) != planes.end();
 }
 
 std::string_view default_value_plane(std::string_view values) {
@@ -427,6 +438,36 @@ bool reclaim_plane_supported(std::string_view reclaims,
 
 std::string_view default_reclaim_plane(std::string_view reclaims) {
   return default_value_plane(reclaims);
+}
+
+std::vector<SnapshotVariant> variants() {
+  std::vector<SnapshotVariant> out;
+  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
+    for (std::string_view value : split_list(info->values)) {
+      for (std::string_view reclaim : split_list(info->reclaims)) {
+        SnapshotVariant v;
+        v.entry = info->name;
+        v.value = value;
+        v.reclaim = reclaim;
+        v.spec = v.entry + ":value=" + v.value + ",reclaim=" + v.reclaim;
+        v.name = v.entry;
+        if (value != default_value_plane(info->values)) {
+          v.name += "_" + v.value;
+        }
+        if (reclaim != default_reclaim_plane(info->reclaims)) {
+          v.name += "_" + v.reclaim;
+        }
+        v.sim_safe = info->sim_safe;
+        v.counts_steps = info->counts_steps;
+        v.supports_batch = info->supports_batch;
+        auto instance = make_snapshot(v.spec, 1, 1);
+        v.is_wait_free = instance->is_wait_free();
+        v.is_local = instance->is_local();
+        out.push_back(std::move(v));
+      }
+    }
+  }
+  return out;
 }
 
 std::string closest_snapshot_name(std::string_view name) {

@@ -6,10 +6,13 @@
 // string-keyed catalogue:
 //
 //   * enumeration: SnapshotRegistry::instance().all() lists every
-//     implementation in registration order, with capability flags
-//     (is_wait_free / is_local / counts_steps / sim_safe) so consumers can
-//     filter ("only wait-free impls for the crash sweeps", "only
-//     sim-safe impls under the deterministic scheduler") instead of
+//     implementation in registration order, and variants() expands each
+//     one over the value and reclamation planes it accepts -- one
+//     SnapshotVariant per (entry, value=, reclaim=) cell, with its
+//     capability flags (sim_safe / counts_steps / supports_batch, and
+//     is_wait_free / is_local read from a built instance) -- so consumers
+//     filter ("only wait-free variants for the crash sweeps", "only
+//     sim-safe variants under the deterministic scheduler") instead of
 //     hand-curating lists;
 //
 //   * construction from CLI strings: make_snapshot("fig3_cas:cas=false",
@@ -17,9 +20,9 @@
 //     "name" or "name:key=value,key=value", so bench and example binaries
 //     expose --impl flags that reach every registered ablation;
 //
-//   * one-line registration: a new implementation (or a canned ablation
-//     variant of an existing one) is a single add() call in
-//     register_builtins() -- every consumer picks it up automatically.
+//   * one-line registration: a new implementation is a single add() call
+//     in register_builtins() -- every consumer picks it up automatically,
+//     on every plane its `values` and `reclaims` lists name.
 //
 // The registry is deliberately not self-registering via static
 // initializers: built-ins are registered lazily on first use, which keeps
@@ -102,11 +105,10 @@ struct SnapshotInfo {
   // "key=value" summary of the accepted options, for --help output.
   std::string options_help;
 
-  // Capability flags, queryable without instantiating (used by consumers
-  // to filter; asserted against the instances in registry_test.cpp).
-  bool is_wait_free = false;
-  // Scan complexity depends only on r, never on m.
-  bool is_local = false;
+  // Capability flags, queryable without instantiating.  Wait-freedom and
+  // locality depend on the plane, so they are not declared here: each
+  // SnapshotVariant reads them from a built instance.
+  //
   // Performs base-object steps counted by exec::on_step (false for the
   // mutex baseline, which synchronizes outside the paper's model).
   bool counts_steps = true;
@@ -136,6 +138,34 @@ struct SnapshotInfo {
 
   SnapshotFactory make;
 };
+
+// One buildable cell of the catalogue: a registered entry at one of the
+// value planes and one of the reclamation planes it lists.
+struct SnapshotVariant {
+  // "entry:value=<plane>,reclaim=<plane>"; make_snapshot(spec, m, n)
+  // builds the variant.
+  std::string spec;
+  // Identifier-safe gtest parameter name: the entry name, plus
+  // "_<plane>" when the value plane is not the entry's default and
+  // "_<reclaim>" when the reclamation plane is not (fig3_cas_versioned_hp).
+  std::string name;
+  std::string entry;
+  std::string value;
+  std::string reclaim;
+  // The entry's flags.
+  bool sim_safe = true;
+  bool counts_steps = true;
+  bool supports_batch = false;
+  // Read from a built instance, which is the authority on both.
+  bool is_wait_free = false;
+  // Scan complexity depends only on r, never on m.
+  bool is_local = false;
+};
+
+// Every registered snapshot entry expanded over its `values` x `reclaims`
+// lists, in registration order (planes in list order).  Computed on each
+// call, so entries registered late (the experimental mutants) appear too.
+std::vector<SnapshotVariant> variants();
 
 // Ingest-shaping knobs parsed from the universal spec options batch=<k>
 // and coalesce_window=<w>.  The registry only parses and validates them

@@ -31,14 +31,15 @@ inline constexpr char kPinnedAsetDekker[] =
 // a versioned scan stream, the shape that stresses batch-tier expansion
 // in the checker (PR 8) together with camera epochs (PR 6).
 inline constexpr char kPinnedSnapBatchedScan[] =
-    "psnapfuzz/1|snap|fig3_cas_versioned_batch:value=versioned,batch=3,"
+    "psnapfuzz/1|snap|fig3_cas_batch:value=versioned,batch=3,"
     "coalesce_window=6|m0=3|procs=3|ops=5|op=11|sched=3";
 
-// Growth racing scans on the fast-scan fig3 variant: add_components
-// interleaved with partial scans near the old/new boundary (PR 3's
-// grow-only watermark oracle).
+// Growth racing scans on fig3: add_components interleaved with partial
+// scans near the old/new boundary (the grow-only watermark oracle).  The
+// Instrumented runtime's sim hooks are what let the schedule interleave
+// the two.
 inline constexpr char kPinnedSnapGrowth[] =
-    "psnapfuzz/1|snap|fig3_cas_fast:value=u64|m0=2|procs=3|ops=5|op=1d|"
+    "psnapfuzz/1|snap|fig3_cas:value=u64|m0=2|procs=3|ops=5|op=1d|"
     "sched=9";
 
 // The try-once-CAS-vs-lazy-stamping race the fuzzer itself found on the
@@ -51,7 +52,7 @@ inline constexpr char kPinnedSnapGrowth[] =
 // singleton winner, and a batch winner whose shared stamp is the one that
 // floats.
 inline constexpr char kPinnedSnapLoserStamp[] =
-    "psnapfuzz/1|snap|fig3_cas_versioned:value=versioned|m0=2|procs=3|"
+    "psnapfuzz/1|snap|fig3_cas:value=versioned|m0=2|procs=3|"
     "ops=4|op=120878d18ad3f6da|sched=25b55ac85950db3a";
 inline constexpr char kPinnedSnapLoserStampBatch[] =
     "psnapfuzz/1|snap|fig3_cas:value=versioned|m0=2|procs=2|ops=5|"

@@ -13,27 +13,15 @@ namespace {
 // that flushes really carry multi-entry batches through update_batch.
 constexpr char kIngestKnobs[] = "batch=3,coalesce_window=6";
 
-std::vector<std::string> split_planes(std::string_view values) {
-  std::vector<std::string> planes;
-  std::size_t pos = 0;
-  while (pos <= values.size()) {
-    std::size_t comma = values.find(',', pos);
-    if (comma == std::string_view::npos) comma = values.size();
-    planes.emplace_back(values.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return planes;
-}
-
-FuzzTarget snapshot_target(const registry::SnapshotInfo& info,
-                           const std::string& plane, bool coalesced) {
+FuzzTarget snapshot_target(const registry::SnapshotVariant& variant,
+                           bool coalesced) {
   FuzzTarget target;
   target.kind = FuzzTarget::Kind::kSnapshot;
-  target.spec = info.name + ":value=" + plane;
+  target.spec = variant.spec;
   if (coalesced) target.spec += std::string(",") + kIngestKnobs;
-  target.supports_batch = info.supports_batch;
-  target.versioned = plane == "versioned";
-  target.blob = plane == "blob";
+  target.supports_batch = variant.supports_batch;
+  target.versioned = variant.value == "versioned";
+  target.blob = variant.value == "blob";
   target.coalesced = coalesced;
   return target;
 }
@@ -42,14 +30,11 @@ FuzzTarget snapshot_target(const registry::SnapshotInfo& info,
 
 std::vector<FuzzTarget> enumerate_snapshot_targets() {
   std::vector<FuzzTarget> targets;
-  for (const registry::SnapshotInfo* info :
-       registry::SnapshotRegistry::instance().all()) {
-    if (!info->sim_safe) continue;
-    for (const std::string& plane : split_planes(info->values)) {
-      targets.push_back(snapshot_target(*info, plane, /*coalesced=*/false));
-      if (info->supports_batch) {
-        targets.push_back(snapshot_target(*info, plane, /*coalesced=*/true));
-      }
+  for (const registry::SnapshotVariant& variant : registry::variants()) {
+    if (!variant.sim_safe) continue;
+    targets.push_back(snapshot_target(variant, /*coalesced=*/false));
+    if (variant.supports_batch) {
+      targets.push_back(snapshot_target(variant, /*coalesced=*/true));
     }
   }
   return targets;
@@ -94,6 +79,14 @@ FuzzTarget target_from_spec(FuzzTarget::Kind kind, std::string spec) {
                                 std::string(name) +
                                 "' in fuzz token (mutant tokens need the "
                                 "experimental registrations)");
+  }
+  // Fuzz plans run under the sim scheduler; an entry without sim hooks
+  // (the Release runtime, the blocking baselines) would run them with no
+  // interleaving at all while the token claimed a schedule.
+  if (!info->sim_safe) {
+    throw std::invalid_argument("snapshot implementation '" +
+                                std::string(name) +
+                                "' is not sim-safe and cannot be fuzzed");
   }
   registry::Options options = registry::Options::parse(opt_spec);
   std::string plane = options.get_string(

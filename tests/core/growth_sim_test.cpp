@@ -33,9 +33,9 @@ using verify::LinCheckOptions;
 using verify::LinResult;
 using verify::RecordingSnapshot;
 
-std::vector<const registry::SnapshotInfo*> checked_impls() {
+std::vector<registry::SnapshotVariant> checked_impls() {
   return test::snapshot_impls(
-      [](const registry::SnapshotInfo& info) { return info.sim_safe; });
+      [](const registry::SnapshotVariant& v) { return v.sim_safe; });
 }
 
 void expect_linearizable(const History& history, std::uint32_t m) {
@@ -51,7 +51,7 @@ void expect_linearizable(const History& history, std::uint32_t m) {
 }
 
 class GrowthSimTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 // Scenario A (DFS): a grower-updater races a scanner.  The scanner first
 // scans the original components, then -- if it already observes the grown
@@ -61,7 +61,7 @@ TEST_P(GrowthSimTest, GrowRacesScannerDfs) {
   constexpr std::uint32_t kM0 = 2;
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = test::make_snapshot(*GetParam(), kM0, 2);
+        auto snap = test::make_snapshot(GetParam(), kM0, 2);
         History history;
         RecordingSnapshot recorded(*snap, history);
 
@@ -97,7 +97,7 @@ TEST_P(GrowthSimTest, RepeatedGrowthRandomSchedules) {
   constexpr std::uint32_t kM0 = 2;
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), kM0, 4);
+        auto snap = test::make_snapshot(GetParam(), kM0, 4);
         History history;
         RecordingSnapshot recorded(*snap, history);
 
@@ -135,7 +135,7 @@ TEST_P(GrowthSimTest, ConcurrentGrowersGetDisjointBlocks) {
   constexpr std::uint32_t kM0 = 2;
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), kM0, 3);
+        auto snap = test::make_snapshot(GetParam(), kM0, 3);
         std::uint32_t first_a = 0, first_b = 0;
 
         SimScheduler::Options options;

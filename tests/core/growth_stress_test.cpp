@@ -33,7 +33,7 @@ namespace {
 constexpr std::uint64_t kTag = 4096;
 
 class GrowthStressTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(GrowthStressTest, ChurningThreadsAndGrowingComponents) {
   constexpr std::uint32_t kM0 = 4;
@@ -46,7 +46,7 @@ TEST_P(GrowthStressTest, ChurningThreadsAndGrowingComponents) {
 
   // max_threads: writers + scanners + grower, with headroom for the
   // moment a scanner's next life overlaps another thread's registration.
-  auto snap = test::make_snapshot(*GetParam(), kM0, 8);
+  auto snap = test::make_snapshot(GetParam(), kM0, 8);
   std::atomic<bool> stop_writers{false};
   std::atomic<std::uint64_t> scans_done{0};
 
@@ -139,7 +139,7 @@ TEST_P(GrowthStressTest, ChurningThreadsAndGrowingComponents) {
 INSTANTIATE_TEST_SUITE_P(
     WaitFreeImplementations, GrowthStressTest,
     ::testing::ValuesIn(test::snapshot_impls(
-        [](const registry::SnapshotInfo& info) { return info.is_wait_free; })),
+        [](const registry::SnapshotVariant& v) { return v.is_wait_free; })),
     test::snapshot_param_name);
 
 }  // namespace

@@ -1,6 +1,7 @@
-// The seed() contract (core/partial_snapshot.h) on every registry entry and
-// every value plane it supports: a freshly built object seeded with a
-// vector -- without a pid -- scans back exactly that vector, components
+// The seed() contract (core/partial_snapshot.h) on every registry variant
+// (every entry on every value and reclamation plane it supports): a
+// freshly built object seeded with a vector -- without a pid -- scans
+// back exactly that vector, components
 // added by add_components before the seed included; later updates
 // supersede seeded values; versioned scans see the seed from the first
 // epoch on; a wrong-sized vector is rejected without touching the object.
@@ -19,19 +20,6 @@
 namespace psnap::core {
 namespace {
 
-// SnapshotInfo::values is a comma-separated plane list.
-std::vector<std::string> planes_of(const registry::SnapshotInfo& info) {
-  std::vector<std::string> planes;
-  std::size_t pos = 0;
-  while (pos <= info.values.size()) {
-    std::size_t comma = info.values.find(',', pos);
-    if (comma == std::string::npos) comma = info.values.size();
-    planes.push_back(info.values.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return planes;
-}
-
 std::vector<std::uint64_t> pattern(std::uint32_t m) {
   std::vector<std::uint64_t> values(m);
   for (std::uint32_t i = 0; i < m; ++i) values[i] = 1000 + 7 * i;
@@ -44,105 +32,89 @@ std::vector<std::uint32_t> all_indices(std::uint32_t m) {
   return idx;
 }
 
-class SeedTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {
+class SeedTest : public ::testing::TestWithParam<registry::SnapshotVariant> {
  protected:
-  std::unique_ptr<PartialSnapshot> make(const std::string& plane,
-                                        std::uint32_t m) {
-    return registry::make_snapshot(GetParam()->name + ":value=" + plane, m,
-                                   4);
+  std::unique_ptr<PartialSnapshot> make(std::uint32_t m) {
+    return registry::make_snapshot(GetParam().spec, m, 4);
   }
+  const std::string& plane() const { return GetParam().value; }
 };
 
 TEST_P(SeedTest, ScanAllReturnsTheSeedIncludingGrownComponents) {
-  for (const std::string& plane : planes_of(*GetParam())) {
-    SCOPED_TRACE(plane);
-    auto snap = make(plane, 3);
-    ASSERT_EQ(snap->add_components(4), 3u);
-    const std::vector<std::uint64_t> values = pattern(7);
-    ASSERT_EQ(exec::ctx().pid, exec::kInvalidPid);  // seeding needs none
-    snap->seed(values);
+  auto snap = make(3);
+  ASSERT_EQ(snap->add_components(4), 3u);
+  const std::vector<std::uint64_t> values = pattern(7);
+  ASSERT_EQ(exec::ctx().pid, exec::kInvalidPid);  // seeding needs none
+  snap->seed(values);
 
-    exec::ScopedPid pid(0);
-    EXPECT_EQ(snap->scan_all(), values);
-  }
+  exec::ScopedPid pid(0);
+  EXPECT_EQ(snap->scan_all(), values);
 }
 
 TEST_P(SeedTest, SeedBlobsSetsArbitraryPayloadsOnTheBlobPlaneOnly) {
-  for (const std::string& plane : planes_of(*GetParam())) {
-    SCOPED_TRACE(plane);
-    auto snap = make(plane, 2);
-    if (plane != "blob") {
-      EXPECT_THROW(snap->seed_blobs(std::vector<value::Blob>(2)),
-                   std::logic_error);
-      continue;
-    }
-    ASSERT_EQ(snap->add_components(1), 2u);
-    const std::vector<value::Blob> blobs{
-        value::Blob(300, std::byte{0x5A}), value::Blob{},
-        value::Blob{std::byte{1}, std::byte{2}, std::byte{3}}};
-    snap->seed_blobs(blobs);
-
-    exec::ScopedPid pid(0);
-    std::vector<value::Blob> got;
-    snap->scan_blobs(all_indices(3), got);
-    EXPECT_EQ(got, blobs);
+  auto snap = make(2);
+  if (plane() != "blob") {
+    EXPECT_THROW(snap->seed_blobs(std::vector<value::Blob>(2)),
+                 std::logic_error);
+    return;
   }
+  ASSERT_EQ(snap->add_components(1), 2u);
+  const std::vector<value::Blob> blobs{
+      value::Blob(300, std::byte{0x5A}), value::Blob{},
+      value::Blob{std::byte{1}, std::byte{2}, std::byte{3}}};
+  snap->seed_blobs(blobs);
+
+  exec::ScopedPid pid(0);
+  std::vector<value::Blob> got;
+  snap->scan_blobs(all_indices(3), got);
+  EXPECT_EQ(got, blobs);
 }
 
 TEST_P(SeedTest, LaterUpdatesSupersedeSeededValues) {
-  for (const std::string& plane : planes_of(*GetParam())) {
-    SCOPED_TRACE(plane);
-    auto snap = make(plane, 4);
-    snap->seed(std::vector<std::uint64_t>{5, 6, 7, 8});
+  auto snap = make(4);
+  snap->seed(std::vector<std::uint64_t>{5, 6, 7, 8});
 
-    exec::ScopedPid pid(0);
-    snap->update(2, 99);
-    EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{5, 6, 99, 8}));
-    snap->update(2, 100);
-    snap->update(0, 1);
-    EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{1, 6, 100, 8}));
-  }
+  exec::ScopedPid pid(0);
+  snap->update(2, 99);
+  EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{5, 6, 99, 8}));
+  snap->update(2, 100);
+  snap->update(0, 1);
+  EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{1, 6, 100, 8}));
 }
 
 TEST_P(SeedTest, FirstVersionedScanSeesTheSeed) {
-  for (const std::string& plane : planes_of(*GetParam())) {
-    if (plane != "versioned") continue;
-    auto snap = make(plane, 5);
-    const std::vector<std::uint64_t> values = pattern(5);
-    snap->seed(values);
+  if (plane() != "versioned") return;
+  auto snap = make(5);
+  const std::vector<std::uint64_t> values = pattern(5);
+  snap->seed(values);
 
-    exec::ScopedPid pid(0);
-    std::vector<std::uint64_t> out;
-    const std::uint64_t first = snap->scan_versioned(all_indices(5), out);
-    EXPECT_EQ(out, values);
-    snap->update(1, 42);
-    EXPECT_GT(snap->scan_versioned(all_indices(5), out), first);
-    EXPECT_EQ(out, (std::vector<std::uint64_t>{1000, 42, 1014, 1021, 1028}));
-  }
+  exec::ScopedPid pid(0);
+  std::vector<std::uint64_t> out;
+  const std::uint64_t first = snap->scan_versioned(all_indices(5), out);
+  EXPECT_EQ(out, values);
+  snap->update(1, 42);
+  EXPECT_GT(snap->scan_versioned(all_indices(5), out), first);
+  EXPECT_EQ(out, (std::vector<std::uint64_t>{1000, 42, 1014, 1021, 1028}));
 }
 
 TEST_P(SeedTest, SizeMismatchThrowsAndChangesNothing) {
-  for (const std::string& plane : planes_of(*GetParam())) {
-    SCOPED_TRACE(plane);
-    auto snap = make(plane, 3);
-    EXPECT_THROW(snap->seed(std::vector<std::uint64_t>{1, 2}),
+  auto snap = make(3);
+  EXPECT_THROW(snap->seed(std::vector<std::uint64_t>{1, 2}),
+               std::invalid_argument);
+  EXPECT_THROW(snap->seed(std::vector<std::uint64_t>{1, 2, 3, 4}),
+               std::invalid_argument);
+  if (plane() == "blob") {
+    EXPECT_THROW(snap->seed_blobs(std::vector<value::Blob>(4)),
                  std::invalid_argument);
-    EXPECT_THROW(snap->seed(std::vector<std::uint64_t>{1, 2, 3, 4}),
-                 std::invalid_argument);
-    if (plane == "blob") {
-      EXPECT_THROW(snap->seed_blobs(std::vector<value::Blob>(4)),
-                   std::invalid_argument);
-    }
-    {
-      exec::ScopedPid pid(0);
-      EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{0, 0, 0}));
-    }
-    // Still freshly built: a well-sized seed goes through.
-    snap->seed(std::vector<std::uint64_t>{1, 2, 3});
-    exec::ScopedPid pid(0);
-    EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{1, 2, 3}));
   }
+  {
+    exec::ScopedPid pid(0);
+    EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{0, 0, 0}));
+  }
+  // Still freshly built: a well-sized seed goes through.
+  snap->seed(std::vector<std::uint64_t>{1, 2, 3});
+  exec::ScopedPid pid(0);
+  EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{1, 2, 3}));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, SeedTest,

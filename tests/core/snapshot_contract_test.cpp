@@ -13,10 +13,10 @@ namespace psnap::core {
 namespace {
 
 class SnapshotContractTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {
  protected:
   std::unique_ptr<PartialSnapshot> make(std::uint32_t m, std::uint32_t n = 4) {
-    return test::make_snapshot(*GetParam(), m, n);
+    return test::make_snapshot(GetParam(), m, n);
   }
 };
 

@@ -41,9 +41,9 @@ using verify::RecordingSnapshot;
 
 // Crash tolerance is a wait-freedom property, so the sweep covers every
 // registered wait-free, sim-safe implementation.
-std::vector<const registry::SnapshotInfo*> crash_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
-    return info.is_wait_free && info.sim_safe;
+std::vector<registry::SnapshotVariant> crash_impls() {
+  return test::snapshot_impls([](const registry::SnapshotVariant& variant) {
+    return variant.is_wait_free && variant.sim_safe;
   });
 }
 
@@ -57,14 +57,14 @@ void expect_linearizable(const History& history, std::uint32_t m) {
 }
 
 class SnapshotCrashTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 // Crash the updater at every possible step of its operation; the scanner
 // must always complete and the history must stay linearizable.
 TEST_P(SnapshotCrashTest, UpdaterCrashSweep) {
   constexpr std::uint32_t kM = 2;
   for (std::uint64_t crash_step = 1; crash_step <= 40; ++crash_step) {
-    auto snap = test::make_snapshot(*GetParam(), kM, 2);
+    auto snap = test::make_snapshot(GetParam(), kM, 2);
     History history;
     RecordingSnapshot recorded(*snap, history);
     bool scanner_finished = false;
@@ -85,7 +85,7 @@ TEST_P(SnapshotCrashTest, UpdaterCrashSweep) {
     sched.run();
 
     ASSERT_TRUE(scanner_finished)
-        << GetParam()->name << " crash at step " << crash_step;
+        << GetParam().name << " crash at step " << crash_step;
     expect_linearizable(history, kM);
   }
 }
@@ -96,7 +96,7 @@ TEST_P(SnapshotCrashTest, UpdaterCrashSweep) {
 TEST_P(SnapshotCrashTest, ScannerCrashSweep) {
   constexpr std::uint32_t kM = 2;
   for (std::uint64_t crash_step = 1; crash_step <= 12; ++crash_step) {
-    auto snap = test::make_snapshot(*GetParam(), kM, 2);
+    auto snap = test::make_snapshot(GetParam(), kM, 2);
     History history;
     RecordingSnapshot recorded(*snap, history);
     int updates_done = 0;
@@ -117,7 +117,7 @@ TEST_P(SnapshotCrashTest, ScannerCrashSweep) {
     sched.run();
 
     ASSERT_EQ(updates_done, 5)
-        << GetParam()->name << " crash at step " << crash_step;
+        << GetParam().name << " crash at step " << crash_step;
     expect_linearizable(history, kM);
   }
 }
@@ -128,7 +128,7 @@ TEST_P(SnapshotCrashTest, DoubleCrashSurvivorCompletes) {
   constexpr std::uint32_t kM = 2;
   for (std::uint64_t c1 : {2ull, 5ull, 9ull}) {
     for (std::uint64_t c2 : {1ull, 3ull, 7ull}) {
-      auto snap = test::make_snapshot(*GetParam(), kM, 3);
+      auto snap = test::make_snapshot(GetParam(), kM, 3);
       History history;
       RecordingSnapshot recorded(*snap, history);
       bool survivor_finished = false;
@@ -152,7 +152,7 @@ TEST_P(SnapshotCrashTest, DoubleCrashSurvivorCompletes) {
       });
       sched.run();
 
-      ASSERT_TRUE(survivor_finished) << GetParam()->name;
+      ASSERT_TRUE(survivor_finished) << GetParam().name;
       expect_linearizable(history, kM);
     }
   }

@@ -22,15 +22,15 @@ namespace {
 struct Case {
   std::string label;
   std::uint64_t seed;
-  const registry::SnapshotInfo* info;
+  registry::SnapshotVariant variant;
 };
 
 std::vector<Case> make_cases() {
   std::vector<Case> cases;
-  for (const registry::SnapshotInfo* info : test::snapshot_impls()) {
+  for (const registry::SnapshotVariant& variant : test::snapshot_impls()) {
     for (std::uint64_t seed = 1; seed <= 6; ++seed) {
       cases.push_back(
-          Case{info->name + "_s" + std::to_string(seed), seed, info});
+          Case{variant.name + "_s" + std::to_string(seed), seed, variant});
     }
   }
   return cases;
@@ -42,7 +42,7 @@ TEST_P(SnapshotModelTest, AgreesWithReferenceModel) {
   Xoshiro256 rng(GetParam().seed);
   // Random shape per seed.
   const auto m = static_cast<std::uint32_t>(rng.next_in(1, 48));
-  auto snap = test::make_snapshot(*GetParam().info, m, 2);
+  auto snap = test::make_snapshot(GetParam().variant, m, 2);
   std::vector<std::uint64_t> model(m, 0);
 
   exec::ScopedPid pid(0);
@@ -86,7 +86,7 @@ TEST_P(SnapshotModelMultiPidTest, AgreesWithReferenceModel) {
   Xoshiro256 rng(GetParam().seed * 7919);
   const auto m = static_cast<std::uint32_t>(rng.next_in(2, 24));
   constexpr std::uint32_t kPids = 3;
-  auto snap = test::make_snapshot(*GetParam().info, m, kPids);
+  auto snap = test::make_snapshot(GetParam().variant, m, kPids);
   std::vector<std::uint64_t> model(m, 0);
 
   std::vector<std::uint64_t> out;

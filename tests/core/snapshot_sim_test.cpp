@@ -37,9 +37,9 @@ using verify::RecordingSnapshot;
 // Every registered implementation that is safe to drive under the
 // deterministic scheduler (the mutex and seqlock baselines block/spin
 // outside the step-instrumented model).
-std::vector<const registry::SnapshotInfo*> checked_impls() {
+std::vector<registry::SnapshotVariant> checked_impls() {
   return test::snapshot_impls(
-      [](const registry::SnapshotInfo& info) { return info.sim_safe; });
+      [](const registry::SnapshotVariant& v) { return v.sim_safe; });
 }
 
 void expect_linearizable(const History& history, std::uint32_t m) {
@@ -55,14 +55,14 @@ void expect_linearizable(const History& history, std::uint32_t m) {
 }
 
 class SnapshotLinSimTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 // Scenario A: one updater racing one scanner on two components.
 TEST_P(SnapshotLinSimTest, UpdaterVsScannerDfs) {
   constexpr std::uint32_t kM = 2;
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = test::make_snapshot(*GetParam(), kM, 2);
+        auto snap = test::make_snapshot(GetParam(), kM, 2);
         History history;
         RecordingSnapshot recorded(*snap, history);
 
@@ -91,7 +91,7 @@ TEST_P(SnapshotLinSimTest, WriteContentionDfs) {
   constexpr std::uint32_t kM = 2;
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = test::make_snapshot(*GetParam(), kM, 3);
+        auto snap = test::make_snapshot(GetParam(), kM, 3);
         History history;
         RecordingSnapshot recorded(*snap, history);
 
@@ -118,7 +118,7 @@ TEST_P(SnapshotLinSimTest, RandomSchedulesHeavier) {
   constexpr std::uint32_t kM = 3;
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), kM, 5);
+        auto snap = test::make_snapshot(GetParam(), kM, 5);
         History history;
         RecordingSnapshot recorded(*snap, history);
 

@@ -20,7 +20,7 @@ namespace {
 using verify::RealtimeChecker;
 
 class SnapshotStressTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(SnapshotStressTest, DedicatedWritersRealtimeConsistency) {
   constexpr std::uint32_t kComponents = 4;
@@ -29,7 +29,7 @@ TEST_P(SnapshotStressTest, DedicatedWritersRealtimeConsistency) {
   constexpr std::uint64_t kScansPerScanner = 3000;
 
   auto snap =
-      test::make_snapshot(*GetParam(), kComponents, kComponents + kScanners);
+      test::make_snapshot(GetParam(), kComponents, kComponents + kScanners);
   RealtimeChecker checker(kComponents);
   std::vector<std::vector<RealtimeChecker::ScanObservation>> observations(
       kScanners);
@@ -71,7 +71,7 @@ TEST_P(SnapshotStressTest, DedicatedWritersRealtimeConsistency) {
 
   for (auto& obs : observations) {
     auto outcome = checker.check(obs);
-    EXPECT_TRUE(outcome.ok) << GetParam()->name << ": " << outcome.diagnosis;
+    EXPECT_TRUE(outcome.ok) << GetParam().name << ": " << outcome.diagnosis;
   }
 }
 
@@ -80,7 +80,7 @@ TEST_P(SnapshotStressTest, PerComponentMonotonicity) {
   // one scanner must observe non-decreasing values per component.
   constexpr std::uint32_t kComponents = 2;
   constexpr std::uint64_t kWrites = 20000;
-  auto snap = test::make_snapshot(*GetParam(), kComponents, 3);
+  auto snap = test::make_snapshot(GetParam(), kComponents, 3);
 
   std::thread writer([&] {
     exec::ScopedPid pid(0);
@@ -93,7 +93,7 @@ TEST_P(SnapshotStressTest, PerComponentMonotonicity) {
     std::uint64_t last = 0;
     for (int i = 0; i < 5000; ++i) {
       snap->scan(indices, out);
-      ASSERT_GE(out[0], last) << GetParam()->name;
+      ASSERT_GE(out[0], last) << GetParam().name;
       ASSERT_LE(out[0], kWrites);
       ASSERT_EQ(out[1], 0u);  // untouched component stays at initial
       last = out[0];

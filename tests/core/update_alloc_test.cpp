@@ -72,11 +72,11 @@ void warm_up(PartialSnapshot& snap) {
 // Every wait-free implementation -- both runtimes -- must reach an
 // allocation-free update steady state.
 class UpdateAllocTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(UpdateAllocTest, SteadyStateUpdatesAreAllocationFree) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), kM, kN);
+  auto snap = test::make_snapshot(GetParam(), kM, kN);
   warm_up(*snap);
   EXPECT_EQ(allocations_during_updates(*snap, 512), 0u);
   // The updates still publish real data.
@@ -87,7 +87,7 @@ TEST_P(UpdateAllocTest, SteadyStateUpdatesAreAllocationFree) {
 INSTANTIATE_TEST_SUITE_P(
     WaitFreeImplementations, UpdateAllocTest,
     ::testing::ValuesIn(test::snapshot_impls(
-        [](const registry::SnapshotInfo& info) { return info.is_wait_free; })),
+        [](const registry::SnapshotVariant& v) { return v.is_wait_free; })),
     test::snapshot_param_name);
 
 // The helping path: with a scanner announced AND active, every update's

@@ -85,15 +85,15 @@ void warm_up(PartialSnapshot& snap) {
   }
 }
 
-// Every blob-plane construction route -- canned entries and value=blob
-// specs, both runtimes -- must reach an allocation-free indirect-update
+// Every blob-plane construction route -- value=blob on every entry that
+// lists it, both runtimes -- must reach an allocation-free indirect-update
 // steady state.
 TEST(ValueAllocTest, SteadyStateBlobUpdatesAreAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig1_register_blob", "fig3_cas_blob", "full_snapshot_blob",
-        "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
-        "fig3_write_ablation:value=blob"}) {
+       {"fig1_register:value=blob", "fig3_cas:value=blob",
+        "full_snapshot:value=blob", "fig1_register_fast:value=blob",
+        "fig3_cas_fast:value=blob", "fig3_write_ablation:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     ASSERT_EQ(snap->value_plane(), "blob") << spec;
     warm_up(*snap);
@@ -113,7 +113,8 @@ TEST(ValueAllocTest, SteadyStateBlobUpdatesAreAllocationFree) {
 // path every registry-driven harness drives.
 TEST(ValueAllocTest, SteadyStateU64UpdatesOnBlobPlaneAreAllocationFree) {
   exec::ScopedPid pid(0);
-  for (const char* spec : {"fig1_register_blob", "fig3_cas_blob"}) {
+  for (const char* spec :
+       {"fig1_register:value=blob", "fig3_cas:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     warm_up(*snap);
     std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
@@ -133,7 +134,8 @@ TEST(ValueAllocTest, SteadyStateU64UpdatesOnBlobPlaneAreAllocationFree) {
 TEST(ValueAllocTest, SteadyStateBlobScansAreAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig1_register_blob", "fig3_cas_blob", "full_snapshot_blob"}) {
+       {"fig1_register:value=blob", "fig3_cas:value=blob",
+        "full_snapshot:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     warm_up(*snap);
     std::vector<value::Blob> out;
@@ -205,7 +207,8 @@ TEST(ValueAllocHelpingTest,
 TEST(ValueAllocTestExtras, GrowthKeepsSteadyStateBlobUpdatesAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig1_register_blob", "fig3_cas_blob", "full_snapshot_blob"}) {
+       {"fig1_register:value=blob", "fig3_cas:value=blob",
+        "full_snapshot:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     warm_up(*snap);
     std::uint32_t first = snap->add_components(16);
@@ -232,7 +235,7 @@ TEST(ValueAllocTestExtras, GrowthKeepsSteadyStateBlobUpdatesAllocationFree) {
 // larger shape is steady-state clean again.
 TEST(ValueAllocTestExtras, PayloadGrowthReachesANewSteadyState) {
   exec::ScopedPid pid(0);
-  auto snap = registry::make_snapshot("fig3_cas_blob", kM, kN);
+  auto snap = registry::make_snapshot("fig3_cas:value=blob", kM, kN);
   warm_up(*snap);
   // Switch every component to a 4x larger payload; let the bigger shape
   // flow through the pool once.

@@ -71,18 +71,18 @@ void warm_up(core::PartialSnapshot& snap) {
 // Every batch-capable implementation except the double-collect baseline,
 // which deliberately heap-allocates its plain records on every update
 // (it predates pooling and stays that way as the unpooled contrast).
-std::vector<const registry::SnapshotInfo*> pooled_batch_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
-    return info.supports_batch && info.name != "double_collect";
+std::vector<registry::SnapshotVariant> pooled_batch_impls() {
+  return test::snapshot_impls([](const registry::SnapshotVariant& variant) {
+    return variant.supports_batch && variant.entry != "double_collect";
   });
 }
 
 class BatchAllocTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(BatchAllocTest, SteadyStateBatchesAreAllocationFree) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), kM, kN);
+  auto snap = test::make_snapshot(GetParam(), kM, kN);
   warm_up(*snap);
   // Pre-built entry spans: the measurement covers the snapshot, not the
   // harness's argument vectors.
@@ -96,7 +96,7 @@ TEST_P(BatchAllocTest, SteadyStateBatchesAreAllocationFree) {
         std::span<const core::BatchEntry>(entries.data(), entries.size()));
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
-      << GetParam()->name;
+      << GetParam().name;
   // The batches still publish real data.
   const core::BatchEntry last = batches.back().back();
   EXPECT_EQ(snap->scan({last.index}),
@@ -232,7 +232,7 @@ TEST(BatchAmortization, FullSnapshotBatchRunsOneEmbeddedScan) {
 // pooled like records.
 TEST(BatchAmortization, VersionedBatchSharesOneStamp) {
   exec::ScopedPid pid(0);
-  auto snap = registry::make_snapshot("fig3_cas_versioned", kM, kN);
+  auto snap = registry::make_snapshot("fig3_cas:value=versioned", kM, kN);
   warm_up(*snap);
 
   auto entries = distinct_batch(16);

@@ -38,15 +38,15 @@ using core::BatchAtomicity;
 using runtime::ExploreOptions;
 using runtime::SimScheduler;
 
-std::vector<const registry::SnapshotInfo*> sim_batch_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
-    return info.sim_safe && info.supports_batch;
+std::vector<registry::SnapshotVariant> sim_batch_impls() {
+  return test::snapshot_impls([](const registry::SnapshotVariant& variant) {
+    return variant.sim_safe && variant.supports_batch;
   });
 }
 
-std::vector<const registry::SnapshotInfo*> all_batch_impls() {
-  return test::snapshot_impls([](const registry::SnapshotInfo& info) {
-    return info.supports_batch;
+std::vector<registry::SnapshotVariant> all_batch_impls() {
+  return test::snapshot_impls([](const registry::SnapshotVariant& variant) {
+    return variant.supports_batch;
   });
 }
 
@@ -56,11 +56,11 @@ std::vector<const registry::SnapshotInfo*> all_batch_impls() {
 // ---------------------------------------------------------------------------
 
 class BatchContractTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(BatchContractTest, BatchWritesLandAndEmptyBatchIsNoOp) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), 4, 2);
+  auto snap = test::make_snapshot(GetParam(), 4, 2);
   ASSERT_NE(snap->batch_atomicity(), BatchAtomicity::kUnsupported);
   snap->update_batch({{0, 10}, {2, 30}, {3, 40}});
   EXPECT_EQ(snap->scan({0, 1, 2, 3}),
@@ -72,20 +72,20 @@ TEST_P(BatchContractTest, BatchWritesLandAndEmptyBatchIsNoOp) {
 
 TEST_P(BatchContractTest, DuplicateIndicesCoalesceLastWins) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), 4, 2);
+  auto snap = test::make_snapshot(GetParam(), 4, 2);
   snap->update_batch({{1, 5}, {3, 6}, {1, 7}, {1, 8}});
   // batch_size reports DISTINCT components after coalescing.  Read it
   // before the scan below resets the thread's op stats.
   const std::uint32_t merged = core::tls_op_stats().batch_size;
   EXPECT_EQ(snap->scan({1, 3}), (std::vector<std::uint64_t>{8, 6}));
-  if (GetParam()->counts_steps) {
+  if (GetParam().counts_steps) {
     EXPECT_EQ(merged, 2u);
   }
 }
 
 TEST_P(BatchContractTest, BatchReachesGrownComponents) {
   exec::ScopedPid pid(0);
-  auto snap = test::make_snapshot(*GetParam(), 2, 2);
+  auto snap = test::make_snapshot(GetParam(), 2, 2);
   std::uint32_t first = snap->add_components(2);
   snap->update_batch({{first, 1}, {first + 1, 2}, {0, 3}});
   EXPECT_EQ(snap->scan({0, first, first + 1}),
@@ -133,12 +133,12 @@ void expect_batch_consistent(const std::vector<std::uint64_t>& out,
 }
 
 class BatchAtomicityTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(BatchAtomicityTest, ScansNeverObserveTornBatchesDfs) {
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = test::make_snapshot(*GetParam(), 2, 2);
+        auto snap = test::make_snapshot(GetParam(), 2, 2);
         const BatchAtomicity tier = snap->batch_atomicity();
 
         SimScheduler::Options options;
@@ -151,7 +151,7 @@ TEST_P(BatchAtomicityTest, ScansNeverObserveTornBatchesDfs) {
         sched.add_process([&] {
           std::vector<std::uint64_t> out;
           snap->scan(std::vector<std::uint32_t>{0, 1}, out);
-          expect_batch_consistent(out, tier, GetParam()->name);
+          expect_batch_consistent(out, tier, GetParam().name);
         });
         return sched.run();
       },
@@ -162,7 +162,7 @@ TEST_P(BatchAtomicityTest, ScansNeverObserveTornBatchesDfs) {
 TEST_P(BatchAtomicityTest, ConcurrentBatchesFromTwoWritersStayWhole) {
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(*GetParam(), 2, 3);
+        auto snap = test::make_snapshot(GetParam(), 2, 3);
         const BatchAtomicity tier = snap->batch_atomicity();
 
         SimScheduler::Options options;
@@ -178,11 +178,11 @@ TEST_P(BatchAtomicityTest, ConcurrentBatchesFromTwoWritersStayWhole) {
           for (int s = 0; s < 2; ++s) {
             snap->scan(std::vector<std::uint32_t>{0, 1}, out);
             ASSERT_EQ(out.size(), 2u);
-            EXPECT_LE(out[0], 2u) << GetParam()->name;
-            EXPECT_LE(out[1], 2u) << GetParam()->name;
+            EXPECT_LE(out[0], 2u) << GetParam().name;
+            EXPECT_LE(out[1], 2u) << GetParam().name;
             if (tier == BatchAtomicity::kAtomic) {
               EXPECT_EQ(out[0], out[1])
-                  << GetParam()->name << " tore a batch";
+                  << GetParam().name << " tore a batch";
             }
           }
         });
@@ -200,7 +200,7 @@ INSTANTIATE_TEST_SUITE_P(SimSafeImpls, BatchAtomicityTest,
 // ---------------------------------------------------------------------------
 
 class BatchCrashTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 // The survivor must keep scanning and batching; its scans must still
 // respect the atomicity tier (a crashed kAtomic batch is all-or-nothing:
@@ -211,7 +211,7 @@ class BatchCrashTest
 // ASan preset runs this binary, so a leak fails CI).
 TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
   for (std::uint64_t crash_step = 1; crash_step <= 30; ++crash_step) {
-    auto snap = test::make_snapshot(*GetParam(), 2, 2);
+    auto snap = test::make_snapshot(GetParam(), 2, 2);
     const BatchAtomicity tier = snap->batch_atomicity();
     bool survivor_finished = false;
 
@@ -225,11 +225,11 @@ TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
         ASSERT_EQ(out.size(), 2u);
         for (std::uint64_t v : out) {
           EXPECT_TRUE(v == 0 || v == 7 || v == 9)
-              << GetParam()->name << " invented value " << v;
+              << GetParam().name << " invented value " << v;
         }
         if (tier == BatchAtomicity::kAtomic && out[0] != 9 && out[1] != 9) {
           EXPECT_EQ(out[0], out[1])
-              << GetParam()->name << " tore the crashed batch";
+              << GetParam().name << " tore the crashed batch";
         }
       };
       // First scan may race or help the dying batch.
@@ -244,7 +244,7 @@ TEST_P(BatchCrashTest, CrashMidBatchNeverTearsAndNeverLeaks) {
     sched.run();
 
     ASSERT_TRUE(survivor_finished)
-        << GetParam()->name << " crash at step " << crash_step;
+        << GetParam().name << " crash at step " << crash_step;
   }
 }
 

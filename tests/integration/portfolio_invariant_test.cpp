@@ -31,7 +31,7 @@ namespace {
 // keep the pair invariant (uncapped double-collect/seqlock scans can
 // retry but always return a consistent pair once the owners finish).
 class PortfolioInvariantTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(PortfolioInvariantTest, PairInvariantHoldsUnderChurn) {
   constexpr std::uint32_t kPairs = 2;
@@ -39,7 +39,7 @@ TEST_P(PortfolioInvariantTest, PairInvariantHoldsUnderChurn) {
   constexpr std::uint64_t kIterations = 30000;
   constexpr int kAudits = 5000;
 
-  auto snap = test::make_snapshot(*GetParam(), kM, kPairs + 2);
+  auto snap = test::make_snapshot(GetParam(), kM, kPairs + 2);
 
   std::vector<std::thread> owners;
   for (std::uint32_t p = 0; p < kPairs; ++p) {
@@ -71,7 +71,7 @@ TEST_P(PortfolioInvariantTest, PairInvariantHoldsUnderChurn) {
 
   for (auto& t : owners) t.join();
   for (auto& t : auditors) t.join();
-  EXPECT_EQ(violations.load(), 0u) << GetParam()->name;
+  EXPECT_EQ(violations.load(), 0u) << GetParam().name;
 }
 
 INSTANTIATE_TEST_SUITE_P(LinearizableImpls, PortfolioInvariantTest,

@@ -110,7 +110,7 @@ TEST(CheckpointFrame, RoundTripU64) {
 
 TEST(CheckpointFrame, RoundTripBlob) {
   CheckpointData frame;
-  frame.impl_spec = "fig3_cas_blob";
+  frame.impl_spec = "fig3_cas:value=blob";
   frame.sequence = 3;
   frame.value_plane = "blob";
   frame.initial_m = 2;
@@ -127,7 +127,7 @@ TEST(CheckpointFrame, RoundTripBlob) {
 TEST(CheckpointFrame, RoundTripVersionedKeepsEpoch) {
   CheckpointData frame = sample_u64_frame(9);
   frame.value_plane = "versioned";
-  frame.impl_spec = "fig3_cas_versioned";
+  frame.impl_spec = "fig3_cas:value=versioned";
   frame.epoch = 123456789;
   auto parsed = parse_frame(serialize_frame(frame));
   ASSERT_TRUE(parsed.has_value());

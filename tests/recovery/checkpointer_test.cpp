@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -245,18 +246,17 @@ TEST(MaxAttemptsOption, DoubleCollectThrowDeterministic) {
                baseline::StarvationError);
 }
 
-TEST(MaxAttemptsOption, CapAliasStillWorksAndMaxAttemptsWins) {
+TEST(MaxAttemptsOption, ZeroRetriesForeverAndIsTheOnlySpelling) {
   exec::ThreadHandle pid;
-  auto capped = registry::make_snapshot("double_collect:cap=1", 4, 4);
-  std::vector<std::uint64_t> out;
-  EXPECT_THROW(capped->scan(std::vector<std::uint32_t>{0}, out),
-               baseline::StarvationError);
-
-  // max_attempts=0 (retry forever) overrides cap=1: the scan succeeds.
+  // max_attempts=0 (retry forever): the scan succeeds.
   auto uncapped =
-      registry::make_snapshot("double_collect:cap=1,max_attempts=0", 4, 4);
+      registry::make_snapshot("double_collect:max_attempts=0", 4, 4);
+  std::vector<std::uint64_t> out;
   uncapped->scan(std::vector<std::uint32_t>{0}, out);
   EXPECT_EQ(out[0], 0u);
+  // The cap has one option key; anything else is an unknown option.
+  EXPECT_THROW(registry::make_snapshot("double_collect:cap=1", 4, 4),
+               std::invalid_argument);
 }
 
 TEST(MaxAttemptsOption, SeqlockThrowsUnderWriterPressure) {

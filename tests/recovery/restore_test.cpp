@@ -194,13 +194,13 @@ TEST(Restore, ShrunkenFrameRejected) {
 // (old or new, never torn), every restored value matches the checkpoint
 // scan, and growth replays on the restored object.
 class CrashDuringGrowthTest
-    : public ::testing::TestWithParam<const registry::SnapshotInfo*> {};
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
 TEST_P(CrashDuringGrowthTest, CheckpointAndRestoreStayConsistent) {
   constexpr std::uint32_t kM0 = 2;
   constexpr std::uint32_t kGrow = 2;
   for (const FaultPlan& plan : FaultPlan::sweep(/*pid=*/0, 1, 28)) {
-    auto snap = test::make_snapshot(*GetParam(), kM0, 3);
+    auto snap = test::make_snapshot(GetParam(), kM0, 3);
     SimScheduler sched(plan.apply());
     sched.add_process([&] {  // the grower, crashed mid-flight
       std::uint32_t first = snap->add_components(kGrow);
@@ -222,7 +222,7 @@ TEST_P(CrashDuringGrowthTest, CheckpointAndRestoreStayConsistent) {
     wopts.sync = false;  // dozens of crash points per impl
     CheckpointWriter writer(dir.path, wopts);
     Checkpointer::Options options;
-    options.impl_spec = GetParam()->name;
+    options.impl_spec = GetParam().spec;
     options.initial_m = kM0;
     options.max_threads = 3;
     Checkpointer ck(*snap, writer, options);
@@ -256,8 +256,8 @@ TEST_P(CrashDuringGrowthTest, CheckpointAndRestoreStayConsistent) {
 INSTANTIATE_TEST_SUITE_P(
     WaitFreeImpls, CrashDuringGrowthTest,
     ::testing::ValuesIn(test::snapshot_impls(
-        [](const registry::SnapshotInfo& info) {
-          return info.is_wait_free && info.sim_safe;
+        [](const registry::SnapshotVariant& variant) {
+          return variant.is_wait_free && variant.sim_safe;
         })),
     test::snapshot_param_name);
 

@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <tuple>
 
 #include "activeset/faicas_active_set.h"
 #include "baseline/double_collect.h"
@@ -27,15 +30,115 @@ namespace {
 TEST(SnapshotRegistry, CataloguesTheExpectedBuiltins) {
   auto& registry = SnapshotRegistry::instance();
   for (const char* name :
-       {"fig1_register", "fig3_cas", "fig3_write_ablation", "full_snapshot",
-        "double_collect", "lock", "seqlock", "fig1_register_blob",
-        "fig3_cas_blob", "full_snapshot_blob", "fig3_cas_versioned",
-        "full_snapshot_versioned", "seqlock_versioned", "fig3_cas_batch",
-        "fig3_cas_versioned_batch", "full_snapshot_versioned_batch"}) {
+       {"fig1_register", "fig1_register_fast", "fig3_cas", "fig3_cas_fast",
+        "fig3_write_ablation", "full_snapshot", "double_collect", "lock",
+        "seqlock", "fig3_cas_batch", "full_snapshot_versioned_batch"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
-  EXPECT_GE(registry.all().size(), 16u);
   EXPECT_EQ(registry.find("no_such_impl"), nullptr);
+}
+
+// The per-plane entries the catalogue used to register by hand, each a
+// preset of an existing entry.  Every one must come back as a variant
+// whose instance reports exactly what the hand-registered entry reported.
+struct FormerTwin {
+  const char* entry_name;    // no longer registered
+  const char* variant_name;  // SnapshotVariant::name that replaces it
+  const char* name;          // PartialSnapshot::name()
+  const char* value_plane;
+  const char* reclaim_plane;
+  bool sim_safe;
+  bool is_wait_free;
+  bool is_local;
+  core::BatchAtomicity batch;
+};
+
+constexpr FormerTwin kFormerTwins[] = {
+    {"fig1_register_blob", "fig1_register_blob", "fig1-register-blob",
+     "blob", "ebr", true, true, true, core::BatchAtomicity::kUnsupported},
+    {"fig3_cas_blob", "fig3_cas_blob", "fig3-cas-blob", "blob", "ebr", true,
+     true, true, core::BatchAtomicity::kAmortized},
+    {"fig3_cas_versioned", "fig3_cas_versioned", "fig3-cas-versioned",
+     "versioned", "ebr", true, true, true, core::BatchAtomicity::kAtomic},
+    {"fig3_cas_hp", "fig3_cas_hp", "fig3-cas-hp", "u64", "hp", true, true,
+     true, core::BatchAtomicity::kAmortized},
+    {"fig3_cas_versioned_hp", "fig3_cas_versioned_hp",
+     "fig3-cas-versioned-hp", "versioned", "hp", true, false, true,
+     core::BatchAtomicity::kAmortized},
+    {"full_snapshot_blob", "full_snapshot_blob", "full-snapshot-blob", "blob",
+     "ebr", true, true, false, core::BatchAtomicity::kAmortized},
+    {"full_snapshot_versioned", "full_snapshot_versioned",
+     "full-snapshot-versioned", "versioned", "ebr", true, false, true,
+     core::BatchAtomicity::kAtomic},
+    {"seqlock_versioned", "seqlock_versioned", "seqlock-versioned",
+     "versioned", "ebr", false, false, true, core::BatchAtomicity::kAtomic},
+    {"fig3_cas_versioned_batch", "fig3_cas_batch_versioned",
+     "fig3-cas-versioned+batch", "versioned", "ebr", true, false, true,
+     core::BatchAtomicity::kAtomic},
+};
+
+TEST(SnapshotRegistry, VariantsCoverEveryFormerTwin) {
+  const std::vector<SnapshotVariant> all = variants();
+  for (const FormerTwin& twin : kFormerTwins) {
+    SCOPED_TRACE(twin.entry_name);
+    EXPECT_EQ(SnapshotRegistry::instance().find(twin.entry_name), nullptr);
+    auto it = std::find_if(all.begin(), all.end(),
+                           [&](const SnapshotVariant& v) {
+                             return v.name == twin.variant_name;
+                           });
+    ASSERT_NE(it, all.end()) << twin.variant_name << " is not a variant";
+    EXPECT_EQ(it->sim_safe, twin.sim_safe);
+    EXPECT_EQ(it->value, twin.value_plane);
+    EXPECT_EQ(it->reclaim, twin.reclaim_plane);
+    EXPECT_EQ(it->is_wait_free, twin.is_wait_free);
+    EXPECT_EQ(it->is_local, twin.is_local);
+    auto snap = make_snapshot(it->spec, 4, 2);
+    EXPECT_EQ(snap->name(), twin.name);
+    EXPECT_EQ(snap->value_plane(), twin.value_plane);
+    EXPECT_EQ(snap->reclaim_plane(), twin.reclaim_plane);
+    EXPECT_EQ(snap->is_wait_free(), twin.is_wait_free);
+    EXPECT_EQ(snap->is_local(), twin.is_local);
+    EXPECT_EQ(snap->batch_atomicity(), twin.batch);
+  }
+}
+
+TEST(SnapshotRegistry, VariantsAreDistinctAndNamedAfterTheirPlanes) {
+  std::set<std::tuple<std::string, std::string, std::string>> configs;
+  std::set<std::string> names;
+  for (const SnapshotVariant& v : variants()) {
+    EXPECT_TRUE(configs.insert({v.entry, v.value, v.reclaim}).second)
+        << "two variants build " << v.spec;
+    EXPECT_TRUE(names.insert(v.name).second) << "duplicate name " << v.name;
+    for (char c : v.name) {
+      EXPECT_TRUE((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+                  c == '_')
+          << v.name << " is not a valid gtest parameter name";
+    }
+    const SnapshotInfo* info = SnapshotRegistry::instance().find(v.entry);
+    ASSERT_NE(info, nullptr) << v.spec;
+    EXPECT_TRUE(value_plane_supported(info->values, v.value)) << v.spec;
+    EXPECT_TRUE(reclaim_plane_supported(info->reclaims, v.reclaim)) << v.spec;
+    EXPECT_EQ(v.spec, v.entry + ":value=" + v.value + ",reclaim=" + v.reclaim);
+    // Default planes add nothing to the name, so a default variant keeps
+    // its entry's gtest parameter name.
+    if (v.value == default_value_plane(info->values) &&
+        v.reclaim == default_reclaim_plane(info->reclaims)) {
+      EXPECT_EQ(v.name, v.entry);
+    }
+    EXPECT_EQ(v.sim_safe, info->sim_safe) << v.spec;
+    EXPECT_EQ(v.counts_steps, info->counts_steps) << v.spec;
+    EXPECT_EQ(v.supports_batch, info->supports_batch) << v.spec;
+  }
+  // Every plane of every entry, not just the defaults.
+  std::size_t cells = 0;
+  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
+    std::size_t values = std::count(info->values.begin(), info->values.end(),
+                                    ',') + 1;
+    std::size_t reclaims = std::count(info->reclaims.begin(),
+                                      info->reclaims.end(), ',') + 1;
+    cells += values * reclaims;
+  }
+  EXPECT_EQ(configs.size(), cells);
 }
 
 TEST(ActiveSetRegistry, CataloguesTheExpectedBuiltins) {
@@ -185,19 +288,19 @@ TEST(SnapshotRegistry, UniversalSpecOptionsOverrideShapeArguments) {
 
 TEST(SnapshotRegistry, EveryImplementationGrowsThroughAddComponents) {
   exec::ScopedPid pid(0);
-  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = test::make_snapshot(*info, 4, 2);
+  for (const SnapshotVariant& variant : variants()) {
+    auto snap = test::make_snapshot(variant, 4, 2);
     snap->update(3, 33);
     std::uint32_t first = snap->add_components(3);
-    EXPECT_EQ(first, 4u) << info->name;
-    EXPECT_EQ(snap->num_components(), 7u) << info->name;
+    EXPECT_EQ(first, 4u) << variant.spec;
+    EXPECT_EQ(snap->num_components(), 7u) << variant.spec;
     // Old components keep their values; new ones start at the initial
     // value and accept updates.
     EXPECT_EQ(snap->scan({3, 4, 6}), (std::vector<std::uint64_t>{33, 0, 0}))
-        << info->name;
+        << variant.spec;
     snap->update(6, 66);
     EXPECT_EQ(snap->scan({6, 0}), (std::vector<std::uint64_t>{66, 0}))
-        << info->name;
+        << variant.spec;
   }
 }
 
@@ -250,8 +353,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsThePlaneOnEveryBuiltin) {
         "full_snapshot:value=blob", "double_collect:value=blob",
         "lock:value=blob", "seqlock:value=blob",
         "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
-        "fig3_write_ablation:value=blob", "fig1_register_blob",
-        "fig3_cas_blob", "full_snapshot_blob"}) {
+        "fig3_write_ablation:value=blob", "fig3_cas_batch:value=blob"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->value_plane(), "blob") << spec;
     // The logical-u64 interface round-trips through 8-byte payloads, so
@@ -280,8 +382,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsTheVersionedPlane) {
   for (const char* spec :
        {"fig3_cas:value=versioned", "fig3_cas_fast:value=versioned",
         "full_snapshot:value=versioned", "seqlock:value=versioned",
-        "fig3_cas_versioned", "full_snapshot_versioned",
-        "seqlock_versioned"}) {
+        "fig3_cas_batch:value=versioned", "full_snapshot_versioned_batch"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->value_plane(), "versioned") << spec;
     // The u64 interface routes through the version chains, so every
@@ -343,16 +444,6 @@ TEST(SnapshotRegistry, UnsupportedValuePlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("{value=u64,blob,versioned}"), std::string::npos)
         << message;
   }
-  // The canned blob twins accept ONLY the blob plane.
-  try {
-    make_snapshot("fig1_register_blob:value=u64", 4, 2);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    std::string message = e.what();
-    EXPECT_NE(message.find("does not support value=u64"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("supported: blob"), std::string::npos) << message;
-  }
   // Entries that never grew a version chain reject the versioned plane...
   try {
     make_snapshot("fig1_register:value=versioned", 4, 2);
@@ -365,9 +456,9 @@ TEST(SnapshotRegistry, UnsupportedValuePlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("supported: u64,blob"), std::string::npos)
         << message;
   }
-  // ...and the canned versioned twins accept ONLY the versioned plane.
+  // ...and an entry listing only the versioned plane accepts nothing else.
   try {
-    make_snapshot("fig3_cas_versioned:value=u64", 4, 2);
+    make_snapshot("full_snapshot_versioned_batch:value=u64", 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     std::string message = e.what();
@@ -403,7 +494,7 @@ TEST(SnapshotRegistry, DefaultPlaneIsTheFirstListed) {
   EXPECT_EQ(default_value_plane("blob"), "blob");
   // Capability field vs instance, for every entry.
   for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = test::make_snapshot(*info, 4, 2);
+    auto snap = make_snapshot(info->name, 4, 2);
     EXPECT_EQ(snap->value_plane(), default_value_plane(info->values))
         << info->name;
   }
@@ -416,10 +507,11 @@ TEST(SnapshotRegistry, DefaultPlaneIsTheFirstListed) {
 TEST(SnapshotRegistry, ReclaimPlaneOptionSelectsThePlane) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig3_cas:reclaim=hp", "fig3_cas_fast:reclaim=hp", "fig3_cas_hp",
+       {"fig3_cas:reclaim=hp", "fig3_cas_fast:reclaim=hp",
         "fig3_cas:value=blob,reclaim=hp",
-        "fig3_cas:value=versioned,reclaim=hp", "fig3_cas_versioned_hp",
-        "fig3_cas_versioned_batch:reclaim=hp"}) {
+        "fig3_cas:value=versioned,reclaim=hp", "fig3_cas_batch:reclaim=hp",
+        "fig3_cas_batch:value=blob,reclaim=hp",
+        "fig3_cas_batch:value=versioned,reclaim=hp"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->reclaim_plane(), "hp") << spec;
     EXPECT_EQ(snap->reclaim_shards(), 1u) << spec;
@@ -456,17 +548,6 @@ TEST(SnapshotRegistry, UnsupportedReclaimPlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("{reclaim=ebr,hp}"), std::string::npos)
         << message;
   }
-  // The canned hp twins accept ONLY the hp plane.
-  try {
-    make_snapshot("fig3_cas_hp:reclaim=ebr", 4, 2);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    std::string message = e.what();
-    EXPECT_NE(message.find("does not support reclaim=ebr"),
-              std::string::npos)
-        << message;
-    EXPECT_NE(message.find("supported: hp"), std::string::npos) << message;
-  }
   // Combination rules fail loudly at construction, not deep in a workload:
   // shards out of range, hp with the write ablation, hp with sharding,
   // sharding on the versioned plane.
@@ -502,7 +583,7 @@ TEST(SnapshotRegistry, DefaultReclaimPlaneIsTheFirstListed) {
   // Capability field vs instance, for every entry.
   exec::ScopedPid pid(0);
   for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    auto snap = test::make_snapshot(*info, 4, 2);
+    auto snap = make_snapshot(info->name, 4, 2);
     EXPECT_EQ(snap->reclaim_plane(), default_reclaim_plane(info->reclaims))
         << info->name;
   }
@@ -634,65 +715,38 @@ TEST(SnapshotRegistry, CatalogueMarksBatchCapability) {
   }
 }
 
-// The scan-attempt cap: `max_attempts` is the service-facing spelling,
-// `cap` the historical alias, and max_attempts wins when both are given.
-// The help text must teach the preferred spelling first.
-TEST(SnapshotRegistry, ScanAttemptCapAliasPrecedence) {
+// The scan-attempt cap of the starvation-prone baselines reaches the
+// implementation: sequentially, the double collect needs two collects to
+// agree, so max_attempts=1 starves even an uncontended scan.
+TEST(SnapshotRegistry, ScanAttemptCapReachesTheImplementation) {
   exec::ScopedPid pid(0);
-  for (const char* base : {"double_collect", "seqlock"}) {
-    const std::string name(base);
-    // Sequentially, the double collect needs two collects to agree, so a
-    // cap of 1 starves even an uncontended scan -- the loud signal that
-    // the cap reached the implementation.  (The seqlock succeeds on the
-    // first attempt when uncontended, so drive its cap through the same
-    // specs and just assert both spellings construct.)
-    if (name == "double_collect") {
-      auto capped = make_snapshot(name + ":cap=1", 4, 2);
-      EXPECT_THROW(capped->scan({0}), baseline::StarvationError);
-      auto capped_pref = make_snapshot(name + ":max_attempts=1", 4, 2);
-      EXPECT_THROW(capped_pref->scan({0}), baseline::StarvationError);
-      // max_attempts=0 (retry forever) beats the alias asking to starve.
-      auto uncapped = make_snapshot(name + ":max_attempts=0,cap=1", 4, 2);
-      EXPECT_EQ(uncapped->scan({0}), (std::vector<std::uint64_t>{0}));
-    } else {
-      auto a = make_snapshot(name + ":cap=3", 4, 2);
-      EXPECT_EQ(a->scan({0}), (std::vector<std::uint64_t>{0}));
-      auto b = make_snapshot(name + ":max_attempts=0,cap=1", 4, 2);
-      EXPECT_EQ(b->scan({0}), (std::vector<std::uint64_t>{0}));
-    }
-  }
-}
-
-TEST(SnapshotRegistry, HelpTextListsPreferredSpellingBeforeAlias) {
-  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
-    std::size_t alias = info->options_help.find("cap=");
-    if (alias == std::string::npos) continue;
-    std::size_t preferred = info->options_help.find("max_attempts=");
-    ASSERT_NE(preferred, std::string::npos) << info->name;
-    EXPECT_LT(preferred, alias)
-        << info->name << ": help text teaches the alias first: "
-        << info->options_help;
-  }
+  auto capped = make_snapshot("double_collect:max_attempts=1", 4, 2);
+  EXPECT_THROW(capped->scan({0}), baseline::StarvationError);
+  auto uncapped = make_snapshot("double_collect:max_attempts=0", 4, 2);
+  EXPECT_EQ(uncapped->scan({0}), (std::vector<std::uint64_t>{0}));
+  // The seqlock succeeds on its first attempt when uncontended.
+  auto seqlock = make_snapshot("seqlock:max_attempts=1", 4, 2);
+  EXPECT_EQ(seqlock->scan({0}), (std::vector<std::uint64_t>{0}));
 }
 
 // ---------------------------------------------------------------------------
-// Capability flags vs the instances.
+// Variant flags vs the instances.
 // ---------------------------------------------------------------------------
 
-class RegistryFlagsTest
-    : public ::testing::TestWithParam<const SnapshotInfo*> {};
+class RegistryFlagsTest : public ::testing::TestWithParam<SnapshotVariant> {};
 
 TEST_P(RegistryFlagsTest, FlagsMatchInstance) {
-  const SnapshotInfo& info = *GetParam();
-  auto snap = test::make_snapshot(info, 4, 2);
+  const SnapshotVariant& variant = GetParam();
+  auto snap = test::make_snapshot(variant, 4, 2);
   ASSERT_NE(snap, nullptr);
-  EXPECT_EQ(info.is_wait_free, snap->is_wait_free()) << info.name;
-  EXPECT_EQ(info.is_local, snap->is_local()) << info.name;
-  EXPECT_EQ(info.supports_batch,
-            snap->batch_atomicity() != core::BatchAtomicity::kUnsupported)
-      << info.name;
-  EXPECT_EQ(snap->num_components(), 4u) << info.name;
-  EXPECT_FALSE(snap->name().empty()) << info.name;
+  EXPECT_EQ(variant.is_wait_free, snap->is_wait_free());
+  EXPECT_EQ(variant.is_local, snap->is_local());
+  EXPECT_EQ(variant.supports_batch,
+            snap->batch_atomicity() != core::BatchAtomicity::kUnsupported);
+  EXPECT_EQ(snap->value_plane(), variant.value);
+  EXPECT_EQ(snap->reclaim_plane(), variant.reclaim);
+  EXPECT_EQ(snap->num_components(), 4u);
+  EXPECT_FALSE(snap->name().empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, RegistryFlagsTest,
@@ -701,15 +755,15 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, RegistryFlagsTest,
 
 // ---------------------------------------------------------------------------
 // Sequential scan contract through the registry: unsorted, duplicate, and
-// empty index sets, and scan_all, for every registered implementation.
+// empty index sets, and scan_all, for every registry variant.
 // ---------------------------------------------------------------------------
 
 class RegistryScanContractTest
-    : public ::testing::TestWithParam<const SnapshotInfo*> {};
+    : public ::testing::TestWithParam<SnapshotVariant> {};
 
 TEST_P(RegistryScanContractTest, UnsortedDuplicateAndEmptyIndexSets) {
   constexpr std::uint32_t kM = 12;
-  auto snap = test::make_snapshot(*GetParam(), kM, 3);
+  auto snap = test::make_snapshot(GetParam(), kM, 3);
   exec::ScopedPid pid(0);
   for (std::uint32_t i = 0; i < kM; ++i) snap->update(i, 100 + i);
 
@@ -729,7 +783,7 @@ TEST_P(RegistryScanContractTest, UnsortedDuplicateAndEmptyIndexSets) {
 
 TEST_P(RegistryScanContractTest, ScanAllMatchesSequentialModel) {
   constexpr std::uint32_t kM = 9;
-  auto snap = test::make_snapshot(*GetParam(), kM, 3);
+  auto snap = test::make_snapshot(GetParam(), kM, 3);
   exec::ScopedPid pid(0);
   std::vector<std::uint64_t> model(kM, 0);
   // Interleave updates and partial scans, then compare the complete scan.

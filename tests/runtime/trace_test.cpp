@@ -77,7 +77,7 @@ TEST(TraceSinkTest, BoundedRingOverwritesOldestAndCountsDrops) {
 
 TEST(TracingSnapshotTest, EmitsTheDocumentedVocabulary) {
   exec::ScopedPid pid(0);
-  auto snap = registry::make_snapshot("fig3_cas_versioned_batch", 4, 2);
+  auto snap = registry::make_snapshot("fig3_cas_batch:value=versioned", 4, 2);
   TraceSink sink(2, 64);
   TracingSnapshot traced(*snap, sink);
 

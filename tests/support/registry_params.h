@@ -1,28 +1,40 @@
 // Shared helpers for parameterizing gtest suites over the implementation
 // registry.  Replaces the per-file `struct Impl { label; factory; }`
 // tables: tests pick a capability filter instead of hand-curating lists,
-// so a newly registered implementation is covered everywhere it qualifies.
+// so a newly registered implementation -- or a plane newly listed on an
+// existing one -- is covered everywhere it qualifies.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "registry/registry.h"
 
+namespace psnap::registry {
+
+// gtest prints a failing case's parameter; the spec names it exactly.
+inline void PrintTo(const SnapshotVariant& variant, std::ostream* os) {
+  *os << variant.spec;
+}
+
+}  // namespace psnap::registry
+
 namespace psnap::test {
 
-using SnapshotFilter = std::function<bool(const registry::SnapshotInfo&)>;
+using SnapshotFilter = std::function<bool(const registry::SnapshotVariant&)>;
 using ActiveSetFilter = std::function<bool(const registry::ActiveSetInfo&)>;
 
-inline std::vector<const registry::SnapshotInfo*> snapshot_impls(
+// Every registry variant (entry x value plane x reclamation plane) the
+// filter accepts.
+inline std::vector<registry::SnapshotVariant> snapshot_impls(
     const SnapshotFilter& filter = nullptr) {
-  std::vector<const registry::SnapshotInfo*> out;
-  for (const registry::SnapshotInfo* info :
-       registry::SnapshotRegistry::instance().all()) {
-    if (!filter || filter(*info)) out.push_back(info);
+  std::vector<registry::SnapshotVariant> out;
+  for (registry::SnapshotVariant& variant : registry::variants()) {
+    if (!filter || filter(variant)) out.push_back(std::move(variant));
   }
   return out;
 }
@@ -37,10 +49,10 @@ inline std::vector<const registry::ActiveSetInfo*> active_set_impls(
   return out;
 }
 
-// Default-options construction, the common case in tests.
 inline std::unique_ptr<core::PartialSnapshot> make_snapshot(
-    const registry::SnapshotInfo& info, std::uint32_t m, std::uint32_t n) {
-  return info.make(m, n, registry::Options{});
+    const registry::SnapshotVariant& variant, std::uint32_t m,
+    std::uint32_t n) {
+  return registry::make_snapshot(variant.spec, m, n);
 }
 
 inline std::unique_ptr<activeset::ActiveSet> make_active_set(
@@ -48,10 +60,11 @@ inline std::unique_ptr<activeset::ActiveSet> make_active_set(
   return info.make(n, registry::Options{});
 }
 
-// gtest parameter-name generators (registry names are identifier-safe).
+// gtest parameter-name generators (variant and registry names are
+// identifier-safe).
 inline std::string snapshot_param_name(
-    const ::testing::TestParamInfo<const registry::SnapshotInfo*>& info) {
-  return info.param->name;
+    const ::testing::TestParamInfo<registry::SnapshotVariant>& info) {
+  return info.param.name;
 }
 
 inline std::string active_set_param_name(

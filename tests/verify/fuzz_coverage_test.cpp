@@ -1,45 +1,35 @@
 // Coverage assertion for the fuzz target enumeration (verify/fuzz/target.h):
-// every sim-safe registry entry, on every plane it supports, with a
-// coalescing ingest variant for every batch-capable combo, appears exactly
-// once.  The expected set is recomputed here straight from the registries
-// -- no hand-curated impl tables -- so registering a new implementation
-// without fuzz coverage fails this test, not code review.
+// every sim-safe registry variant -- each entry on each value and
+// reclamation plane it lists -- with a coalescing ingest target for every
+// batch-capable one, appears exactly once, and no two targets build the
+// same configuration.  The expected set is recomputed here straight from
+// the registries -- no hand-curated impl tables -- so registering a new
+// implementation without fuzz coverage fails this test, not code review.
 #include "verify/fuzz/target.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "registry/registry.h"
+#include "verify/fuzz/token.h"
 
 namespace psnap::verify::fuzz {
 namespace {
 
-std::vector<std::string> planes_of(const std::string& values) {
-  std::vector<std::string> planes;
-  std::size_t pos = 0;
-  while (pos <= values.size()) {
-    std::size_t comma = values.find(',', pos);
-    if (comma == std::string::npos) comma = values.size();
-    planes.push_back(values.substr(pos, comma - pos));
-    pos = comma + 1;
-  }
-  return planes;
-}
+constexpr char kIngest[] = ",batch=3,coalesce_window=6";
 
-TEST(FuzzCoverage, EverySimSafeImplPlaneAndKnobComboIsEnumerated) {
+TEST(FuzzCoverage, EverySimSafeVariantAndKnobComboIsEnumerated) {
   std::set<std::string> expected;
-  for (const registry::SnapshotInfo* info :
-       registry::SnapshotRegistry::instance().all()) {
-    if (!info->sim_safe) continue;
-    for (const std::string& plane : planes_of(info->values)) {
-      expected.insert("snap " + info->name + ":value=" + plane);
-      if (info->supports_batch) {
-        expected.insert("snap " + info->name + ":value=" + plane +
-                        ",batch=3,coalesce_window=6");
-      }
+  for (const registry::SnapshotVariant& variant : registry::variants()) {
+    if (!variant.sim_safe) continue;
+    expected.insert("snap " + variant.spec);
+    if (variant.supports_batch) {
+      expected.insert("snap " + variant.spec + kIngest);
     }
   }
   for (const registry::ActiveSetInfo* info :
@@ -63,7 +53,48 @@ TEST(FuzzCoverage, EverySimSafeImplPlaneAndKnobComboIsEnumerated) {
   }
   // The seed registries alone yield dozens of combos; a collapsed
   // enumeration (e.g. only default planes) cannot reach this floor.
-  EXPECT_GE(actual.size(), 30u);
+  EXPECT_GE(actual.size(), 40u);
+}
+
+TEST(FuzzCoverage, NoTwoTargetsBuildTheSameConfiguration) {
+  // Resolve each snapshot target to (entry, value plane, reclamation
+  // plane, coalesced): two spellings of one object would fuzz it twice.
+  std::set<std::tuple<std::string, std::string, std::string, bool>> seen;
+  for (const FuzzTarget& target : enumerate_snapshot_targets()) {
+    auto [name, opts] = registry::split_spec(target.spec);
+    const registry::SnapshotInfo* info =
+        registry::SnapshotRegistry::instance().find(name);
+    ASSERT_NE(info, nullptr) << target.spec;
+    registry::Options options = registry::Options::parse(opts);
+    auto key = std::make_tuple(
+        std::string(name),
+        options.get_string("value",
+                           registry::default_value_plane(info->values)),
+        options.get_string("reclaim",
+                           registry::default_reclaim_plane(info->reclaims)),
+        target.coalesced);
+    EXPECT_TRUE(seen.insert(key).second)
+        << "two fuzz targets build the configuration of " << target.spec;
+  }
+}
+
+TEST(FuzzCoverage, TargetFromSpecRejectsEntriesWithoutSimHooks) {
+  // A fuzz plan runs under the sim scheduler; an entry that never yields
+  // to it cannot honour the token's schedule seed, so replay refuses it.
+  std::size_t rejected = 0;
+  for (const registry::SnapshotInfo* info :
+       registry::SnapshotRegistry::instance().all()) {
+    if (info->sim_safe) continue;
+    EXPECT_THROW(target_from_spec(FuzzTarget::Kind::kSnapshot,
+                                  info->name + ":value=u64"),
+                 std::invalid_argument)
+        << info->name;
+    ++rejected;
+  }
+  EXPECT_GE(rejected, 1u);
+  EXPECT_THROW(decode_token("psnapfuzz/1|snap|fig3_cas_fast:value=u64|m0=2|"
+                            "procs=3|ops=5|op=1d|sched=9"),
+               std::invalid_argument);
 }
 
 TEST(FuzzCoverage, CapabilityFlagsMatchTheRegistryEntry) {
