@@ -16,14 +16,14 @@ FaiCasActiveSetT<Policy>::FaiCasActiveSetT(std::uint32_t max_processes)
 template <class Policy>
 FaiCasActiveSetT<Policy>::FaiCasActiveSetT(std::uint32_t max_processes,
                                            Options options)
-    : n_(max_processes), options_(options), c_(new IntervalSet()) {
+    : n_(max_processes), options_(options), c_(new SkipList()) {
   PSNAP_ASSERT(max_processes > 0);
 }
 
 template <class Policy>
 FaiCasActiveSetT<Policy>::~FaiCasActiveSetT() {
-  // Retired lists are drained by the EbrDomain destructor; the currently
-  // published list is still owned here.
+  // Retired lists are drained into pool_ by the EbrDomain destructor; the
+  // currently published list is still owned here.
   delete c_.peek();
 }
 
@@ -59,7 +59,7 @@ void FaiCasActiveSetT<Policy>::get_set(std::vector<std::uint32_t>& out) {
   out.reserve(options_.bound.get(n_));
   auto guard = ebr_.pin();
 
-  const IntervalSet* old_c = c_.load();
+  const SkipList* old_c = c_.load();
   std::uint64_t h = h_.read();
 
   // Reusable vacated-slot scratch: per native thread, cleared per call,
@@ -71,7 +71,7 @@ void FaiCasActiveSetT<Policy>::get_set(std::vector<std::uint32_t>& out) {
   vacated.clear();
   const IntervalSet empty;
   const IntervalSet& skip =
-      options_.publish_skip_list ? *old_c : empty;
+      options_.publish_skip_list ? old_c->intervals : empty;
   if (h > 0) {
     skip.for_each_gap(1, h, [&](std::uint64_t l) {
       // load_sync: the getSet end of the announce/join handshake -- a
@@ -92,17 +92,18 @@ void FaiCasActiveSetT<Policy>::get_set(std::vector<std::uint32_t>& out) {
     // Publish oldC ∪ vacated with one CAS; on failure another getSet
     // advanced the list and our additions will be rediscovered (charged,
     // in the amortized analysis, to the leaves that wrote the zeros).
-    // unique_ptr until publication: an injected halt at the CAS step
-    // (crash tests) unwinds without leaking the unpublished list.
-    // `vacated` is copied, not moved: the scratch keeps its capacity for
-    // the next collect (publication already allocates the list itself,
-    // so the copy adds nothing to the steady state).
-    auto new_c = std::make_unique<IntervalSet>(
-        old_c->merged_with_points(vacated, options_.coalesce));
+    // The new list is built in a recycled node: `vacated` is ascending
+    // (walk order), so the build is one linear merge into the node's
+    // retained capacity.  The pool handle owns the node until
+    // publication: a lost CAS or an injected halt at the CAS step (crash
+    // tests) returns it to this thread's free list.
+    auto new_c = pool_.acquire(ebr_);
+    new_c->intervals.assign_union(old_c->intervals, vacated,
+                                  options_.coalesce);
+    new_c->generation = old_c->generation + 1;
     if (c_.compare_and_swap_bool(old_c, new_c.get())) {
       new_c.release();
-      publications_.fetch_add(1, std::memory_order_relaxed);
-      ebr_.retire(const_cast<IntervalSet*>(old_c));
+      pool_.recycle(ebr_, const_cast<SkipList*>(old_c));
     }
   }
 
@@ -114,8 +115,21 @@ void FaiCasActiveSetT<Policy>::get_set(std::vector<std::uint32_t>& out) {
 }
 
 template <class Policy>
+IntervalSet FaiCasActiveSetT<Policy>::published_list() const {
+  auto guard = ebr_.pin();
+  return c_.peek()->intervals;
+}
+
+template <class Policy>
 std::size_t FaiCasActiveSetT<Policy>::published_intervals() const {
-  return c_.peek()->size();
+  auto guard = ebr_.pin();
+  return c_.peek()->intervals.size();
+}
+
+template <class Policy>
+std::uint64_t FaiCasActiveSetT<Policy>::skip_list_publications() const {
+  auto guard = ebr_.pin();
+  return c_.peek()->generation;
 }
 
 template class FaiCasActiveSetT<primitives::Instrumented>;

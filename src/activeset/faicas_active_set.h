@@ -45,10 +45,18 @@
 //   * The paper's invariant only demands per-location ordering ("is set to
 //     0 and never changes thereafter"), which coherence gives even
 //     relaxed.
+//
+// Bookkeeping off the operation path: the only shared read-modify-writes
+// a getSet performs are the paper's (the skip-list CAS) and the EBR epoch
+// CAS inside its pin; counters follow reclaim/ebr.h's per-slot
+// single-writer rule.  A getSet that publishes builds the new list in
+// place, in a node recycled through a reclaim::Pool on this set's own EBR
+// domain, so steady-state churn allocates nothing.  The publication count
+// rides inside the published list (generation = old + 1, installed by the
+// CAS that already runs) rather than in a shared counter.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "activeset/active_set.h"
@@ -58,6 +66,7 @@
 #include "intervals/interval_set.h"
 #include "primitives/primitives.h"
 #include "reclaim/ebr.h"
+#include "reclaim/pool.h"
 #include "segarray/segmented_array.h"
 
 namespace psnap::activeset {
@@ -104,16 +113,25 @@ class FaiCasActiveSetT final : public ActiveSet {
   std::uint32_t max_processes() const override { return n_; }
 
   // --- observability for tests and benches ---
+  // The currently published interval list (a copy, read under a pin).
+  intervals::IntervalSet published_list() const;
   // Length of the currently published interval list.
   std::size_t published_intervals() const;
   // Highest slot index handed out so far.
   std::uint64_t slots_used() const { return h_.peek(); }
-  // Number of successful publications of a new interval list.
-  std::uint64_t skip_list_publications() const {
-    return publications_.load(std::memory_order_relaxed);
-  }
+  // Number of successful publications of a new interval list: the
+  // generation of the currently published one.
+  std::uint64_t skip_list_publications() const;
 
  private:
+  // What C points to: Figure 2's interval list plus the number of
+  // publications that led to it.  Built in place before the publishing
+  // CAS, immutable afterwards, recycled through pool_.
+  struct SkipList {
+    intervals::IntervalSet intervals;
+    std::uint64_t generation = 0;
+  };
+
   // Slot states; ids are stored as pid + kIdBase so they collide with
   // neither sentinel.
   static constexpr std::uint64_t kEmpty = 0;    // allocated, id not written
@@ -124,7 +142,7 @@ class FaiCasActiveSetT final : public ActiveSet {
   Options options_;
 
   primitives::FetchIncrementT<Policy> h_;  // highest issued slot (1-based)
-  primitives::CasObject<const intervals::IntervalSet*, Policy> c_;
+  primitives::CasObject<const SkipList*, Policy> c_;
   segarray::SegmentedArray<primitives::Register<std::uint64_t, Policy>> i_;
 
   // Per-process slot index from the most recent join (local state), in
@@ -132,8 +150,10 @@ class FaiCasActiveSetT final : public ActiveSet {
   // the pids it actually registers.
   core::PerPidStorage<CachelinePadded<std::uint64_t>> my_slot_;
 
-  reclaim::EbrDomain ebr_;
-  std::atomic<std::uint64_t> publications_{0};
+  // Declared before ebr_: ebr_'s destructor flushes retired lists into it.
+  reclaim::Pool<SkipList> pool_;
+  // Mutable: the const observability reads pin it too.
+  mutable reclaim::EbrDomain ebr_;
 };
 
 using FaiCasActiveSet = FaiCasActiveSetT<primitives::Instrumented>;

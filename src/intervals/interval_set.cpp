@@ -8,27 +8,45 @@ namespace psnap::intervals {
 
 namespace {
 
-// Normalizes a sorted-by-lo interval vector: merges overlapping intervals,
-// and adjacent ones too when merge_adjacent is set.
-std::vector<Interval> coalesce_sorted(std::vector<Interval> v,
-                                      bool merge_adjacent) {
-  std::vector<Interval> out;
-  out.reserve(v.size());
-  for (const Interval& iv : v) {
-    PSNAP_ASSERT(iv.lo <= iv.hi);
-    if (!out.empty()) {
-      Interval& last = out.back();
-      // The adjacency disjunct only evaluates when iv.lo > last.hi, so
-      // last.hi + 1 cannot overflow there.
-      if (iv.lo <= last.hi || (merge_adjacent && iv.lo == last.hi + 1)) {
-        last.hi = std::max(last.hi, iv.hi);
-        continue;
-      }
+// Appends iv to an output sorted by lo, folding it into the last interval
+// when they overlap -- or touch, when merge_adjacent is set.
+void append_coalesced(std::vector<Interval>& out, Interval iv,
+                      bool merge_adjacent) {
+  PSNAP_ASSERT(iv.lo <= iv.hi);
+  if (!out.empty()) {
+    Interval& last = out.back();
+    // The adjacency disjunct only evaluates when iv.lo > last.hi, so
+    // last.hi + 1 cannot overflow there.
+    if (iv.lo <= last.hi || (merge_adjacent && iv.lo == last.hi + 1)) {
+      last.hi = std::max(last.hi, iv.hi);
+      return;
     }
-    out.push_back(iv);
   }
-  return out;
+  out.push_back(iv);
 }
+
+// The one merge routine: appends the union of two sequences, each sorted
+// by lo, to `out` in coalesced form.  `as_interval` maps b's elements
+// (points or intervals) to intervals.
+template <class B, class AsInterval>
+void merge_into(std::vector<Interval>& out, std::span<const Interval> a,
+                std::span<const B> b, AsInterval as_interval,
+                bool merge_adjacent) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j == b.size() ||
+        (i < a.size() && a[i].lo <= as_interval(b[j]).lo)) {
+      append_coalesced(out, a[i++], merge_adjacent);
+    } else {
+      append_coalesced(out, as_interval(b[j++]), merge_adjacent);
+    }
+  }
+}
+
+Interval point_interval(std::uint64_t p) { return Interval{p, p}; }
+
+Interval same_interval(const Interval& iv) { return iv; }
 
 }  // namespace
 
@@ -37,38 +55,42 @@ IntervalSet IntervalSet::from_intervals(std::vector<Interval> raw,
   std::sort(raw.begin(), raw.end(),
             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
   IntervalSet set;
-  set.intervals_ = coalesce_sorted(std::move(raw), merge_adjacent);
+  set.intervals_.reserve(raw.size());
+  for (const Interval& iv : raw) {
+    append_coalesced(set.intervals_, iv, merge_adjacent);
+  }
   return set;
 }
 
 IntervalSet IntervalSet::from_points(std::vector<std::uint64_t> points,
                                      bool merge_adjacent) {
-  std::vector<Interval> raw;
-  raw.reserve(points.size());
-  std::sort(points.begin(), points.end());
-  points.erase(std::unique(points.begin(), points.end()), points.end());
-  for (std::uint64_t p : points) raw.push_back(Interval{p, p});
-  IntervalSet set;
-  set.intervals_ = coalesce_sorted(std::move(raw), merge_adjacent);
-  return set;
+  return IntervalSet().merged_with_points(std::move(points), merge_adjacent);
 }
 
 IntervalSet IntervalSet::merged_with_points(std::vector<std::uint64_t> points,
                                             bool merge_adjacent) const {
-  return merged_with(IntervalSet::from_points(std::move(points), merge_adjacent),
-                     merge_adjacent);
+  std::sort(points.begin(), points.end());
+  IntervalSet set;
+  set.assign_union(*this, points, merge_adjacent);
+  return set;
+}
+
+void IntervalSet::assign_union(const IntervalSet& base,
+                               std::span<const std::uint64_t> points,
+                               bool merge_adjacent) {
+  PSNAP_ASSERT(&base != this);
+  intervals_.clear();
+  merge_into(intervals_, std::span<const Interval>(base.intervals_), points,
+             point_interval, merge_adjacent);
 }
 
 IntervalSet IntervalSet::merged_with(const IntervalSet& other,
                                      bool merge_adjacent) const {
-  // Standard sorted two-way merge, then a coalescing pass.
-  std::vector<Interval> merged;
-  merged.reserve(intervals_.size() + other.intervals_.size());
-  std::merge(intervals_.begin(), intervals_.end(), other.intervals_.begin(),
-             other.intervals_.end(), std::back_inserter(merged),
-             [](const Interval& a, const Interval& b) { return a.lo < b.lo; });
   IntervalSet set;
-  set.intervals_ = coalesce_sorted(std::move(merged), merge_adjacent);
+  set.intervals_.reserve(intervals_.size() + other.intervals_.size());
+  merge_into(set.intervals_, std::span<const Interval>(intervals_),
+             std::span<const Interval>(other.intervals_), same_interval,
+             merge_adjacent);
   return set;
 }
 

@@ -9,10 +9,13 @@
 // IntervalSet is that list: an immutable-after-build, sorted vector of
 // disjoint, non-adjacent closed intervals [lo, hi].  Immutability matters:
 // the published object is shared by racing getSet operations and is only
-// ever replaced wholesale via CAS, never mutated in place.
+// ever replaced wholesale via CAS, never mutated in place.  The one
+// in-place builder, assign_union, fills a set nobody else can see yet (a
+// recycled node before its publishing CAS).
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,11 +45,21 @@ class IntervalSet {
   static IntervalSet from_points(std::vector<std::uint64_t> points,
                                  bool merge_adjacent = true);
 
-  // Returns the union of this set and `points`, coalesced.  This is the
-  // getSet path: start from the currently published set, add every newly
-  // observed vacated index, coalesce.  O(|this| + |points| log |points|).
+  // Returns the union of this set and `points` (any order, duplicates
+  // allowed), coalesced: sorts the points, then builds via assign_union.
+  // O(|this| + |points| log |points|).
   IntervalSet merged_with_points(std::vector<std::uint64_t> points,
                                  bool merge_adjacent = true) const;
+
+  // Rebuilds this set in place as base ∪ points, coalesced, reusing this
+  // set's vector capacity.  This is the getSet path: start from the
+  // currently published set, add every newly observed vacated index.
+  // `points` must be ascending (getSet gathers them in walk order), so
+  // the build is one linear merge with no sort and no temporaries:
+  // O(|base| + |points|).  `base` must not be *this.
+  void assign_union(const IntervalSet& base,
+                    std::span<const std::uint64_t> points,
+                    bool merge_adjacent = true);
 
   // Set union of two interval sets.
   IntervalSet merged_with(const IntervalSet& other,

@@ -40,8 +40,8 @@ EbrDomain::~EbrDomain() {
                      "EbrDomain destroyed while a thread is pinned");
     for (RetiredNode& node : slot.retired) {
       node.fn(node.ptr, node.ctx, *this, s);
-      freed_.fetch_add(1, std::memory_order_relaxed);
     }
+    slot.freed_count.add(slot.retired.size());
     slot.retired.clear();
   }
 }
@@ -120,7 +120,7 @@ void EbrDomain::retire_raw(void* node, void* ctx, RecycleFn fn) {
   slot.retired.push_back(
       RetiredNode{node, ctx, fn,
                   global_epoch_.load(std::memory_order_seq_cst)});
-  retired_.fetch_add(1, std::memory_order_relaxed);
+  slot.retired_count.add();
   if (slot.retired.size() >= kReclaimThreshold && slot.depth == 0) {
     try_reclaim();
   }
@@ -159,12 +159,24 @@ void EbrDomain::free_eligible(std::uint32_t slot_index,
     RetiredNode& node = slot.retired[i];
     if (node.epoch <= safe_epoch) {
       node.fn(node.ptr, node.ctx, *this, slot_index);
-      freed_.fetch_add(1, std::memory_order_relaxed);
     } else {
       slot.retired[kept++] = node;
     }
   }
+  slot.freed_count.add(slot.retired.size() - kept);
   slot.retired.resize(kept);
+}
+
+std::uint64_t EbrDomain::retired_count() const {
+  std::uint64_t total = 0;
+  for (const Slot& slot : slots_) total += slot.retired_count.get();
+  return total;
+}
+
+std::uint64_t EbrDomain::freed_count() const {
+  std::uint64_t total = 0;
+  for (const Slot& slot : slots_) total += slot.freed_count.get();
+  return total;
 }
 
 }  // namespace psnap::reclaim

@@ -16,6 +16,13 @@
 //
 // EBR pins and retires are memory management, not shared-object "steps" in
 // the paper's model, so they deliberately do not call exec::on_step().
+//
+// Counter rule (shared by every counter on an operation path): a counter
+// is per-slot and single-writer (reclaim::SlotCounter in the owner's
+// padded Slot) and summed on read.  The only shared read-modify-writes an
+// operation performs are the paper's base objects and the EBR epoch CAS;
+// bookkeeping never adds one.  retired_count()/freed_count() therefore
+// cost a walk over kTotalSlots and are exact once writers are quiescent.
 #pragma once
 
 #include <atomic>
@@ -113,12 +120,8 @@ class EbrDomain {
   std::uint64_t global_epoch() const {
     return global_epoch_.load(std::memory_order_relaxed);
   }
-  std::uint64_t retired_count() const {
-    return retired_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_count() const {
-    return freed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t retired_count() const;
+  std::uint64_t freed_count() const;
   std::uint64_t outstanding() const { return retired_count() - freed_count(); }
 
  private:
@@ -138,14 +141,15 @@ class EbrDomain {
     // runs without concurrency by precondition).
     std::uint32_t depth = 0;
     std::vector<RetiredNode> retired;
+    // Nodes this slot retired, and nodes freed from its retired list.
+    SlotCounter retired_count;
+    SlotCounter freed_count;
   };
 
   std::uint32_t slot_for_this_thread();
   void free_eligible(std::uint32_t slot_index, std::uint64_t safe_epoch);
 
   std::atomic<std::uint64_t> global_epoch_{0};
-  std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> freed_{0};
   const std::uint64_t domain_id_;
   std::vector<Slot> slots_;
 };

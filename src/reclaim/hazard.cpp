@@ -36,8 +36,8 @@ HazardDomain::~HazardDomain() {
     Slot& slot = slots_[s];
     for (RetiredNode& node : slot.retired) {
       node.fn(node.ptr, node.ctx, s);
-      freed_.fetch_add(1, std::memory_order_relaxed);
     }
+    slot.freed_count.add(slot.retired.size());
     slot.retired.clear();
   }
 }
@@ -109,7 +109,7 @@ void HazardDomain::retire_raw(void* node, void* ctx, RecycleFn fn) {
   PSNAP_ASSERT(node != nullptr);
   Slot& slot = slots_[slot_for_this_thread()];
   slot.retired.push_back(RetiredNode{node, ctx, fn});
-  retired_.fetch_add(1, std::memory_order_relaxed);
+  slot.retired_count.add();
   // Michael's amortized bound, scaled to the slots actually claimed
   // rather than the full capacity (see the claimed_ comment in the
   // header): scan when the local list exceeds twice the live hazard
@@ -145,10 +145,22 @@ void HazardDomain::scan_and_free() {
       mine.retired[kept++] = node;
     } else {
       node.fn(node.ptr, node.ctx, my_slot);
-      freed_.fetch_add(1, std::memory_order_relaxed);
     }
   }
+  mine.freed_count.add(mine.retired.size() - kept);
   mine.retired.resize(kept);
+}
+
+std::uint64_t HazardDomain::retired_count() const {
+  std::uint64_t total = 0;
+  for (const Slot& slot : slots_) total += slot.retired_count.get();
+  return total;
+}
+
+std::uint64_t HazardDomain::freed_count() const {
+  std::uint64_t total = 0;
+  for (const Slot& slot : slots_) total += slot.freed_count.get();
+  return total;
 }
 
 }  // namespace psnap::reclaim

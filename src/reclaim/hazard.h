@@ -22,7 +22,8 @@
 //
 // Like EBR, hazard publication and retirement are memory management, not
 // shared-object "steps" in the paper's model; nothing here calls
-// exec::on_step().
+// exec::on_step().  The retire/free counters follow EBR's counter rule
+// (reclaim/ebr.h): per-slot single-writer SlotCounters, summed on read.
 #pragma once
 
 #include <atomic>
@@ -97,12 +98,8 @@ class HazardDomain {
   // with EbrDomain::thread_slot() so one Pool serves both substrates.
   std::uint32_t thread_slot() { return slot_for_this_thread(); }
 
-  std::uint64_t retired_count() const {
-    return retired_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t freed_count() const {
-    return freed_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t retired_count() const;
+  std::uint64_t freed_count() const;
   std::uint64_t outstanding() const { return retired_count() - freed_count(); }
 
  private:
@@ -122,13 +119,14 @@ class HazardDomain {
     // warm, or the zero-allocation steady-state proofs
     // (tests/core/update_alloc_test.cpp) would fail on the hp plane.
     std::vector<void*> scan_scratch;
+    // Nodes this slot retired, and nodes freed from its retired list.
+    SlotCounter retired_count;
+    SlotCounter freed_count;
   };
 
   std::uint32_t slot_for_this_thread();
 
   const std::uint64_t domain_id_;
-  std::atomic<std::uint64_t> retired_{0};
-  std::atomic<std::uint64_t> freed_{0};
   // Slots ever claimed (pid or anonymous); drives the adaptive scan
   // threshold.  Michael's 2*capacity*K bound with the full kTotalSlots
   // capacity (~1800 nodes) would never trigger inside a short test's

@@ -17,6 +17,7 @@
 // retiring thread's one free list.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 #include "exec/capacity.h"
@@ -26,5 +27,22 @@ namespace psnap::reclaim {
 inline constexpr std::uint32_t kPidSlots = exec::kMaxPidCapacity;
 inline constexpr std::uint32_t kAnonSlots = 32;
 inline constexpr std::uint32_t kTotalSlots = kPidSlots + kAnonSlots;
+
+// The counter idiom for operation paths: a counter lives in the slot of
+// the thread that bumps it, so it has exactly one writer (the slot's
+// owner; a quiescent destructor is the one exception) and an increment is
+// a relaxed load + store, never a shared read-modify-write.  Readers sum
+// every slot's counter; a sum is exact once writers are quiescent.
+class SlotCounter {
+ public:
+  void add(std::uint64_t n = 1) {
+    value_.store(value_.load(std::memory_order_relaxed) + n,
+                 std::memory_order_relaxed);
+  }
+  std::uint64_t get() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<std::uint64_t> value_{0};
+};
 
 }  // namespace psnap::reclaim

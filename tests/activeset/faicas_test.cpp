@@ -5,9 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <thread>
+#include <vector>
 
 #include "exec/exec.h"
+#include "exec/thread_registry.h"
 
 namespace psnap::activeset {
 namespace {
@@ -256,6 +260,54 @@ TEST(FaiCas, GetSetSeesActiveAcrossManySlots) {
   }
   exec::ScopedPid pid(1);
   EXPECT_EQ(as.get_set(), (std::vector<std::uint32_t>{2}));
+}
+
+// Real-thread join/leave/getSet churn, on both runtimes: racing getSets
+// build their lists in recycled nodes and publish them with competing
+// CASes.  While joined, a process must see itself (it is active for the
+// whole getSet).  After quiescence every slot is vacated, so one final
+// getSet returns {} and leaves the published list covering exactly [1, h].
+template <class Policy>
+void run_real_thread_churn() {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kRounds = 2000;
+  FaiCasActiveSetT<Policy> as(kThreads);
+  exec::ThreadRegistry registry(kThreads);
+  std::atomic<int> missed_self{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      exec::ThreadHandle handle(registry);
+      std::vector<std::uint32_t> out;
+      for (int round = 0; round < kRounds; ++round) {
+        as.join();
+        as.get_set(out);
+        if (std::find(out.begin(), out.end(), handle.pid()) == out.end()) {
+          missed_self.fetch_add(1);
+        }
+        as.leave();
+        if (round % 3 == 0) as.get_set(out);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(missed_self.load(), 0);
+
+  exec::ScopedPid pid(0);
+  EXPECT_TRUE(as.get_set().empty());
+  std::uint64_t h = as.slots_used();
+  EXPECT_EQ(h, std::uint64_t{kThreads} * kRounds);
+  EXPECT_EQ(as.published_list(), intervals::IntervalSet::from_intervals(
+                                     {intervals::Interval{1, h}}));
+  EXPECT_GE(as.skip_list_publications(), 1u);
+}
+
+TEST(FaiCas, RealThreadChurnLeavesEverySlotSkipListed) {
+  run_real_thread_churn<primitives::Instrumented>();
+}
+
+TEST(FaiCas, RealThreadChurnLeavesEverySlotSkipListedFast) {
+  run_real_thread_churn<primitives::Release>();
 }
 
 }  // namespace

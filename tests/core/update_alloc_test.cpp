@@ -62,8 +62,9 @@ void warm_up(PartialSnapshot& snap) {
     snap.scan(idx, out);
   }
   // End on a long pure-update run: the first getSet after the scans'
-  // join/leave churn publishes the vacated slots (one interval-list
-  // allocation, Figure 3 only), after which updates are steady-state.
+  // join/leave churn publishes the vacated slots (Figure 3 only; the
+  // skip-list node comes from the active set's pool, which allocates only
+  // while it warms up), after which updates are steady-state.
   for (int k = 0; k < 512; ++k) {
     snap.update(static_cast<std::uint32_t>(k % kM), 2000 + k);
   }
@@ -225,6 +226,45 @@ TEST(UpdateAllocTestExtras, AlternatingScanShapesAreAllocationFree) {
     EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
         << spec;
   }
+}
+
+// Figure 3 under scanner churn: every scan joins and leaves the Figure 2
+// active set, so every update's getSet finds a freshly vacated slot and
+// publishes a new skip list.  That list is built in place in a node
+// recycled through the active set's pool, so once the pool is warm (past
+// two EBR grace periods) scan+update rounds allocate nothing either.  The
+// shape stays stable: every join lands inside the first 1024-slot segment.
+template <class Snap>
+void run_scan_churn_update_test(Snap& snap) {
+  exec::ScopedPid pid(0);
+  std::vector<std::uint64_t> out;
+  const std::vector<std::uint32_t> idx{3, 9, 17, 40};
+  int k = 0;
+  auto round = [&] {
+    snap.scan(idx, out);
+    snap.update(static_cast<std::uint32_t>(k % kM), 7000 + k);
+    ++k;
+  };
+  for (int i = 0; i < 300; ++i) round();
+  constexpr int kRounds = 400;
+  std::uint64_t publications = snap.active_set().skip_list_publications();
+  std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < kRounds; ++i) round();
+  EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+  EXPECT_EQ(snap.active_set().skip_list_publications() - publications,
+            std::uint64_t{kRounds});
+  EXPECT_LT(snap.active_set().slots_used(), 1024u);
+}
+
+TEST(UpdateAllocScanChurnTest, CasSnapshotChurnUpdatesAreAllocationFree) {
+  CasPartialSnapshot snap(kM, kN);
+  run_scan_churn_update_test(snap);
+}
+
+TEST(UpdateAllocScanChurnTest,
+     CasSnapshotFastChurnUpdatesAreAllocationFree) {
+  CasPartialSnapshotFast snap(kM, kN);
+  run_scan_churn_update_test(snap);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/rng.h"
@@ -185,6 +186,59 @@ TEST_P(IntervalSetPropertyTest, MergeOfSetsMatchesModel) {
   ASSERT_TRUE(c.is_canonical());
   for (std::uint64_t x = 0; x < kUniverse; ++x) {
     ASSERT_EQ(c.contains(x), model_a.count(x) + model_b.count(x) > 0);
+  }
+}
+
+TEST_P(IntervalSetPropertyTest, AssignUnionMatchesFromIntervals) {
+  // The in-place merge against the sort-and-normalize reference, under
+  // both coalescing settings.  Points are drawn next to (lo - 1, hi + 1)
+  // and inside existing intervals as well as at random, and one target is
+  // rebuilt every round, so a longer earlier list must not leak through
+  // the reused capacity.
+  Xoshiro256 rng(GetParam() * 7919 + 11);
+  constexpr std::uint64_t kUniverse = 120;
+  for (bool merge_adjacent : {true, false}) {
+    IntervalSet target;
+    for (int round = 0; round < 60; ++round) {
+      std::vector<Interval> raw;
+      std::uint64_t count = rng.next_in(0, 8);
+      for (std::uint64_t i = 0; i < count; ++i) {
+        std::uint64_t lo = rng.next_in(1, kUniverse);
+        raw.push_back({lo, std::min(kUniverse, lo + rng.next_below(6))});
+      }
+      IntervalSet base = IntervalSet::from_intervals(raw, merge_adjacent);
+
+      std::vector<std::uint64_t> points;
+      std::uint64_t batch = rng.next_in(0, 12);
+      for (std::uint64_t i = 0; i < batch; ++i) {
+        if (base.empty() || rng.next_below(3) == 0) {
+          points.push_back(rng.next_in(1, kUniverse));
+          continue;
+        }
+        const Interval& iv =
+            base.intervals()[rng.next_below(base.size())];
+        switch (rng.next_below(3)) {
+          case 0: points.push_back(iv.lo - 1); break;
+          case 1: points.push_back(iv.hi + 1); break;
+          default: points.push_back(rng.next_in(iv.lo, iv.hi)); break;
+        }
+      }
+      std::sort(points.begin(), points.end());
+      points.erase(std::unique(points.begin(), points.end()), points.end());
+
+      std::vector<Interval> all = base.intervals();
+      for (std::uint64_t p : points) all.push_back({p, p});
+      IntervalSet expected = IntervalSet::from_intervals(all, merge_adjacent);
+
+      target.assign_union(base, points, merge_adjacent);
+      ASSERT_EQ(target, expected)
+          << "merge_adjacent=" << merge_adjacent << " base "
+          << base.to_string() << " got " << target.to_string();
+      ASSERT_EQ(base.merged_with_points(points, merge_adjacent), expected);
+      if (merge_adjacent) {
+        ASSERT_TRUE(target.is_canonical());
+      }
+    }
   }
 }
 

@@ -6,6 +6,9 @@
 #include <thread>
 #include <vector>
 
+#include "exec/exec.h"
+#include "tests/support/pid_handover.h"
+
 namespace psnap::reclaim {
 namespace {
 
@@ -128,6 +131,36 @@ TEST(Ebr, StressManyThreads) {
               std::uint64_t(kThreads) * kOpsPerThread);
   }
   // Domain destruction frees everything that was still outstanding.
+  EXPECT_EQ(Tracked::live.load(), 0);
+}
+
+TEST(Ebr, SlotCountersExactAcrossThreadsAndPidHandover) {
+  // The retire/free counters are per-slot single-writer (no RMW), so their
+  // sums are exact only if every slot really has one writer at a time,
+  // including across a mid-run pid release and re-acquire.
+  Tracked::live = 0;
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kPerThread = 3000;
+  EbrDomain domain;
+  test::run_threads_with_pid_handover(kThreads, kPerThread, [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      auto guard = domain.pin();
+      domain.retire(new Tracked);
+    }
+  });
+
+  constexpr std::uint64_t kTotal = std::uint64_t{kThreads} * kPerThread;
+  EXPECT_EQ(domain.retired_count(), kTotal);
+  EXPECT_EQ(domain.freed_count() + domain.outstanding(),
+            domain.retired_count());
+  // Quiescent drain: a slot frees only its own list, so visit every pid.
+  for (std::uint32_t p = 0; p < kThreads; ++p) {
+    exec::ScopedPid pid(p);
+    for (int i = 0; i < 3; ++i) domain.try_reclaim();
+  }
+  EXPECT_EQ(domain.retired_count(), kTotal);
+  EXPECT_EQ(domain.freed_count(), kTotal);
+  EXPECT_EQ(domain.outstanding(), 0u);
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 

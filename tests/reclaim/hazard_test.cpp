@@ -8,6 +8,7 @@
 
 #include "exec/exec.h"
 #include "reclaim/slots.h"
+#include "tests/support/pid_handover.h"
 
 namespace psnap::reclaim {
 namespace {
@@ -181,6 +182,40 @@ TEST(Hazard, RecycleCallbackReceivesRetiringSlot) {
   ASSERT_EQ(seen_slots.size(), 2u);
   EXPECT_EQ(seen_slots[0], 3u);
   EXPECT_EQ(seen_slots[1], 3u);
+  EXPECT_EQ(Node::live.load(), 0);
+}
+
+TEST(Hazard, SlotCountersExactAcrossThreadsAndPidHandover) {
+  // Same counter idiom as EbrDomain: per-slot single-writer counters whose
+  // sums stay exact across real threads and a mid-run pid hand-over.
+  // Every thread also protects a shared node, so the automatic scans
+  // racing the retirements see live hazards.
+  Node::live = 0;
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kPerThread = 3000;
+  HazardDomain domain;
+  std::atomic<Node*> shared{new Node};
+  test::run_threads_with_pid_handover(kThreads, kPerThread, [&](int count) {
+    for (int i = 0; i < count; ++i) {
+      (void)domain.protect(shared, 0);
+      domain.retire(new Node);
+    }
+    domain.clear_all();
+  });
+
+  constexpr std::uint64_t kTotal = std::uint64_t{kThreads} * kPerThread;
+  EXPECT_EQ(domain.retired_count(), kTotal);
+  EXPECT_EQ(domain.freed_count() + domain.outstanding(),
+            domain.retired_count());
+  // Quiescent drain: a slot frees only its own list, so visit every pid.
+  for (std::uint32_t p = 0; p < kThreads; ++p) {
+    exec::ScopedPid pid(p);
+    domain.scan_and_free();
+  }
+  EXPECT_EQ(domain.retired_count(), kTotal);
+  EXPECT_EQ(domain.freed_count(), kTotal);
+  EXPECT_EQ(domain.outstanding(), 0u);
+  delete shared.load();
   EXPECT_EQ(Node::live.load(), 0);
 }
 
