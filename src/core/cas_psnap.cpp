@@ -29,6 +29,22 @@ struct PerLocation {
   std::uint32_t count;
 };
 
+// Starts the cache misses of a record a read loop is about to dereference:
+// the line holding its first field (the value) and the line holding the
+// last field the loop reads -- the tag's pid on the collect planes, the
+// version word on the versioned plane.  A record can straddle two lines
+// (the 72-byte versioned record does for 3 of the 4 16-byte malloc
+// alignments), and one prefetch would leave the second miss serial.
+template <class Rec>
+void prefetch_record(const Rec* rec) {
+  __builtin_prefetch(rec);
+  if constexpr (requires { rec->version; }) {
+    __builtin_prefetch(&rec->version);
+  } else {
+    __builtin_prefetch(&rec->pid);
+  }
+}
+
 }  // namespace
 
 template <class Policy, class Value>
@@ -208,45 +224,62 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
                      "figure-3 embedded scan exceeded its collect bound");
     if (hp_ != nullptr) view.resize(args.size());
     const Rec* borrow = nullptr;
-    for (std::size_t j = 0; j < args.size(); ++j) {
+    // Blocked reads.  Under EBR (the whole function is pinned) a block of
+    // heads is loaded into cur[] and their records prefetched before the
+    // first one is dereferenced, so the block's cache misses overlap
+    // instead of queueing one behind the other.  The counted loads still
+    // run in index order, one per location, and dereferences are not
+    // steps, so the collect's step sequence is unchanged.  Under hp a block
+    // is ONE location: a hazard must be validated (protect_component)
+    // before its record is dereferenced, and the next location reuses the
+    // hazard slot, so hp reads one validated location at a time.
+    const std::size_t block = hp_ != nullptr ? 1 : kReadBlock;
+    for (std::size_t base = 0; base < args.size(); base += block) {
+      const std::size_t end = std::min(args.size(), base + block);
       if (borrow != nullptr) {
         // Collect-length parity after the borrow fired: the remaining
         // locations are still read (one counted step each, as always), but
-        // nothing is noted or dereferenced -- under hp these loads carry
-        // no hazard.
-        (void)r_.at(args[j])->load();
+        // nothing is noted, prefetched or dereferenced -- under hp these
+        // loads carry no hazard.  (The rest of the borrow's own block was
+        // already loaded by its gather below.)
+        for (std::size_t j = base; j < end; ++j) (void)r_.at(args[j])->load();
         continue;
       }
-      const Rec* rec = hp_ ? protect_component(args[j], kHazRecord)
-                           : r_.at(args[j])->load();
-      cur[j] = rec;
-      cur_pid[j] = rec->pid;
-      cur_ctr[j] = rec->counter;
-      if (hp_ != nullptr) {
-        // Copy the entry NOW, while the kHazRecord hazard still covers
-        // rec.  At the double-collect exit these per-entry copies ARE the
-        // result: tag equality across the last two collects proves both
-        // read the same records, but the records themselves may be
-        // recycled the moment the hazard moves to the next location.
-        view[j].index = args[j];
-        Value::copy(rec->value, view[j].value);
+      for (std::size_t j = base; j < end; ++j) {
+        cur[j] = hp_ ? protect_component(args[j], kHazRecord)
+                     : r_.at(args[j])->load();
+        prefetch_record(cur[j]);
       }
-      if (options_.use_cas) {
-        if (note_loc(j, cur_pid[j], cur_ctr[j])) borrow = rec;
-      } else if (have_prev && (cur_pid[j] != prev_pid[j] ||
-                               cur_ctr[j] != prev_ctr[j])) {
-        borrow = note_move(rec);
-      }
-      if (borrow != nullptr) {
-        stats.borrowed = true;
-        // Copy (capacity-reusing, down to the blob plane's per-entry byte
-        // buffers) rather than reference, and IMMEDIATELY: under EBR the
-        // borrowed record is only guaranteed live while this operation
-        // stays pinned; under hp it is only safe while the hazard that
-        // just validated it still stands.  (A write-ablation borrow -- a
-        // record remembered from an earlier collect -- is EBR-only: hp
-        // rejects use_cas=false at construction.)
-        view = borrow->view;
+      for (std::size_t j = base; j < end && borrow == nullptr; ++j) {
+        const Rec* rec = cur[j];
+        cur_pid[j] = rec->pid;
+        cur_ctr[j] = rec->counter;
+        if (hp_ != nullptr) {
+          // Copy the entry NOW, while the kHazRecord hazard still covers
+          // rec.  At the double-collect exit these per-entry copies ARE the
+          // result: tag equality across the last two collects proves both
+          // read the same records, but the records themselves may be
+          // recycled the moment the hazard moves to the next location.
+          view[j].index = args[j];
+          Value::copy(rec->value, view[j].value);
+        }
+        if (options_.use_cas) {
+          if (note_loc(j, cur_pid[j], cur_ctr[j])) borrow = rec;
+        } else if (have_prev && (cur_pid[j] != prev_pid[j] ||
+                                 cur_ctr[j] != prev_ctr[j])) {
+          borrow = note_move(rec);
+        }
+        if (borrow != nullptr) {
+          stats.borrowed = true;
+          // Copy (capacity-reusing, down to the blob plane's per-entry byte
+          // buffers) rather than reference, and IMMEDIATELY: under EBR the
+          // borrowed record is only guaranteed live while this operation
+          // stays pinned; under hp it is only safe while the hazard that
+          // just validated it still stands.  (A write-ablation borrow -- a
+          // record remembered from an earlier collect -- is EBR-only: hp
+          // rejects use_cas=false at construction.)
+          view = borrow->view;
+        }
       }
     }
     if (borrow != nullptr) return view;
@@ -886,12 +919,27 @@ std::uint64_t CasPartialSnapshotT<Policy, Value>::do_scan_versioned(
       // collect, O(1) steps per requested component.
       const std::uint64_t epoch = camera_.new_epoch();
       stats.epoch = epoch;
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        std::uint64_t walked = 0;
-        const Rec* node = primitives::chain_read<Policy>(
-            r_.at(indices[k])->load(), epoch, camera_, walked);
-        out[k] = Value::decode(node->value);
-        stats.chain_nodes = std::max(stats.chain_nodes, walked);
+      // Blocked reads (see embedded_scan): per block, the counted head
+      // loads run first and their records -- version line included -- are
+      // prefetched, then each head's chain is walked.  The step count stays
+      // 1 + 2r on a quiescent object, but within a block the loads now
+      // precede the version reads.  That reorder is sound: every head is
+      // still loaded AFTER the fetch-add and under the pin, which is all
+      // chain_read's walk argument (primitives/version_chain.h) needs.
+      const Rec* heads[kReadBlock];
+      for (std::size_t base = 0; base < indices.size(); base += kReadBlock) {
+        const std::size_t len = std::min(kReadBlock, indices.size() - base);
+        for (std::size_t k = 0; k < len; ++k) {
+          heads[k] = r_.at(indices[base + k])->load();
+          prefetch_record(heads[k]);
+        }
+        for (std::size_t k = 0; k < len; ++k) {
+          std::uint64_t walked = 0;
+          const Rec* node =
+              primitives::chain_read<Policy>(heads[k], epoch, camera_, walked);
+          out[base + k] = Value::decode(node->value);
+          stats.chain_nodes = std::max(stats.chain_nodes, walked);
+        }
       }
       return epoch;
     }

@@ -21,6 +21,15 @@
 // and the contention.  That locality is what the LOC/T3 benches measure and
 // what the access-log tests assert.
 //
+// The r reads of a collect overlap their cache misses on the EBR plane: a
+// block of kReadBlock heads is loaded and their records prefetched before
+// the first is dereferenced, so a collect waits on about r / kReadBlock
+// memory latencies instead of r.  The loads still run in index order, so
+// the step sequence is exactly the serial loop's.  Under hp a read is one
+// validated location at a time (protect, then dereference).  The
+// versioned scan below blocks its head loads the same way: same step
+// count, but within a block the loads precede the version reads.
+//
 // Runtime policy (see primitives.h): CasPartialSnapshotT<Instrumented> is
 // the step-counted, sim-safe build; CasPartialSnapshotT<Release>
 // ("fig3_cas_fast") swaps seq_cst for acquire/release and drops the
@@ -130,6 +139,10 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   using Rec = RecordFor<Value>;
   using ViewV = ViewT<ValueType>;
   using Options = CasSnapshotOptions;
+
+  // EBR read loops (collects and the versioned scan) load this many heads,
+  // prefetch their records, and only then dereference them.
+  static constexpr std::size_t kReadBlock = 16;
 
   CasPartialSnapshotT(std::uint32_t initial_components,
                       std::uint32_t max_processes);

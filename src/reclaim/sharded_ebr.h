@@ -89,7 +89,14 @@ class ShardedEbr {
     void pin_component(std::uint32_t component) {
       pin(sharded_.shard_of(component));
     }
+    // On one shard every component maps to shard 0, so a non-empty span
+    // is a single pin -- no per-index shard_of divisions on the scan path.
     void pin_components(std::span<const std::uint32_t> components) {
+      if (components.empty()) return;
+      if (sharded_.shards_ == 1) {
+        pin(0);
+        return;
+      }
       for (std::uint32_t c : components) pin_component(c);
     }
     void pin_all() {

@@ -19,6 +19,7 @@
 // global operator new/delete with the shared counting versions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -121,6 +122,71 @@ TEST(VersionChainTest, QuiescentScansWalkExactlyOneNode) {
       EXPECT_EQ(tls_op_stats().chain_nodes, 1u) << spec;
       for (std::uint32_t i = 0; i < kM; ++i) {
         EXPECT_EQ(out[i], static_cast<std::uint64_t>(round) * kM + i) << spec;
+      }
+    }
+  }
+}
+
+// The versioned scan loads its heads a block (kReadBlock) at a time, then
+// reads their versions.  At r below, at, one past and well past a block, a
+// quiescent scan costs exactly 1 + 2r steps, walks one node per component
+// and returns every component, the partial last block included.  On the
+// EBR plane the log is the fetch-add, then per block its head loads (in
+// request order) followed by its version reads; hp reads one validated
+// head at a time, so its loads and version reads alternate.
+TEST(VersionChainTest, QuiescentScansAcrossReadBlocks) {
+  exec::ScopedPid pid(0);
+  constexpr std::size_t kBlock = CasPartialSnapshotVersioned::kReadBlock;
+  constexpr std::size_t kScanSizes[] = {1, kBlock, kBlock + 1, 2 * kBlock + 8};
+  for (const bool use_hp : {false, true}) {
+    CasSnapshotOptions options;
+    options.use_hp = use_hp;
+    CasPartialSnapshotVersioned snap(kM, kN, options, 0);
+    for (std::uint32_t i = 0; i < kM; ++i) snap.update(i, 1000 + i);
+    for (std::size_t r : kScanSizes) {
+      // A permutation prefix of [0, kM): distinct, out of index order.
+      std::vector<std::uint32_t> idx(r);
+      for (std::size_t k = 0; k < r; ++k) {
+        idx[k] = static_cast<std::uint32_t>((3 * k + 1) % kM);
+      }
+      exec::RecordingLogger logger;
+      std::vector<std::uint64_t> out;
+      exec::ctx().steps.reset();
+      {
+        exec::ScopedLogger guard(&logger);
+        snap.scan_versioned(idx, out);
+      }
+      EXPECT_EQ(exec::ctx().steps.total, 1 + 2 * r)
+          << "hp=" << use_hp << " r=" << r;
+      EXPECT_EQ(tls_op_stats().chain_nodes, 1u)
+          << "hp=" << use_hp << " r=" << r;
+      ASSERT_EQ(out.size(), r);
+      for (std::size_t k = 0; k < r; ++k) {
+        EXPECT_EQ(out[k], 1000u + idx[k])
+            << "hp=" << use_hp << " r=" << r << " k=" << k;
+      }
+
+      // The expected access log: (kind, label) per step.
+      using Access = exec::RecordingLogger::Access;
+      std::vector<Access> expected{{exec::ObjKind::kFai, exec::kNoLabel}};
+      const std::size_t block = use_hp ? 1 : kBlock;
+      for (std::size_t base = 0; base < r; base += block) {
+        const std::size_t end = std::min(r, base + block);
+        for (std::size_t k = base; k < end; ++k) {
+          expected.push_back({exec::ObjKind::kCas, idx[k]});
+        }
+        for (std::size_t k = base; k < end; ++k) {
+          expected.push_back({exec::ObjKind::kCas, exec::kNoLabel});
+        }
+      }
+      const auto& log = logger.accesses();
+      ASSERT_EQ(log.size(), expected.size())
+          << "hp=" << use_hp << " r=" << r;
+      for (std::size_t s = 0; s < log.size(); ++s) {
+        EXPECT_EQ(log[s].kind, expected[s].kind)
+            << "hp=" << use_hp << " r=" << r << " step " << s;
+        EXPECT_EQ(log[s].label, expected[s].label)
+            << "hp=" << use_hp << " r=" << r << " step " << s;
       }
     }
   }

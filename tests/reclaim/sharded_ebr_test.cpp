@@ -4,7 +4,9 @@
 
 #include <array>
 #include <atomic>
+#include <numeric>
 #include <thread>
+#include <vector>
 
 #include "reclaim/pool.h"
 
@@ -99,6 +101,54 @@ TEST(ShardedEbr, MultiGuardPinsOnDemandAndIsIdempotent) {
     sharded.domain(s).try_reclaim();
     sharded.domain(s).try_reclaim();
     EXPECT_GT(sharded.domain(s).global_epoch(), before);
+  }
+}
+
+// try_reclaim() calls made on `shard`; returns how far its epoch moved.
+std::uint64_t advance(ShardedEbr& sharded, std::uint32_t shard, int calls) {
+  const std::uint64_t before = sharded.domain(shard).global_epoch();
+  for (int k = 0; k < calls; ++k) sharded.domain(shard).try_reclaim();
+  return sharded.domain(shard).global_epoch() - before;
+}
+
+TEST(ShardedEbr, SingleShardPinComponentsPinsShardZeroOnce) {
+  ShardedEbr sharded;  // 1 shard
+  {
+    // An empty span pins nothing: the epoch advances on every call.
+    ShardedEbr::MultiGuard guard(sharded);
+    guard.pin_components({});
+    EXPECT_EQ(advance(sharded, 0, 4), 4u);
+  }
+  std::vector<std::uint32_t> comps(4096);
+  std::iota(comps.begin(), comps.end(), 0u);
+  {
+    // A whole-segment-spanning set is one pin of shard 0: the epoch can
+    // move past the pinned generation at most once.
+    ShardedEbr::MultiGuard guard(sharded);
+    guard.pin_components(comps);
+    EXPECT_LE(advance(sharded, 0, 4), 1u);
+  }
+  // Released: the shard advances freely again.
+  EXPECT_EQ(advance(sharded, 0, 4), 4u);
+}
+
+TEST(ShardedEbr, MultiShardPinComponentsHoldsExactlyTheirShards) {
+  ShardedEbr sharded(8, /*segment_components=*/1024);
+  // Segments 0, 1 and 9: shards 0, 1 and 9 % 8 == 1.
+  const std::array<std::uint32_t, 3> comps{5, 1030, 9300};
+  {
+    ShardedEbr::MultiGuard guard(sharded);
+    guard.pin_components(comps);
+    for (std::uint32_t s = 0; s < 8; ++s) {
+      if (s <= 1) {
+        EXPECT_LE(advance(sharded, s, 4), 1u) << "shard " << s;
+      } else {
+        EXPECT_EQ(advance(sharded, s, 4), 4u) << "shard " << s;
+      }
+    }
+  }
+  for (std::uint32_t s = 0; s < 8; ++s) {
+    EXPECT_EQ(advance(sharded, s, 4), 4u) << "shard " << s;
   }
 }
 
