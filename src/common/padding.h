@@ -29,4 +29,22 @@ struct alignas(kCachelineBytes) CachelinePadded {
   const T* operator->() const { return &value; }
 };
 
+// CachelinePadded's accessors without the padding: T's own size and
+// alignment, so adjacent array elements pack densely.  Lets a storage
+// alias pick padded or dense slots by trait while every call site
+// (`*slot`, `slot->f()`, `slot.value`) stays the same.
+template <class T>
+struct Unpadded {
+  T value{};
+
+  Unpadded() = default;
+  template <class... Args>
+  explicit Unpadded(Args&&... args) : value(std::forward<Args>(args)...) {}
+
+  T& operator*() { return value; }
+  const T& operator*() const { return value; }
+  T* operator->() { return &value; }
+  const T* operator->() const { return &value; }
+};
+
 }  // namespace psnap

@@ -919,24 +919,34 @@ std::uint64_t CasPartialSnapshotT<Policy, Value>::do_scan_versioned(
       // collect, O(1) steps per requested component.
       const std::uint64_t epoch = camera_.new_epoch();
       stats.epoch = epoch;
-      // Blocked reads (see embedded_scan): per block, the counted head
-      // loads run first and their records -- version line included -- are
-      // prefetched, then each head's chain is walked.  The step count stays
-      // 1 + 2r on a quiescent object, but within a block the loads now
-      // precede the version reads.  That reorder is sound: every head is
-      // still loaded AFTER the fetch-add and under the pin, which is all
-      // chain_read's walk argument (primitives/version_chain.h) needs.
-      const Rec* heads[kReadBlock];
-      for (std::size_t base = 0; base < indices.size(); base += kReadBlock) {
-        const std::size_t len = std::min(kReadBlock, indices.size() - base);
+      // Blocked, pipelined reads (see embedded_scan for the blocking).  A
+      // block is GATHERED by loading its heads -- the counted steps -- and
+      // prefetching their records, version line included.  Block 0 is
+      // gathered up front, and block k+1 is gathered before block k's
+      // chains are walked, so block k+1's head misses overlap block k's
+      // record misses; the two head buffers live on the stack.  The step
+      // count stays 1 + 2r on a quiescent object; only the order moves:
+      // block k+1's head loads now precede block k's version reads.  That
+      // reorder is sound: every head is still loaded AFTER the fetch-add
+      // and under the pin, which is all chain_read's walk argument
+      // (primitives/version_chain.h) needs.
+      const std::size_t r = indices.size();
+      const Rec* heads[2][kReadBlock];
+      auto gather = [&](std::size_t base, const Rec** block) {
+        const std::size_t len = std::min(kReadBlock, r - base);
         for (std::size_t k = 0; k < len; ++k) {
-          heads[k] = r_.at(indices[base + k])->load();
-          prefetch_record(heads[k]);
+          block[k] = r_.at(indices[base + k])->load();
+          prefetch_record(block[k]);
         }
+      };
+      gather(0, heads[0]);
+      for (std::size_t base = 0, b = 0; base < r; base += kReadBlock, b ^= 1) {
+        if (base + kReadBlock < r) gather(base + kReadBlock, heads[b ^ 1]);
+        const std::size_t len = std::min(kReadBlock, r - base);
         for (std::size_t k = 0; k < len; ++k) {
           std::uint64_t walked = 0;
-          const Rec* node =
-              primitives::chain_read<Policy>(heads[k], epoch, camera_, walked);
+          const Rec* node = primitives::chain_read<Policy>(heads[b][k], epoch,
+                                                           camera_, walked);
           out[base + k] = Value::decode(node->value);
           stats.chain_nodes = std::max(stats.chain_nodes, walked);
         }

@@ -27,8 +27,12 @@
 // memory latencies instead of r.  The loads still run in index order, so
 // the step sequence is exactly the serial loop's.  Under hp a read is one
 // validated location at a time (protect, then dereference).  The
-// versioned scan below blocks its head loads the same way: same step
-// count, but within a block the loads precede the version reads.
+// versioned scan below blocks its head loads the same way and pipelines
+// the blocks: it gathers block k+1 (loads its heads, prefetches their
+// records) before it reads block k's versions, so one block's head misses
+// overlap the previous block's record misses.  Same 1 + 2r steps; only
+// the order moves.  Its heads are also dense, four to a line (HeadSlot
+// below), where the collect planes keep one head per line.
 //
 // Runtime policy (see primitives.h): CasPartialSnapshotT<Instrumented> is
 // the step-counted, sim-safe build; CasPartialSnapshotT<Release>
@@ -141,7 +145,8 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   using Options = CasSnapshotOptions;
 
   // EBR read loops (collects and the versioned scan) load this many heads,
-  // prefetch their records, and only then dereference them.
+  // prefetch their records, and only then dereference them.  The versioned
+  // scan keeps two such blocks in flight.
   static constexpr std::size_t kReadBlock = 16;
 
   CasPartialSnapshotT(std::uint32_t initial_components,
@@ -289,6 +294,36 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   };
 
  private:
+  // A component head: one CAS object holding the current record.
+  //
+  // Collect-plane heads are CachelinePadded.  A CasObject is 16 bytes, so
+  // four components would share a line, and a collect-plane update both
+  // CASes its own head and collects other heads in its embedded scan:
+  // concurrent updates to distinct components would false-share.
+  // Per-component isolation matches counter_'s treatment.
+  //
+  // Versioned-plane heads are dense (Unpadded, four per line).  A
+  // versioned scan reads r heads and then their records, and nothing else
+  // of the collect machinery, so at large m the padded array (64 bytes per
+  // component, 4 MiB at m = 65536) outgrows L2 and every head in a window
+  // is its own miss; dense, the same window touches a quarter of the
+  // lines.  Versioned writers touch their head line once per update, for
+  // the CAS, so the sharing they now pay is small beside what scanners
+  // save (README.md, "Read loops overlap their cache misses", has the
+  // numbers).
+  using HeadCas = primitives::CasObject<const Rec*, Policy>;
+  using HeadSlot = std::conditional_t<Value::kVersioned, Unpadded<HeadCas>,
+                                      CachelinePadded<HeadCas>>;
+  // Layout guards: neither plane's head layout may change by accident.
+  static_assert(!Value::kVersioned ||
+                    (sizeof(HeadSlot) == sizeof(HeadCas) &&
+                     kCachelineBytes / sizeof(HeadSlot) == 4),
+                "versioned heads are dense: four CasObjects per line");
+  static_assert(Value::kVersioned ||
+                    (alignof(HeadSlot) == kCachelineBytes &&
+                     sizeof(HeadSlot) == kCachelineBytes),
+                "collect-plane heads are padded: one per line");
+
   // The versioned plane's batch descriptor (primitives::BatchControl):
   // entry table + shared stamp, pooled like the records it publishes.
   // resolve() routes helpers (readers/updaters that hit an unresolved
@@ -402,14 +437,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   reclaim::Pool<Rec> record_pool_;
   reclaim::Pool<IndexSet> announce_pool_;
   reclaim::Pool<BatchDesc> batch_pool_;
-  // CachelinePadded: a CasObject is 16 bytes, so four components would
-  // share a line and concurrent updates to distinct components would
-  // false-share; per-component isolation matches counter_'s treatment.
-  // Segmented (grow-only) storage: slot addresses are stable forever, so
-  // concurrent readers survive growth.
-  ComponentStorage<
-      CachelinePadded<primitives::CasObject<const Rec*, Policy>>>
-      r_;
+  // The component heads.  Segmented (grow-only) storage: slot addresses
+  // are stable forever, so concurrent readers survive growth.
+  ComponentStorage<HeadSlot> r_;
   // The paper's S[1..n] announcement registers (per-process single-writer,
   // padded for the same reason), keyed by registered pid.
   PerPidStorage<

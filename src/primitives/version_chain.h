@@ -189,7 +189,11 @@ std::uint64_t ensure_stamped(const Node& node, Camera& camera) {
 }
 
 // The reader's walk: newest node with version <= epoch, starting from a
-// head loaded under the caller's EBR pin.  Terminates at latest at the
+// head loaded under the caller's EBR pin and after its fetch-add.  Those
+// two facts are all the walk needs of the head load, so a caller may
+// batch and reorder its head loads around other components' walks (the
+// fig3 versioned scan loads the next block's heads before it walks the
+// current block's chains).  Terminates at latest at the
 // chain's initial node (version 0); every prev it dereferences belongs to
 // a node stamped AFTER the caller's fetch-add (version > epoch), whose
 // displacement -- and hence whose prev's retirement -- came after the

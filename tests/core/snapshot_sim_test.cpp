@@ -150,6 +150,78 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, SnapshotLinSimTest,
                          test::snapshot_param_name);
 
 // ---------------------------------------------------------------------------
+// Scans that cross read blocks.
+// ---------------------------------------------------------------------------
+
+// Figure 3's read loops gather kReadBlock heads before dereferencing them,
+// and the versioned scan gathers block k+1 before reading block k.  The
+// scenarios above keep m <= 3, so no explored schedule ever crosses a
+// block boundary; this one does, on every sim-safe plane of the two
+// Figure 3 entries (u64, blob and versioned; ebr and hp).
+std::vector<registry::SnapshotVariant> fig3_impls() {
+  return test::snapshot_impls([](const registry::SnapshotVariant& v) {
+    return v.sim_safe && (v.entry == "fig3_cas" || v.entry == "fig3_cas_batch");
+  });
+}
+
+class SnapshotReadBlockSimTest
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
+
+// m = 40 is two full blocks and a partial one.  Scanner s reads the 37
+// components [3s, 3s + 37), and each writer updates one component in
+// every block of both windows, twice, so writes land while a scan sits
+// between two blocks.  The schedule favours writer 0, whose updates then
+// often run whole between two of a scanner's steps.  16 ops per history,
+// well inside the checker's 64.
+TEST_P(SnapshotReadBlockSimTest, WideScansAcrossReadBlocksRandomBiased) {
+  constexpr std::uint32_t kM = 40;
+  constexpr std::uint32_t kR = 37;
+  static_assert(kR > 2 * CasPartialSnapshot::kReadBlock,
+                "the scans must reach a third read block");
+  // Positions in scanner 0's window: blocks 0, 1, 2; in scanner 1's:
+  // the same blocks, three positions earlier.
+  constexpr std::uint32_t kWritten[2][3] = {{5, 20, 36}, {10, 26, 35}};
+  runtime::explore_random(
+      [&](std::uint64_t seed) {
+        auto snap = test::make_snapshot(GetParam(), kM, 4);
+        History history;
+        RecordingSnapshot recorded(*snap, history);
+
+        SimScheduler::Options options;
+        options.policy = SimScheduler::Policy::kRandomBiased;
+        options.bias_pid = 0;
+        options.bias_probability = 0.7;
+        options.seed = seed;
+        SimScheduler sched(options);
+        for (std::uint32_t w = 0; w < 2; ++w) {
+          sched.add_process([&, w] {
+            for (std::uint64_t round = 1; round <= 2; ++round) {
+              for (std::uint32_t c : kWritten[w]) {
+                recorded.update(c, 1000 * round + c);
+              }
+            }
+          });
+        }
+        for (std::uint32_t s = 0; s < 2; ++s) {
+          sched.add_process([&, s] {
+            std::vector<std::uint32_t> window(kR);
+            for (std::uint32_t k = 0; k < kR; ++k) window[k] = 3 * s + k;
+            std::vector<std::uint64_t> out;
+            recorded.scan(window, out);
+            recorded.scan(window, out);
+          });
+        }
+        sched.run();
+        expect_linearizable(history, kM);
+      },
+      /*runs=*/8);
+}
+
+INSTANTIATE_TEST_SUITE_P(Fig3Planes, SnapshotReadBlockSimTest,
+                         ::testing::ValuesIn(fig3_impls()),
+                         test::snapshot_param_name);
+
+// ---------------------------------------------------------------------------
 // Helping-path (condition (2)) coverage.
 // ---------------------------------------------------------------------------
 

@@ -29,7 +29,8 @@ class SnapshotStressTest
 
 // Dedicated writers and concurrent scanners, judged by the real-time
 // checker.  Writer w owns the contiguous range of components/writers
-// components starting at w * components/writers and sweeps it `sweeps`
+// components starting at w * components/writers -- or, with `interleaved`,
+// the components c with c % writers == w -- and sweeps them `sweeps`
 // times, writing value k on sweep k; scanner s repeatedly scans
 // scan_set(s).
 struct RealtimeStress {
@@ -39,6 +40,7 @@ struct RealtimeStress {
   std::uint64_t sweeps;
   std::uint64_t scans_per_scanner;
   std::function<std::vector<std::uint32_t>(std::uint32_t)> scan_set;
+  bool interleaved = false;
 };
 
 void check_realtime_consistency(const registry::SnapshotVariant& variant,
@@ -54,8 +56,14 @@ void check_realtime_consistency(const registry::SnapshotVariant& variant,
   for (std::uint32_t w = 0; w < shape.writers; ++w) {
     threads.emplace_back([&, w] {
       exec::ScopedPid pid(w);
+      std::vector<std::uint32_t> owned;
+      for (std::uint32_t c = 0; c < shape.components; ++c) {
+        const bool mine = shape.interleaved ? c % shape.writers == w
+                                            : c / range == w;
+        if (mine) owned.push_back(c);
+      }
       for (std::uint64_t k = 1; k <= shape.sweeps; ++k) {
-        for (std::uint32_t c = w * range; c < (w + 1) * range; ++c) {
+        for (std::uint32_t c : owned) {
           checker.record_write_begin(c, k, now_nanos());
           snap->update(c, k);
           checker.record_write_end(c, k, now_nanos());
@@ -103,25 +111,40 @@ TEST_P(SnapshotStressTest, DedicatedWritersRealtimeConsistency) {
                    }});
 }
 
+// Scanner s's window over 48 components: the 37 consecutive components
+// (mod 48) from 11 * s.
+std::vector<std::uint32_t> wide_window(std::uint32_t s) {
+  std::vector<std::uint32_t> indices(37);
+  for (std::uint32_t k = 0; k < 37; ++k) indices[k] = (11 * s + k) % 48;
+  return indices;
+}
+
 // Scans wider than the read loops' block (CasPartialSnapshotT::kReadBlock):
 // r = 37 spans two full blocks and a partial one, so concurrent updates
 // land while a scan is between gathering a block's heads and
-// dereferencing them.  Each scanner's window (37 consecutive components,
-// mod 48) crosses the writers' ranges.
+// dereferencing them.  Each scanner's window crosses the writers' ranges.
 TEST_P(SnapshotStressTest, WideScansAcrossReadBlocksRealtimeConsistency) {
-  check_realtime_consistency(
-      GetParam(), {.components = 48,
-                   .writers = 3,
-                   .scanners = 2,
-                   .sweeps = 600,
-                   .scans_per_scanner = 1500,
-                   .scan_set = [](std::uint32_t s) {
-                     std::vector<std::uint32_t> indices(37);
-                     for (std::uint32_t k = 0; k < 37; ++k) {
-                       indices[k] = (11 * s + k) % 48;
-                     }
-                     return indices;
-                   }});
+  check_realtime_consistency(GetParam(), {.components = 48,
+                                          .writers = 3,
+                                          .scanners = 2,
+                                          .sweeps = 600,
+                                          .scans_per_scanner = 1500,
+                                          .scan_set = wide_window});
+}
+
+// The versioned plane packs four heads per cache line (CasPartialSnapshotT
+// ::HeadSlot).  With writer w owning the components c = w (mod 3), every
+// line of four heads has all three writers CASing it while r = 37 scans
+// gather and dereference those heads; the collect planes run the same
+// shape on their padded heads.
+TEST_P(SnapshotStressTest, WritersSharingHeadLinesRealtimeConsistency) {
+  check_realtime_consistency(GetParam(), {.components = 48,
+                                          .writers = 3,
+                                          .scanners = 2,
+                                          .sweeps = 400,
+                                          .scans_per_scanner = 1000,
+                                          .scan_set = wide_window,
+                                          .interleaved = true});
 }
 
 TEST_P(SnapshotStressTest, PerComponentMonotonicity) {

@@ -127,17 +127,22 @@ TEST(VersionChainTest, QuiescentScansWalkExactlyOneNode) {
   }
 }
 
-// The versioned scan loads its heads a block (kReadBlock) at a time, then
-// reads their versions.  At r below, at, one past and well past a block, a
-// quiescent scan costs exactly 1 + 2r steps, walks one node per component
-// and returns every component, the partial last block included.  On the
-// EBR plane the log is the fetch-add, then per block its head loads (in
-// request order) followed by its version reads; hp reads one validated
-// head at a time, so its loads and version reads alternate.
+// The versioned scan gathers its heads a block (kReadBlock) at a time and
+// pipelines the blocks: block k+1's heads are loaded before block k's
+// versions are read.  At r below, at, one past and well past a block, and
+// at two and three-and-a-bit blocks, a quiescent scan costs exactly 1 + 2r
+// steps, walks one node per component and returns every component, the
+// partial last block included.  On the EBR plane the log is the
+// fetch-add, the heads of block 0, then per block k the heads of block k+1
+// (in request order, if there is one) followed by the version reads of
+// block k; hp reads one validated head at a time, so its loads and
+// version reads alternate.
 TEST(VersionChainTest, QuiescentScansAcrossReadBlocks) {
   exec::ScopedPid pid(0);
   constexpr std::size_t kBlock = CasPartialSnapshotVersioned::kReadBlock;
-  constexpr std::size_t kScanSizes[] = {1, kBlock, kBlock + 1, 2 * kBlock + 8};
+  constexpr std::size_t kScanSizes[] = {
+      1, kBlock, kBlock + 1, 2 * kBlock, 2 * kBlock + 8, 3 * kBlock + 5};
+  static_assert(3 * kBlock + 5 <= kM, "scan sizes index distinct components");
   for (const bool use_hp : {false, true}) {
     CasSnapshotOptions options;
     options.use_hp = use_hp;
@@ -169,14 +174,26 @@ TEST(VersionChainTest, QuiescentScansAcrossReadBlocks) {
       // The expected access log: (kind, label) per step.
       using Access = exec::RecordingLogger::Access;
       std::vector<Access> expected{{exec::ObjKind::kFai, exec::kNoLabel}};
-      const std::size_t block = use_hp ? 1 : kBlock;
-      for (std::size_t base = 0; base < r; base += block) {
-        const std::size_t end = std::min(r, base + block);
-        for (std::size_t k = base; k < end; ++k) {
+      auto heads = [&](std::size_t base, std::size_t block) {
+        for (std::size_t k = base; k < std::min(r, base + block); ++k) {
           expected.push_back({exec::ObjKind::kCas, idx[k]});
         }
-        for (std::size_t k = base; k < end; ++k) {
+      };
+      auto versions = [&](std::size_t base, std::size_t block) {
+        for (std::size_t k = base; k < std::min(r, base + block); ++k) {
           expected.push_back({exec::ObjKind::kCas, exec::kNoLabel});
+        }
+      };
+      if (use_hp) {
+        for (std::size_t k = 0; k < r; ++k) {
+          heads(k, 1);
+          versions(k, 1);
+        }
+      } else {
+        heads(0, kBlock);
+        for (std::size_t base = 0; base < r; base += kBlock) {
+          heads(base + kBlock, kBlock);
+          versions(base, kBlock);
         }
       }
       const auto& log = logger.accesses();
