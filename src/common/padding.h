@@ -37,10 +37,6 @@ template <class T>
 struct Unpadded {
   T value{};
 
-  Unpadded() = default;
-  template <class... Args>
-  explicit Unpadded(Args&&... args) : value(std::forward<Args>(args)...) {}
-
   T& operator*() { return value; }
   const T& operator*() const { return value; }
   T* operator->() { return &value; }
