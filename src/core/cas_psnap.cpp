@@ -63,10 +63,9 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
       record_pool_(options.use_hp ? 1 : options.reclaim_shards),
       as_(std::make_unique<activeset::FaiCasActiveSetT<Policy>>(
           max_processes, options.active_set)),
-      ebr_(options.use_hp ? 1 : options.reclaim_shards,
-           kComponentSegmentSize),
-      hp_(options.use_hp ? std::make_unique<reclaim::HazardDomain>()
-                         : nullptr) {
+      plane_(options.use_hp ? reclaim::Plane::Kind::kHazard
+                            : reclaim::Plane::Kind::kEbr,
+             options.reclaim_shards, kComponentSegmentSize) {
   PSNAP_ASSERT(initial_components > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
@@ -80,9 +79,6 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
                    "the versioned plane requires shards == 1 (batch "
                    "helping dereferences records on arbitrary components; "
                    "use reclaim=hp for bounded tail latency instead)");
-  PSNAP_ASSERT_MSG(!(options.use_hp && options.reclaim_shards > 1),
-                   "reclaim=hp already bounds a stalled reader per record; "
-                   "shards apply to the ebr plane only");
   for (std::uint32_t i = 0; i < initial_components; ++i) {
     r_.at(i)->init(make_initial_record<Value>(initial_value, i), /*label=*/i);
   }
@@ -91,7 +87,7 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
 template <class Policy, class Value>
 CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
   // Published records/announcements are owned here; everything in flight
-  // through ebr_ drains into the pools when ebr_ is destroyed.
+  // through plane_ drains into the pools when plane_ is destroyed.
   const std::uint32_t m = size_.load();
   for (std::uint32_t i = 0; i < m; ++i) {
     const Rec* head = r_.at(i)->peek();
@@ -143,7 +139,8 @@ std::uint32_t CasPartialSnapshotT<Policy, Value>::add_components(
 
 template <class Policy, class Value>
 auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
-    std::span<const std::uint32_t> args, ScanContext& ctx) -> const ViewV& {
+    Op& op, std::span<const std::uint32_t> args, ScanContext& ctx)
+    -> const ViewV& {
   OpStats& stats = tls_op_stats();
   stats.embedded_args = args.size();
   ViewV& view = view_for<ValueType>(ctx);
@@ -213,6 +210,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
 
   const std::uint64_t collect_bound =
       options_.use_cas ? 2ull * args.size() + 3 : 2ull * n_ + 3;
+  const bool validates = plane_.validates_each_read();
 
   while (true) {
     ++stats.collects;
@@ -222,7 +220,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     // condition (2); hence at most 2r+1 collects in CAS mode.
     PSNAP_ASSERT_MSG(stats.collects <= collect_bound,
                      "figure-3 embedded scan exceeded its collect bound");
-    if (hp_ != nullptr) view.resize(args.size());
+    if (validates) view.resize(args.size());
     const Rec* borrow = nullptr;
     // Blocked reads.  Under EBR (the whole function is pinned) a block of
     // heads is loaded into cur[] and their records prefetched before the
@@ -230,10 +228,10 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     // instead of queueing one behind the other.  The counted loads still
     // run in index order, one per location, and dereferences are not
     // steps, so the collect's step sequence is unchanged.  Under hp a block
-    // is ONE location: a hazard must be validated (protect_component)
-    // before its record is dereferenced, and the next location reuses the
-    // hazard slot, so hp reads one validated location at a time.
-    const std::size_t block = hp_ != nullptr ? 1 : kReadBlock;
+    // is ONE location: a hazard must be validated (Op::protect) before its
+    // record is dereferenced, and the next location reuses the hazard
+    // slot, so hp reads one validated location at a time.
+    const std::size_t block = validates ? 1 : kReadBlock;
     for (std::size_t base = 0; base < args.size(); base += block) {
       const std::size_t end = std::min(args.size(), base + block);
       if (borrow != nullptr) {
@@ -246,15 +244,14 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
         continue;
       }
       for (std::size_t j = base; j < end; ++j) {
-        cur[j] = hp_ ? protect_component(args[j], kHazRecord)
-                     : r_.at(args[j])->load();
+        cur[j] = op.protect(*r_.at(args[j]), kHazRecord);
         prefetch_record(cur[j]);
       }
       for (std::size_t j = base; j < end && borrow == nullptr; ++j) {
         const Rec* rec = cur[j];
         cur_pid[j] = rec->pid;
         cur_ctr[j] = rec->counter;
-        if (hp_ != nullptr) {
+        if (validates) {
           // Copy the entry NOW, while the kHazRecord hazard still covers
           // rec.  At the double-collect exit these per-entry copies ARE the
           // result: tag equality across the last two collects proves both
@@ -286,7 +283,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     if (have_prev &&
         std::equal(cur_pid.begin(), cur_pid.end(), prev_pid.begin()) &&
         std::equal(cur_ctr.begin(), cur_ctr.end(), prev_ctr.begin())) {
-      if (hp_ != nullptr) return view;  // filled under protection above
+      if (validates) return view;  // filled under protection above
       // resize+assign rather than clear+push_back keeps existing entries'
       // payload capacity (a blob-plane entry re-fills in place).
       view.resize(args.size());
@@ -304,28 +301,65 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
 }
 
 template <class Policy, class Value>
-auto CasPartialSnapshotT<Policy, Value>::protect_component(std::uint32_t i,
-                                                           std::uint32_t hz)
-    -> const Rec* {
-  const Rec* p = r_.at(i)->load();
-  if (hp_ == nullptr) return p;
-  while (true) {
-    hp_->set(hz, p);
-    // Michael's protect protocol: republish until the location still holds
-    // the protected pointer AFTER the hazard store is visible (both
-    // seq_cst), so a reclaimer's scan that missed our hazard must have run
-    // before we could have read its victim.  The re-read is a non-step
-    // (peek_sync): under the sim scheduler no schedule point separates the
-    // store from the validation, so this loop exits first try and step
-    // counts stay plane-invariant.
-    const Rec* q = r_.at(i)->peek_sync();
-    if (q == p) return p;
-    // The head moved before our hazard settled; adopt the newer head.
-    // Returning a newer record than the counted load read is sound: the
-    // component read linearizes at the validating re-read, which is still
-    // inside this operation.
-    p = q;
+auto CasPartialSnapshotT<Policy, Value>::help(Op& op, ScanContext& ctx)
+    -> const ViewV& {
+  as_->get_set(ctx.scanners);
+  tls_op_stats().getset_size = ctx.scanners.size();
+
+  op.pin_meta();
+  ctx.union_args.clear();
+  for (std::uint32_t p : ctx.scanners) {
+    // try_at: a pid that joined without ever announcing has no slot; an
+    // absent segment reads as "no announcement" without allocating on the
+    // update path.  (A scanner always announces before joining, and its
+    // segment install happens-before the join its getSet observed.)
+    const auto* slot = s_.try_at(p);
+    if (slot == nullptr) continue;
+    // hp: a validated hazard covers the announcement while its indices are
+    // copied (EBR: the meta pin covers announcements wholesale).
+    const IndexSet* announced = op.protect(**slot, kHazAnnounce);
+    if (announced != nullptr) {
+      ctx.union_args.insert(ctx.union_args.end(), announced->indices.begin(),
+                            announced->indices.end());
+    }
   }
+  std::sort(ctx.union_args.begin(), ctx.union_args.end());
+  ctx.union_args.erase(
+      std::unique(ctx.union_args.begin(), ctx.union_args.end()),
+      ctx.union_args.end());
+
+  op.pin_components(ctx.union_args);
+  return embedded_scan(op, ctx.union_args, ctx);
+}
+
+template <class Policy, class Value>
+bool CasPartialSnapshotT<Policy, Value>::publish(
+    std::uint32_t i, const Rec* old, typename reclaim::Pool<Rec>::Handle& rec) {
+  if (options_.use_cas) {
+    // Release mode: the CAS is acq_rel -- release so the record built
+    // before it is visible to any acquire load of R[i] that sees it,
+    // acquire so the displaced record may be handed to reclamation.
+    if (r_.at(i)->compare_and_swap(old, rec.get()) != old) {
+      // Linearized immediately before the update that beat us; our record
+      // was never published, so it returns straight to the pool.
+      tls_op_stats().cas_failed = true;
+      return false;
+    }
+  } else {
+    // ABL-3 ablation: publish with a plain overwrite, as Figure 1 does.
+    // A CasObject has no store operation, so emulate the register write
+    // with a CAS retry loop; this path exists only to measure what the
+    // paper's switch to CAS buys (Section 4's second modification).
+    // EBR-only (hp rejects use_cas=false), so `old` needs no hazard.
+    while (true) {
+      const Rec* prev = r_.at(i)->compare_and_swap(old, rec.get());
+      if (prev == old) break;
+      old = prev;
+    }
+  }
+  rec.release();
+  plane_.recycle(record_pool_, old, i);
+  return true;
 }
 
 template <class Policy, class Value>
@@ -347,9 +381,8 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
   tls_op_stats().reset();
   ScanContext& ctx = tls_scan_context();
   ctx.begin();
-  reclaim::ShardedEbr::MultiGuard guard(ebr_);
-  HpClear hp_clear{hp_.get()};
-  if (hp_ == nullptr) guard.pin_component(i);
+  Op op(plane_);
+  op.pin_component(i);
 
   // Figure 3 reads the current record before anything else; the CAS at the
   // end succeeds only if the component was not updated in between.
@@ -359,45 +392,8 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
   // kHazOld through the CAS below, which also closes the ABA window -- a
   // protected record cannot be recycled, so the CAS can only succeed
   // against the very record this load read.
-  const Rec* old = protect_component(i, kHazOld);
-
-  as_->get_set(ctx.scanners);
-  tls_op_stats().getset_size = ctx.scanners.size();
-
-  if (hp_ == nullptr) guard.pin_meta();
-  ctx.union_args.clear();
-  for (std::uint32_t p : ctx.scanners) {
-    // try_at: a pid that joined without ever announcing has no slot; an
-    // absent segment reads as "no announcement" without allocating on the
-    // update path.  (A scanner always announces before joining, and its
-    // segment install happens-before the join its getSet observed.)
-    const auto* slot = s_.try_at(p);
-    const IndexSet* announced = slot ? (*slot)->load() : nullptr;
-    if (hp_ != nullptr) {
-      // Validated hazard over the announcement while its indices are
-      // copied (EBR: the meta pin above protects announcements wholesale).
-      // The load above is the counted step; the validation re-reads are
-      // non-step peeks, as in protect_component.
-      while (announced != nullptr) {
-        hp_->set(kHazAnnounce, announced);
-        const IndexSet* again = (*slot)->peek_sync();
-        if (again == announced) break;
-        announced = again;
-      }
-    }
-    if (announced != nullptr) {
-      ctx.union_args.insert(ctx.union_args.end(), announced->indices.begin(),
-                            announced->indices.end());
-    }
-  }
-  if (hp_ != nullptr) hp_->clear(kHazAnnounce);
-  std::sort(ctx.union_args.begin(), ctx.union_args.end());
-  ctx.union_args.erase(
-      std::unique(ctx.union_args.begin(), ctx.union_args.end()),
-      ctx.union_args.end());
-
-  if (hp_ == nullptr) guard.pin_components(ctx.union_args);
-  const ViewV& view = embedded_scan(ctx.union_args, ctx);
+  const Rec* old = op.protect(*r_.at(i), kHazOld);
+  const ViewV& view = help(op, ctx);
 
   // Counter is bumped only when the record is actually published
   // (paper: "if the compare&swap was successful then counter++"); tags of
@@ -408,42 +404,12 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
   // allocations) and goes back to it on every non-publishing exit -- the
   // CAS-failure path and an injected halt at the publish step both unwind
   // through the Handle instead of leaking.
-  auto rec = acquire_record(i);
+  auto rec = plane_.acquire(record_pool_, i);
   fill(rec->value);
   rec->counter = counter_.at(pid).value + 1;
   rec->pid = pid;
   rec->view = view;  // capacity-reusing copy into the recycled vector
-
-  if (options_.use_cas) {
-    // Release mode: the CAS is acq_rel -- release so the record built
-    // above is visible to any acquire load of R[i] that sees it, acquire
-    // so the returned `prev` may be handed to reclamation.
-    const Rec* prev = r_.at(i)->compare_and_swap(old, rec.get());
-    if (prev == old) {
-      rec.release();
-      ++counter_.at(pid).value;
-      recycle_record(i, old);
-    } else {
-      // Linearized immediately before the update that beat us; our record
-      // was never published, so it returns straight to the pool.
-      tls_op_stats().cas_failed = true;
-    }
-  } else {
-    // ABL-3 ablation: publish with a plain overwrite, as Figure 1 does.
-    // A CasObject has no store operation, so emulate the register write
-    // with a CAS retry loop; this path exists only to measure what the
-    // paper's switch to CAS buys (Section 4's second modification).
-    // EBR-only (hp rejects use_cas=false), so `cur` needs no hazard.
-    ++counter_.at(pid).value;
-    const Rec* cur = old;
-    while (true) {
-      const Rec* prev = r_.at(i)->compare_and_swap(cur, rec.get());
-      if (prev == cur) break;
-      cur = prev;
-    }
-    rec.release();
-    recycle_record(i, cur);
-  }
+  if (publish(i, old, rec)) ++counter_.at(pid).value;
 }
 
 template <class Policy, class Value>
@@ -464,20 +430,19 @@ bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
     PSNAP_ASSERT(i < size_.load());
     std::uint32_t pid = exec::ctx().pid;
     PSNAP_ASSERT(pid < n_);
-    reclaim::ShardedEbr::MultiGuard guard(ebr_);
-    HpClear hp_clear{hp_.get()};
-    if (hp_ == nullptr) guard.pin_component(i);  // == pin(0): one shard
+    Op op(plane_);
+    op.pin_component(i);  // == pin(0): one shard
 
     // hp: the head stays protected in kHazOld through the stamp fix and
     // the CAS (which also closes the ABA window, as in the collect path).
-    const Rec* old = protect_component(i, kHazOld);
+    const Rec* old = op.protect(*r_.at(i), kHazOld);
     // Fix the displaced head's version BEFORE publishing over it: chain
     // versions then never decrease in publication order, which is what
     // the reader walk's termination and cut arguments rest on
     // (version_chain.h).
     primitives::ensure_stamped<Policy>(*old, camera_);
 
-    auto rec = acquire_record(i);
+    auto rec = plane_.acquire(record_pool_, i);
     fill(rec->value);
     rec->counter = counter_.at(pid).value + 1;
     rec->pid = pid;
@@ -504,24 +469,19 @@ bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
       // halt below can orphan no node.  old->prev is safe to read on both
       // planes: old is still protected (kHazOld / the pin).
       if (const Rec* trim = old->prev.load(std::memory_order_relaxed)) {
-        recycle_record(i, trim);
+        plane_.recycle(record_pool_, trim, i);
       }
       // Self-stamp (the update's linearization point, unless a racing
-      // reader or displacer already fixed it).
-      if (hp_ != nullptr) {
-        // `node` left our ownership at the CAS; re-protect before
-        // dereferencing.  If the head is still `node` the hazard is valid
-        // (a head is never retired).  If it moved on, skip: whoever
-        // displaced `node` ensure_stamped it BEFORE its CAS, so the stamp
-        // is already fixed.  (If node's address was recycled into a fresh
-        // publication on this same component, the stamp call lands on a
-        // live head -- exactly what any concurrent reader may do, and a
-        // no-op once that record is stamped.)
-        hp_->set(kHazPrev, node);
-        if (r_.at(i)->peek_sync() == node) {
-          primitives::ensure_stamped<Policy>(*node, camera_);
-        }
-      } else {
+      // reader or displacer already fixed it).  `node` left our ownership
+      // at the CAS.  EBR: the pin still covers it.  hp: re-protect before
+      // dereferencing; if the head is still `node` the hazard is valid (a
+      // head is never retired).  If it moved on, skip: whoever displaced
+      // `node` ensure_stamped it BEFORE its CAS, so the stamp is already
+      // fixed.  (If node's address was recycled into a fresh publication
+      // on this same component, the stamp call lands on a live head --
+      // exactly what any concurrent reader may do, and a no-op once that
+      // record is stamped.)
+      if (op.hold(node, kHazPrev, *r_.at(i), node)) {
         primitives::ensure_stamped<Policy>(*node, camera_);
       }
       return true;
@@ -543,8 +503,8 @@ bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
     // the same induction (every displaced node was stamped by its
     // displacer pre-CAS, so stamping the current head pins the whole
     // prefix, the winner included).
-    if (hp_ != nullptr) {
-      const Rec* head = protect_component(i, kHazPrev);
+    if (plane_.validates_each_read()) {
+      const Rec* head = op.protect(*r_.at(i), kHazPrev);
       primitives::ensure_stamped<Policy>(*head, camera_);
     } else {
       primitives::ensure_stamped<Policy>(*prev, camera_);
@@ -601,10 +561,9 @@ void CasPartialSnapshotT<Policy, Value>::resolve_batch(const BatchDesc& desc) {
           // `displaced` is reachable by any future reader.
           if (const Rec* trim =
                   displaced->prev.load(std::memory_order_relaxed)) {
-            // Descriptors exist only in ebr mode (hp batches fall back to
-            // singleton publication), and the versioned plane forces one
-            // shard, so meta() is THE domain here.
-            record_pool_.recycle(ebr_.meta(), const_cast<Rec*>(trim));
+            // The versioned plane forces one shard, so the meta shard is
+            // every component's shard.
+            plane_.recycle_meta(record_pool_, trim);
           }
         });
   } else {
@@ -623,7 +582,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
   const std::uint32_t m = size_.load();
   for (const EntryT& e : entries) PSNAP_ASSERT(e.index < m);
 
-  if (hp_ != nullptr) {
+  if (plane_.validates_each_read()) {
     // hp fallback: per-entry singleton publication, decided BEFORE the
     // ScanContext is touched (do_update/do_update_versioned begin() the
     // shared context themselves, which would clobber any merged-entry
@@ -662,9 +621,9 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
   stats.reset();
   ScanContext& ctx = tls_scan_context();
   ctx.begin();
-  reclaim::ShardedEbr::MultiGuard guard(ebr_);
-  guard.pin_meta();
-  for (const EntryT& e : entries) guard.pin_component(e.index);
+  Op op(plane_);
+  op.pin_meta();
+  for (const EntryT& e : entries) op.pin_component(e.index);
 
   // Coalesce duplicate indices, later entries winning -- a batch is one
   // protocol instance, so "apply in order" degenerates to last-wins per
@@ -691,7 +650,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
                 return a->index < b->index;
               });
 
-    auto desc_handle = batch_pool_.acquire(ebr_.meta());
+    auto desc_handle = plane_.acquire_meta(batch_pool_);
     BatchDesc* desc = desc_handle.get();
     desc->owner = this;
     desc->version.store(primitives::kUnstamped, std::memory_order_relaxed);
@@ -707,7 +666,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
                                  std::memory_order_release);
 
     for (std::uint32_t j = 0; j < count; ++j) {
-      auto rec = acquire_record(merged[j]->index);
+      auto rec = plane_.acquire(record_pool_, merged[j]->index);
       fill(*merged[j], rec->value);
       // Tags of published records stay unique: one counter stride per
       // member, bumped below once the whole table is handed over.
@@ -736,7 +695,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
       primitives::stamp_version<Policy>(*desc->slots[j].node, stamp);
     }
     active_batch_.at(pid)->store(nullptr, std::memory_order_relaxed);
-    batch_pool_.recycle(ebr_.meta(), desc);
+    plane_.recycle_meta(batch_pool_, desc);
     return;
   } else {
     // Collect planes: the amortization is ONE getSet + announced-set
@@ -754,24 +713,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
     }
 
     // Phase 2: the shared helping round.
-    as_->get_set(ctx.scanners);
-    stats.getset_size = ctx.scanners.size();
-    ctx.union_args.clear();
-    for (std::uint32_t p : ctx.scanners) {
-      const auto* slot = s_.try_at(p);
-      const IndexSet* announced = slot ? (*slot)->load() : nullptr;
-      if (announced != nullptr) {
-        ctx.union_args.insert(ctx.union_args.end(),
-                              announced->indices.begin(),
-                              announced->indices.end());
-      }
-    }
-    std::sort(ctx.union_args.begin(), ctx.union_args.end());
-    ctx.union_args.erase(
-        std::unique(ctx.union_args.begin(), ctx.union_args.end()),
-        ctx.union_args.end());
-    guard.pin_components(ctx.union_args);
-    const ViewV& view = embedded_scan(ctx.union_args, ctx);
+    const ViewV& view = help(op, ctx);
 
     // Phase 3: one pooled record and one publication per entry.  Every
     // record of the batch carries the SAME counter -- the counter is an
@@ -784,32 +726,12 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
     ++counter_.at(pid).value;
     for (std::uint32_t j = 0; j < count; ++j) {
       const std::uint32_t i = merged[j]->index;
-      auto rec = acquire_record(i);
+      auto rec = plane_.acquire(record_pool_, i);
       fill(*merged[j], rec->value);
       rec->counter = batch_counter;
       rec->pid = pid;
       rec->view = view;
-      if (options_.use_cas) {
-        const Rec* prev = r_.at(i)->compare_and_swap(olds[j], rec.get());
-        if (prev == olds[j]) {
-          rec.release();
-          recycle_record(i, olds[j]);
-        } else {
-          // Linearized immediately before the update that beat us; the
-          // record unwinds to the pool through its Handle.
-          stats.cas_failed = true;
-        }
-      } else {
-        // ABL-3 ablation: register-style overwrite via CAS retry.
-        const Rec* cur = olds[j];
-        while (true) {
-          const Rec* prev = r_.at(i)->compare_and_swap(cur, rec.get());
-          if (prev == cur) break;
-          cur = prev;
-        }
-        rec.release();
-        recycle_record(i, cur);
-      }
+      (void)publish(i, olds[j], rec);
     }
   }
 }
@@ -855,14 +777,11 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
   tls_op_stats().reset();
   ctx.begin();
-  reclaim::ShardedEbr::MultiGuard guard(ebr_);
-  HpClear hp_clear{hp_.get()};
+  Op op(plane_);
 
   canonical_indices_into(indices, ctx.canonical);
-  if (hp_ == nullptr) {
-    guard.pin_meta();
-    guard.pin_components(ctx.canonical);
-  }
+  op.pin_meta();
+  op.pin_components(ctx.canonical);
 
   // Publish the announcement only when the set actually changed.  S[pid]
   // is single-writer (only this process stores to it), so peeking our own
@@ -877,12 +796,12 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   // and it has not done so yet.
   const IndexSet* announced = s_.at(pid)->peek();
   if (announced == nullptr || announced->indices != ctx.canonical) {
-    auto announce = acquire_announce();
+    auto announce = plane_.acquire_meta(announce_pool_);
     announce->indices.assign(ctx.canonical.begin(), ctx.canonical.end());
     const IndexSet* old_announce = s_.at(pid)->exchange(announce.get());
     announce.release();
     if (old_announce != nullptr) {
-      recycle_announce(old_announce);
+      plane_.recycle_meta(announce_pool_, old_announce);
     }
   }
   as_->join();
@@ -892,7 +811,7 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   // could miss us after our embedded scan has already begun -- which
   // would break the condition-(2) borrow coverage argument.
   primitives::protocol_fence<Policy>();
-  const ViewV& view = embedded_scan(ctx.canonical, ctx);
+  const ViewV& view = embedded_scan(op, ctx.canonical, ctx);
   as_->leave();
 
   extract(view);
@@ -907,12 +826,11 @@ std::uint64_t CasPartialSnapshotT<Policy, Value>::do_scan_versioned(
     for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
     OpStats& stats = tls_op_stats();
     stats.reset();
-    reclaim::ShardedEbr::MultiGuard guard(ebr_);
-    HpClear hp_clear{hp_.get()};
+    Op op(plane_);
     out.resize(indices.size());
 
-    if (hp_ == nullptr) {
-      guard.pin_components(indices);  // one shard on this plane
+    if (!plane_.validates_each_read()) {
+      op.pin_components(indices);  // one shard on this plane
       // The scan's linearization point: every stamp fixed before this
       // fetch-add is <= epoch, every later one is > epoch, so the values
       // extracted below form a consistent cut -- no announce, no join, no
@@ -971,7 +889,7 @@ std::uint64_t CasPartialSnapshotT<Policy, Value>::do_scan_versioned(
       bool restart = false;
       for (std::size_t k = 0; k < indices.size() && !restart; ++k) {
         const std::uint32_t i = indices[k];
-        const Rec* head = protect_component(i, kHazOld);
+        const Rec* head = op.protect(*r_.at(i), kHazOld);
         // A head is live by definition; stamp-fix it like chain_read does.
         const std::uint64_t vh =
             primitives::ensure_stamped<Policy>(*head, camera_);
@@ -984,12 +902,11 @@ std::uint64_t CasPartialSnapshotT<Policy, Value>::do_scan_versioned(
         // vh > epoch rules out the initial record (stamped 0 < every
         // epoch), and every published update carries a non-null prev.
         PSNAP_ASSERT(w != nullptr);
-        hp_->set(kHazPrev, w);
         // Validate the pair-hazard: if the component still heads `head`
         // AFTER our hazard on `w` is visible, then `w` (== head->prev, an
         // immutable field) has not been retired -- only the update that
         // displaces `head` retires it -- so the hazard caught it in time.
-        if (r_.at(i)->peek_sync() != head) {
+        if (!op.hold(w, kHazPrev, *r_.at(i), head)) {
           restart = true;
           break;
         }

@@ -26,7 +26,7 @@
 // the first is dereferenced, so a collect waits on about r / kReadBlock
 // memory latencies instead of r.  The loads still run in index order, so
 // the step sequence is exactly the serial loop's.  Under hp a read is one
-// validated location at a time (protect, then dereference).  The
+// validated location at a time (Op::protect, then dereference).  The
 // versioned scan below blocks its head loads the same way and pipelines
 // the blocks: it gathers block k+1 (loads its heads, prefetches their
 // records) before it reads block k's versions, so one block's head misses
@@ -69,15 +69,19 @@
 // capacity across lives), and all transient scratch lives in the caller's
 // ScanContext.
 //
-// Reclamation plane (options use_hp / reclaim_shards): records reclaim
-// either through EBR -- sharded by component segment
-// (reclaim::ShardedEbr), so an operation pins only the shards its
-// components map to and a stalled reader's blast radius is one shard --
-// or through hazard pointers (reclaim::HazardDomain), where a stalled
-// reader blocks at most the handful of records it has protected.  The
-// protocol is IDENTICAL on either plane: every counted step is the same
-// base-object operation; hp's extra hazard publications and validation
-// re-reads are non-steps (peek_sync), exactly like EBR's pins.  The two
+// Reclamation plane (options use_hp / reclaim_shards; reclaim/plane.h):
+// every operation body protects its reads and recycles its records through
+// one reclaim::Plane -- EBR sharded by component segment, so an operation
+// pins only the shards its components map to and a stalled reader's blast
+// radius is one shard, or hazard pointers, where a stalled reader blocks
+// at most the handful of records it has protected.  Every counted step is
+// the same base-object operation on either plane; hp's hazard
+// publications and validation re-reads are non-steps (peek_sync), exactly
+// like EBR's pins.  Where the protocol itself must differ, it branches on
+// plane_.validates_each_read(), read once per operation: the collect's
+// block size (1 under hp, copying each entry while its hazard stands), the
+// versioned scan's depth-2 restart walk, the per-entry batch fallback, and
+// the failed versioned update's re-protected stamp fix.  The two
 // restrictions, both enforced at construction: hp requires use_cas (the
 // write-ablation's moved-twice borrow may return a record nothing
 // protects), and the versioned plane requires reclaim_shards == 1 (batch
@@ -103,10 +107,8 @@
 #include "core/scan_context.h"
 #include "primitives/primitives.h"
 #include "primitives/value_plane.h"
-#include "reclaim/ebr.h"
-#include "reclaim/hazard.h"
+#include "reclaim/plane.h"
 #include "reclaim/pool.h"
-#include "reclaim/sharded_ebr.h"
 
 namespace psnap::core {
 
@@ -190,12 +192,10 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   }
   bool is_local() const override { return true; }
   std::string_view value_plane() const override { return Value::kName; }
-  std::string_view reclaim_plane() const override {
-    return options_.use_hp ? "hp" : "ebr";
-  }
-  std::uint32_t reclaim_shards() const override { return ebr_.num_shards(); }
+  std::string_view reclaim_plane() const override { return plane_.name(); }
+  std::uint32_t reclaim_shards() const override { return plane_.num_shards(); }
   std::uint64_t reclaim_outstanding() const override {
-    return ebr_.outstanding() + (hp_ ? hp_->outstanding() : 0);
+    return plane_.outstanding();
   }
 
   std::uint32_t add_components(std::uint32_t count) override;
@@ -242,58 +242,21 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   const reclaim::Pool<Rec>& record_pool() const { return record_pool_; }
 
   // A deliberately stalled reader, for the RCL bench and the reclamation
-  // tests: simulates a scan that loaded its protection and then parked
-  // mid-operation.  On the EBR plane it enters the meta shard plus the
-  // shards of `indices` and holds the pins (freezing exactly those shards'
-  // reclamation); on the hp plane it protects the current heads of up to
-  // kHazardsPerThread of the given components (blocking exactly those
-  // records).  Construct and destroy on the same thread; no real operation
-  // may run on that thread while parked (it would reuse the hazard slots /
-  // stack another pin depth).
-  class ParkedReader {
+  // tests (reclaim::Plane::Parked over this object's heads): on EBR it
+  // pins the meta shard plus the shards of `indices`; on hp it protects
+  // the current heads of up to kHazardsPerThread of them.
+  class ParkedReader : public reclaim::Plane::Parked {
    public:
     ParkedReader(CasPartialSnapshotT& snap,
                  std::span<const std::uint32_t> indices)
-        : snap_(snap) {
-      if (snap_.hp_ != nullptr) {
-        count_ = static_cast<std::uint32_t>(
-            std::min<std::size_t>(indices.size(),
-                                  reclaim::HazardDomain::kHazardsPerThread));
-        for (std::uint32_t k = 0; k < count_; ++k) {
-          snap_.protect_component(indices[k], k);
-        }
-      } else {
-        slots_[0] = snap_.ebr_.meta().enter();
-        engaged_[0] = true;
-        for (std::uint32_t i : indices) {
-          std::uint32_t s = snap_.ebr_.shard_of(i);
-          if (!engaged_[s]) {
-            slots_[s] = snap_.ebr_.domain(s).enter();
-            engaged_[s] = true;
-          }
-        }
-      }
-    }
-    ~ParkedReader() {
-      if (snap_.hp_ != nullptr) {
-        for (std::uint32_t k = 0; k < count_; ++k) snap_.hp_->clear(k);
-      } else {
-        for (std::uint32_t s = 0; s < reclaim::ShardedEbr::kMaxShards; ++s) {
-          if (engaged_[s]) snap_.ebr_.domain(s).exit(slots_[s]);
-        }
-      }
-    }
-    ParkedReader(const ParkedReader&) = delete;
-    ParkedReader& operator=(const ParkedReader&) = delete;
-
-   private:
-    CasPartialSnapshotT& snap_;
-    std::uint32_t count_ = 0;
-    std::uint32_t slots_[reclaim::ShardedEbr::kMaxShards] = {};
-    bool engaged_[reclaim::ShardedEbr::kMaxShards] = {};
+        : Parked(snap.plane_, indices, [&snap](std::uint32_t i) -> auto& {
+            return *snap.r_.at(i);
+          }) {}
   };
 
  private:
+  using Op = reclaim::Plane::Op;
+
   // A component head: one CAS object holding the current record.
   //
   // Collect-plane heads are CachelinePadded.  A CasObject is 16 bytes, so
@@ -344,8 +307,17 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
   // Fills the context's plane view with the embedded-scan result and
   // returns it.
-  const ViewV& embedded_scan(std::span<const std::uint32_t> args,
+  const ViewV& embedded_scan(Op& op, std::span<const std::uint32_t> args,
                              ScanContext& ctx);
+  // An update's helping round, shared by every record a call publishes:
+  // getSet, the union of the announced index sets, and one embedded scan
+  // over that union.
+  const ViewV& help(Op& op, ScanContext& ctx);
+  // Publishes `rec` over `old` on component i -- fig3's try-once CAS, or
+  // the write ablation's overwrite -- and retires the record it displaced.
+  // Returns whether `rec` went live; if not, it unwinds to the pool.
+  bool publish(std::uint32_t i, const Rec* old,
+               typename reclaim::Pool<Rec>::Handle& rec);
 
   // The one update body; `fill` writes the new payload into the record.
   template <class Fill>
@@ -368,9 +340,6 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   std::uint64_t do_scan_versioned(std::span<const std::uint32_t> indices,
                                   std::vector<std::uint64_t>& out);
 
-  // ---- reclamation-plane dispatch (the ONE place ebr-vs-hp routing
-  // lives; every operation body calls through these) ----
-
   // The calling thread's hazard-slot convention (hp plane).  One slot per
   // concurrently-live protection a single operation needs: the old record
   // held through an update's CAS, the announcement being copied, the
@@ -381,59 +350,13 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   static constexpr std::uint32_t kHazRecord = 2;
   static constexpr std::uint32_t kHazPrev = 3;
 
-  // Clears every hazard of the calling thread on operation exit --
-  // including exception unwinds (the crash sweep injects halts mid-op), so
-  // a halted operation's residual protection is bounded by the slots it
-  // had published, and a later operation on the reused pid starts clean.
-  struct HpClear {
-    reclaim::HazardDomain* hp;
-    ~HpClear() {
-      if (hp != nullptr) hp->clear_all();
-    }
-  };
-
-  // Reads component i's current record, protected for dereference: under
-  // EBR the caller's shard pin suffices and this is one plain load; under
-  // hp the load's value is published in hazard slot `hz` and validated
-  // with a non-step peek_sync re-read (retrying -- with the newer head --
-  // until stable, which under the sim scheduler succeeds first try since
-  // no schedule point separates publication from validation).  Exactly ONE
-  // counted step on either plane.
-  const Rec* protect_component(std::uint32_t i, std::uint32_t hz);
-
-  typename reclaim::Pool<Rec>::Handle acquire_record(std::uint32_t i) {
-    return hp_ ? record_pool_.acquire(*hp_)
-               : record_pool_.acquire(ebr_.domain_of(i), ebr_.shard_of(i));
-  }
-  void recycle_record(std::uint32_t i, const Rec* node) {
-    if (hp_) {
-      record_pool_.recycle_hp(*hp_, const_cast<Rec*>(node));
-    } else {
-      record_pool_.recycle(ebr_.domain_of(i), const_cast<Rec*>(node),
-                           ebr_.shard_of(i));
-    }
-  }
-  // Announcements and batch descriptors are not per-component state; they
-  // retire through the meta shard (or hp).
-  typename reclaim::Pool<IndexSet>::Handle acquire_announce() {
-    return hp_ ? announce_pool_.acquire(*hp_)
-               : announce_pool_.acquire(ebr_.meta());
-  }
-  void recycle_announce(const IndexSet* set) {
-    if (hp_) {
-      announce_pool_.recycle_hp(*hp_, const_cast<IndexSet*>(set));
-    } else {
-      announce_pool_.recycle(ebr_.meta(), const_cast<IndexSet*>(set));
-    }
-  }
-
   // Published component count (monotone; see core/growth.h).
   GrowableSize size_;
   std::uint32_t n_;
   std::uint64_t initial_value_;
   Options options_;
-  // Pools are declared before ebr_ on purpose: ~EbrDomain flushes retired
-  // nodes into them, so they must be destroyed after it.
+  // Pools are declared before plane_ on purpose: its domains' destructors
+  // flush retired nodes into them, so they must be destroyed after it.
   reclaim::Pool<Rec> record_pool_;
   reclaim::Pool<IndexSet> announce_pool_;
   reclaim::Pool<BatchDesc> batch_pool_;
@@ -446,14 +369,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
       CachelinePadded<primitives::Register<const IndexSet*, Policy>>>
       s_;
   std::unique_ptr<activeset::FaiCasActiveSetT<Policy>> as_;
-  // The EBR plane: one domain per component-segment shard (one total by
-  // default).  Constructed with 1 shard in hp mode, where it sees no
-  // traffic but keeps the observability and ParkedReader paths uniform.
-  reclaim::ShardedEbr ebr_;
-  // The hp plane; null unless options.use_hp.  Declared AFTER ebr_ (and
-  // after the pools) so its destructor -- which flushes retired nodes into
-  // the pools -- runs first.
-  std::unique_ptr<reclaim::HazardDomain> hp_;
+  // EBR over component-segment shards (one by default), or hazard
+  // pointers when options.use_hp.
+  reclaim::Plane plane_;
   PerPidStorage<CachelinePadded<std::uint64_t>> counter_;
   // The owner's in-flight batch descriptor, per pid (versioned plane): set
   // before the first install, cleared after the descriptor retires.  Its

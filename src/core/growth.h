@@ -35,8 +35,8 @@
 namespace psnap::core {
 
 // Components per storage segment.  Doubles as the sharded reclamation
-// plane's shard-mapping unit (reclaim::ShardedEbr groups whole segments
-// into shards), so the reclamation topology follows the same boundaries
+// plane's shard-mapping unit (reclaim::Plane groups whole segments into
+// EBR shards), so the reclamation topology follows the same boundaries
 // that make growth reader-safe.
 inline constexpr std::uint32_t kComponentSegmentSize = 1024;
 

@@ -75,8 +75,8 @@ class EbrDomain {
   Guard pin() { return Guard(*this); }
 
   // Non-RAII pin protocol, for holders that pin a DYNAMIC set of domains
-  // (reclaim::ShardedEbr's multi-shard guard; a deliberately parked
-  // reader).  enter() runs the Guard entry protocol and returns the
+  // (reclaim::Plane::Op, which pins shards as an operation reaches them,
+  // and the parked reader built on it).  enter() runs the Guard entry protocol and returns the
   // caller's slot; every enter() must be matched by an exit(slot) on the
   // same thread.  Reentrant like Guard: nested enters on the same thread
   // are depth-counted no-ops.

@@ -17,8 +17,8 @@
 //   * protect(src, index): the classic self-validating protect loop.
 //   * set(index, p) + caller-side validation: for protocols that must
 //     validate against something other than a plain reload of `src`
-//     (the snapshot's protect_component validates against a seq_cst peek
-//     of the component register so the retry read is not a counted step).
+//     (reclaim::Plane::Op validates against a seq_cst peek of the source
+//     register, so the retry read is not a counted step).
 //
 // Like EBR, hazard publication and retirement are memory management, not
 // shared-object "steps" in the paper's model; nothing here calls

@@ -19,13 +19,13 @@
 //
 // Free lists are per (shard, thread-slot).  Thread slots use the shared
 // reclaim/slots.h layout -- a registered thread resolves to the SAME slot
-// index in every EbrDomain and HazardDomain -- so one Pool serves all of a
-// ShardedEbr's domains (and the hp plane): nodes retired through shard s
-// surface on the retiring thread's list for shard s, and acquire(d, s)
-// pops that same list.  Every list stays owner-thread-only: no atomics, no
-// cross-thread free list, and therefore no Treiber-stack ABA problem to
-// solve.  The flux is balanced in steady state because each update
-// acquires exactly one record and retires exactly one (the one it
+// index in every EbrDomain and HazardDomain -- so one Pool serves every
+// shard of a reclaim::Plane (or its hazard domain): nodes retired through
+// shard s surface on the retiring thread's list for shard s, and
+// acquire(d, s) pops that same list.  Every list stays owner-thread-only:
+// no atomics, no cross-thread free list, and therefore no Treiber-stack
+// ABA problem to solve.  The flux is balanced in steady state because each
+// update acquires exactly one record and retires exactly one (the one it
 // replaced).
 //
 // ABA / tag-uniqueness: recycling reuses ADDRESSES no earlier than delete
@@ -82,7 +82,7 @@ class Pool {
   // other thread ever saw the pointer.  The flat list index is resolved
   // once at acquisition and cached, so the acquire/unwind round trip costs
   // one slot lookup, not three.  Single-operation scope on one thread;
-  // movable (so a plane-dispatch helper can return one) but not copyable.
+  // movable (so reclaim::Plane::acquire can return one) but not copyable.
   class Handle {
    public:
     ~Handle() {
@@ -142,30 +142,24 @@ class Pool {
     put_at(flat_index(shard, domain.thread_slot()), node);
   }
 
-  // Retires a *published* node through an EBR domain: it joins the free
-  // list once the grace period guarantees no pinned reader still
-  // references it.  `shard` names the bank this domain feeds (pass the
-  // ShardedEbr shard index; 0 for a lone domain).
+  // Retires a *published* node through `domain`: it joins the free list
+  // once the domain proves no reader still references it (an EBR grace
+  // period, or a hazard scan that finds no hazard on it).  `shard` names
+  // the bank the node returns to (its reclaim::Plane shard; 0 for a lone
+  // domain).  The callback files the node under its retiring slot's list
+  // in that bank.  The slot is supplied by the domain, so the flushing
+  // thread (possibly a domain destructor running on a thread that owns no
+  // slot) never has to claim one; the bank base rides in ctx.
   void recycle(EbrDomain& domain, T* node, std::uint32_t shard = 0) {
-    // The callback files the node under its retiring slot's list in this
-    // shard's bank.  The slot is supplied by EBR, so the flushing thread
-    // (possibly the domain's destructor running on a thread that owns no
-    // slot) never has to claim one; the bank base rides in ctx.
-    domain.retire_raw(
-        node, &shard_ctx_[shard],
-        [](void* p, void* ctx, EbrDomain&, std::uint32_t slot) {
-          auto* sc = static_cast<ShardCtx*>(ctx);
-          sc->pool->put_at(sc->base + slot, static_cast<T*>(p));
-        });
+    domain.retire_raw(node, &shard_ctx_[shard],
+                      [](void* p, void* ctx, EbrDomain&, std::uint32_t slot) {
+                        file(p, ctx, slot);
+                      });
   }
-
-  // Retires a *published* node through a hazard domain: it joins the free
-  // list once a hazard scan proves no published hazard covers it.
-  void recycle_hp(HazardDomain& domain, T* node, std::uint32_t shard = 0) {
+  void recycle(HazardDomain& domain, T* node, std::uint32_t shard = 0) {
     domain.retire_raw(node, &shard_ctx_[shard],
                       [](void* p, void* ctx, std::uint32_t slot) {
-                        auto* sc = static_cast<ShardCtx*>(ctx);
-                        sc->pool->put_at(sc->base + slot, static_cast<T*>(p));
+                        file(p, ctx, slot);
                       });
   }
 
@@ -208,6 +202,12 @@ class Pool {
 
   void put_at(std::size_t index, T* node) {
     lists_[index].value.free.push_back(node);
+  }
+
+  // The grace callbacks' shared body.
+  static void file(void* p, void* ctx, std::uint32_t slot) {
+    auto* sc = static_cast<ShardCtx*>(ctx);
+    sc->pool->put_at(sc->base + slot, static_cast<T*>(p));
   }
 
   std::vector<CachelinePadded<PerThread>> lists_;

@@ -25,7 +25,7 @@
 #include "core/register_psnap.h"
 #include "exec/pid_bound.h"
 #include "ingest/batch_routed.h"
-#include "reclaim/sharded_ebr.h"
+#include "reclaim/plane.h"
 #include "registry/registry.h"
 
 namespace psnap::registry {
@@ -67,10 +67,10 @@ void apply_reclaim_options(core::CasSnapshotOptions& impl,
                            const Options& options, bool versioned) {
   impl.use_hp = options.get_string("reclaim", "ebr") == "hp";
   std::uint64_t shards = options.get_uint("shards", 1);
-  if (shards == 0 || shards > reclaim::ShardedEbr::kMaxShards) {
+  if (shards == 0 || shards > reclaim::Plane::kMaxShards) {
     throw std::invalid_argument(
         "option 'shards' expects 1.." +
-        std::to_string(reclaim::ShardedEbr::kMaxShards) + ", got " +
+        std::to_string(reclaim::Plane::kMaxShards) + ", got " +
         std::to_string(shards));
   }
   impl.reclaim_shards = static_cast<std::uint32_t>(shards);

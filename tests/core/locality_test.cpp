@@ -15,9 +15,11 @@
 
 #include "baseline/full_snapshot.h"
 #include "core/cas_psnap.h"
+#include "core/growth.h"
 #include "core/op_stats.h"
 #include "core/register_psnap.h"
 #include "exec/exec.h"
+#include "registry/registry.h"
 #include "runtime/explore.h"
 #include "runtime/sim_scheduler.h"
 
@@ -107,52 +109,65 @@ TEST(Locality, Fig3ScanStepsIndependentOfM) {
 
 TEST(Locality, Fig3QuiescentCollectsAreInOrderPassesAcrossReadBlocks) {
   // The collect loads its heads a block (kReadBlock) at a time before
-  // dereferencing them.  At r below, at, one past and well past a block, a
-  // quiescent scan must still be exactly two collects, each one counted
-  // load per canonical index in index order, and the steps outside the
-  // two collects must not depend on r.
+  // dereferencing them under EBR, and one validated head at a time under
+  // hp.  At r below, at, one past and well past a block, a quiescent scan
+  // must still be exactly two collects, each one counted load per
+  // canonical index in index order, on every reclamation plane, shard
+  // count and value plane.  The steps outside the two collects must not
+  // depend on r or on the plane.  The stride spreads the wider scans over
+  // several segments, so the four-shard cell pins more than one shard.
   constexpr std::size_t kBlock = CasPartialSnapshot::kReadBlock;
-  constexpr std::uint32_t kM = 256;
+  constexpr std::uint32_t kStride = 97;
+  constexpr std::uint32_t kM = 4 * kComponentSegmentSize;
   constexpr std::size_t kScanSizes[] = {1, kBlock, kBlock + 1, 2 * kBlock + 8};
+  static_assert((2 * kBlock + 7) * kStride + 2 < kM);
+  static_assert((kBlock - 1) * kStride + 2 >= kComponentSegmentSize);
+  const char* const kSpecs[] = {"fig3_cas", "fig3_cas:reclaim=hp",
+                                "fig3_cas:shards=4", "fig3_cas:value=blob",
+                                "fig3_cas:value=blob,reclaim=hp"};
   std::optional<std::uint64_t> overhead;
-  for (std::size_t r : kScanSizes) {
-    CasPartialSnapshot snap(kM, 2);
-    exec::ScopedPid pid(0);
-    for (std::uint32_t i = 0; i < kM; ++i) snap.update(i, i + 1);
-    std::vector<std::uint32_t> canonical(r);
-    for (std::size_t k = 0; k < r; ++k) {
-      canonical[k] = static_cast<std::uint32_t>(5 * k + 2);
-    }
-    // Requested in reverse: the collects must still walk canonical order.
-    const std::vector<std::uint32_t> requested(canonical.rbegin(),
-                                               canonical.rend());
-    exec::RecordingLogger logger;
-    std::vector<std::uint64_t> out;
-    exec::ctx().steps.reset();
-    {
-      exec::ScopedLogger guard(&logger);
-      snap.scan(requested, out);
-    }
-    const std::uint64_t steps = exec::ctx().steps.total;
-    EXPECT_EQ(tls_op_stats().collects, 2u) << "r=" << r;
-    EXPECT_FALSE(tls_op_stats().borrowed) << "r=" << r;
-
-    std::vector<std::uint64_t> component_reads;
-    for (const auto& access : logger.accesses()) {
-      if (access.label != exec::kNoLabel) {
-        component_reads.push_back(access.label);
+  for (const char* spec : kSpecs) {
+    for (std::size_t r : kScanSizes) {
+      auto snap = registry::make_snapshot(spec, kM, 2);
+      exec::ScopedPid pid(0);
+      std::vector<std::uint32_t> canonical(r);
+      for (std::size_t k = 0; k < r; ++k) {
+        canonical[k] = static_cast<std::uint32_t>(kStride * k + 2);
+        snap->update(canonical[k], canonical[k] + 1);
       }
-    }
-    std::vector<std::uint64_t> two_passes(canonical.begin(), canonical.end());
-    two_passes.insert(two_passes.end(), canonical.begin(), canonical.end());
-    EXPECT_EQ(component_reads, two_passes) << "r=" << r;
-    EXPECT_EQ(logger.accesses().size(), steps) << "r=" << r;
-    if (!overhead) overhead = steps - 2 * r;
-    EXPECT_EQ(steps - 2 * r, *overhead) << "r=" << r;
+      // Requested in reverse: the collects must still walk canonical order.
+      const std::vector<std::uint32_t> requested(canonical.rbegin(),
+                                                 canonical.rend());
+      exec::RecordingLogger logger;
+      std::vector<std::uint64_t> out;
+      exec::ctx().steps.reset();
+      {
+        exec::ScopedLogger guard(&logger);
+        snap->scan(requested, out);
+      }
+      const std::uint64_t steps = exec::ctx().steps.total;
+      EXPECT_EQ(tls_op_stats().collects, 2u) << spec << " r=" << r;
+      EXPECT_FALSE(tls_op_stats().borrowed) << spec << " r=" << r;
 
-    ASSERT_EQ(out.size(), r);
-    for (std::size_t k = 0; k < r; ++k) {
-      EXPECT_EQ(out[k], requested[k] + 1u) << "r=" << r << " k=" << k;
+      std::vector<std::uint64_t> component_reads;
+      for (const auto& access : logger.accesses()) {
+        if (access.label != exec::kNoLabel) {
+          component_reads.push_back(access.label);
+        }
+      }
+      std::vector<std::uint64_t> two_passes(canonical.begin(),
+                                            canonical.end());
+      two_passes.insert(two_passes.end(), canonical.begin(), canonical.end());
+      EXPECT_EQ(component_reads, two_passes) << spec << " r=" << r;
+      EXPECT_EQ(logger.accesses().size(), steps) << spec << " r=" << r;
+      if (!overhead) overhead = steps - 2 * r;
+      EXPECT_EQ(steps - 2 * r, *overhead) << spec << " r=" << r;
+
+      ASSERT_EQ(out.size(), r) << spec;
+      for (std::size_t k = 0; k < r; ++k) {
+        EXPECT_EQ(out[k], requested[k] + 1u)
+            << spec << " r=" << r << " k=" << k;
+      }
     }
   }
 }

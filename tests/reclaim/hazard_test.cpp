@@ -138,8 +138,8 @@ TEST(Hazard, RegisteredThreadUsesItsPidSlot) {
 }
 
 TEST(Hazard, SetPlusCallerValidationProtects) {
-  // The raw set() + caller-side validation style used by the snapshot's
-  // protect_component: publish, re-read, and the pointer is protected.
+  // The raw set() + caller-side validation style reclaim::Plane::Op uses:
+  // publish, re-read, and the pointer is protected.
   Node::live = 0;
   HazardDomain domain;
   std::atomic<Node*> src{new Node};
