@@ -94,7 +94,6 @@
 // exec/thread_registry.h.
 #pragma once
 
-#include <algorithm>
 #include <memory>
 #include <type_traits>
 #include <vector>

@@ -78,8 +78,9 @@ class Plane {
   // Pooled nodes.  acquire() pops the calling thread's free list in the
   // bank of `component`'s shard; recycle() retires a published node
   // through that shard's domain (or the hazard domain), and the node
-  // rejoins the list once no reader can still hold it.  The _meta forms
-  // serve state that is not per-component.
+  // rejoins the list once no reader can still hold it.  The pool needs one
+  // bank per shard.  The _meta forms serve state that is not
+  // per-component.
   template <class T>
   typename Pool<T>::Handle acquire(Pool<T>& pool, std::uint32_t component) {
     if (hp_) return pool.acquire(*hp_);
