@@ -174,7 +174,8 @@ void DoubleCollectSnapshotT<Value>::do_scan(
   ctx.begin();
   auto guard = ebr_.pin();
 
-  core::canonical_indices_into(indices, ctx.canonical);
+  ctx.canonical.assign(indices.begin(), indices.end());
+  core::canonicalize(ctx.canonical);
   std::span<const SimpleRecord*> prev =
       ctx.arena.take<const SimpleRecord*>(ctx.canonical.size());
   std::span<const SimpleRecord*> cur =
@@ -197,8 +198,12 @@ void DoubleCollectSnapshotT<Value>::do_scan(
   }
 
   // Still pinned: the collected records cannot be reclaimed under us, so
-  // the extractor may copy payloads straight out of them.
-  extract(ctx.canonical, cur);
+  // the extractor may copy payloads straight out of them.  It looks each
+  // index's record up with a forward cursor over the canonical set.
+  std::size_t cursor = 0;
+  extract([&](std::uint32_t i) {
+    return cur[core::cursor_find(ctx.canonical, i, cursor)];
+  });
 }
 
 template <class Value>
@@ -207,18 +212,12 @@ void DoubleCollectSnapshotT<Value>::scan(
     core::ScanContext& ctx) {
   out.clear();
   if (indices.empty()) return;
-  do_scan(indices, ctx,
-          [&](const std::vector<std::uint32_t>& canonical,
-              std::span<const SimpleRecord*> cur) {
-            out.reserve(indices.size());
-            for (std::uint32_t i : indices) {
-              auto it =
-                  std::lower_bound(canonical.begin(), canonical.end(), i);
-              out.push_back(Value::decode(
-                  cur[static_cast<std::size_t>(it - canonical.begin())]
-                      ->value));
-            }
-          });
+  do_scan(indices, ctx, [&](auto&& record_of) {
+    out.reserve(indices.size());
+    for (std::uint32_t i : indices) {
+      out.push_back(Value::decode(record_of(i)->value));
+    }
+  });
 }
 
 template <class Value>
@@ -232,18 +231,11 @@ void DoubleCollectSnapshotT<Value>::scan_blobs(
     }
     out.resize(indices.size());  // keeps element byte capacity
     try {
-      do_scan(indices, ctx,
-              [&](const std::vector<std::uint32_t>& canonical,
-                  std::span<const SimpleRecord*> cur) {
-                for (std::size_t k = 0; k < indices.size(); ++k) {
-                  auto it = std::lower_bound(canonical.begin(),
-                                             canonical.end(), indices[k]);
-                  Value::copy(
-                      cur[static_cast<std::size_t>(it - canonical.begin())]
-                          ->value,
-                      out[k]);
-                }
-              });
+      do_scan(indices, ctx, [&](auto&& record_of) {
+        for (std::size_t k = 0; k < indices.size(); ++k) {
+          Value::copy(record_of(indices[k])->value, out[k]);
+        }
+      });
     } catch (...) {
       // Starvation path: never hand back a buffer of stale payloads (the
       // u64 scan leaves `out` empty on throw; match it).

@@ -107,8 +107,8 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
   void do_seed(std::size_t count, Fill&& fill);
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
-  // Runs the double collect; `extract` receives the stable collect (record
-  // pointers, still EBR-pinned) and the canonical index set.
+  // Runs the double collect; `extract` receives a lookup from a requested
+  // index to its record in the stable collect (still EBR-pinned).
   template <class Extract>
   void do_scan(std::span<const std::uint32_t> indices,
                core::ScanContext& ctx, Extract&& extract);

@@ -323,10 +323,7 @@ auto CasPartialSnapshotT<Policy, Value>::help(Op& op, ScanContext& ctx)
                             announced->indices.end());
     }
   }
-  std::sort(ctx.union_args.begin(), ctx.union_args.end());
-  ctx.union_args.erase(
-      std::unique(ctx.union_args.begin(), ctx.union_args.end()),
-      ctx.union_args.end());
+  canonicalize(ctx.union_args);
 
   op.pin_components(ctx.union_args);
   return embedded_scan(op, ctx.union_args, ctx);
@@ -767,10 +764,10 @@ void CasPartialSnapshotT<Policy, Value>::update_blob(
 }
 
 template <class Policy, class Value>
-template <class Extract>
+template <class Emit>
 void CasPartialSnapshotT<Policy, Value>::do_scan(
     std::span<const std::uint32_t> indices, ScanContext& ctx,
-    Extract&& extract) {
+    Emit&& emit) {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
   const std::uint32_t m = size_.load();
@@ -779,7 +776,8 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   ctx.begin();
   Op op(plane_);
 
-  canonical_indices_into(indices, ctx.canonical);
+  ctx.canonical.assign(indices.begin(), indices.end());
+  canonicalize(ctx.canonical);
   op.pin_meta();
   op.pin_components(ctx.canonical);
 
@@ -814,7 +812,7 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   const ViewV& view = embedded_scan(op, ctx.canonical, ctx);
   as_->leave();
 
-  extract(view);
+  extract_view(view, indices, emit);
 }
 
 template <class Policy, class Value>
@@ -954,14 +952,9 @@ void CasPartialSnapshotT<Policy, Value>::scan(
   }
   out.clear();
   if (indices.empty()) return;
-  do_scan(indices, ctx, [&](const ViewV& view) {
-    out.reserve(indices.size());
-    for (std::uint32_t i : indices) {
-      const ViewEntryT<ValueType>* e = view_find(view, i);
-      PSNAP_ASSERT_MSG(e != nullptr,
-                       "borrowed view is missing an announced component");
-      out.push_back(Value::decode(e->value));
-    }
+  out.reserve(indices.size());
+  do_scan(indices, ctx, [&](std::size_t, const ValueType& v) {
+    out.push_back(Value::decode(v));
   });
 }
 
@@ -976,13 +969,8 @@ void CasPartialSnapshotT<Policy, Value>::scan_blobs(
     }
     // resize, not clear: surviving elements keep their byte capacity.
     out.resize(indices.size());
-    do_scan(indices, ctx, [&](const ViewV& view) {
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        const ViewEntryT<ValueType>* e = view_find(view, indices[k]);
-        PSNAP_ASSERT_MSG(e != nullptr,
-                         "borrowed view is missing an announced component");
-        Value::copy(e->value, out[k]);
-      }
+    do_scan(indices, ctx, [&](std::size_t k, const ValueType& v) {
+      Value::copy(v, out[k]);
     });
   } else {
     PartialSnapshot::scan_blobs(indices, out, ctx);

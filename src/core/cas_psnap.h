@@ -329,11 +329,11 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // code retries it until true -- versioned batches must not drop writes.
   template <class Fill>
   bool do_update_versioned(std::uint32_t i, Fill&& fill);
-  // The one scan body; `extract` pulls the caller's components out of the
-  // final view.
-  template <class Extract>
+  // The one scan body; `emit(k, value)` receives indices[k]'s value in the
+  // final view (u64 decoding or blob copies).
+  template <class Emit>
   void do_scan(std::span<const std::uint32_t> indices, ScanContext& ctx,
-               Extract&& extract);
+               Emit&& emit);
   // The versioned plane's scan body: camera fetch-add + one chain read
   // per requested component.  Returns the epoch.
   std::uint64_t do_scan_versioned(std::span<const std::uint32_t> indices,

@@ -143,7 +143,10 @@ class PartialSnapshot {
 
   // Reads the given components atomically; out[k] receives the value of
   // indices[k] (indices may be unsorted and may contain duplicates; an
-  // empty set yields an empty result).  Clears and fills `out`.
+  // empty set yields an empty result).  Clears and fills `out`.  The
+  // scan's local work beyond its shared-memory steps -- canonicalizing the
+  // index set and extracting the result -- is O(r) for strictly increasing
+  // indices and O(r log r) otherwise.
   //
   // `ctx` provides the operation's scratch storage (collect buffers,
   // canonical index set, embedded-scan view); reusing one context across

@@ -1,35 +1,17 @@
 #include "core/record.h"
 
 #include <algorithm>
+#include <functional>
 
 namespace psnap::core {
 
-template <class V>
-const ViewEntryT<V>* view_find(const ViewT<V>& view, std::uint32_t index) {
-  auto it = std::lower_bound(
-      view.begin(), view.end(), index,
-      [](const ViewEntryT<V>& e, std::uint32_t i) { return e.index < i; });
-  if (it == view.end() || it->index != index) return nullptr;
-  return &*it;
-}
-
-template const ViewEntryT<std::uint64_t>* view_find(
-    const ViewT<std::uint64_t>& view, std::uint32_t index);
-template const ViewEntryT<value::Blob>* view_find(
-    const ViewT<value::Blob>& view, std::uint32_t index);
-
-std::vector<std::uint32_t> canonical_indices(
-    std::span<const std::uint32_t> indices) {
-  std::vector<std::uint32_t> out;
-  canonical_indices_into(indices, out);
-  return out;
-}
-
-void canonical_indices_into(std::span<const std::uint32_t> indices,
-                            std::vector<std::uint32_t>& out) {
-  out.assign(indices.begin(), indices.end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+void canonicalize(std::vector<std::uint32_t>& indices) {
+  if (std::ranges::adjacent_find(indices, std::ranges::greater_equal{}) ==
+      indices.end()) {
+    return;
+  }
+  std::ranges::sort(indices);
+  indices.erase(std::ranges::unique(indices).begin(), indices.end());
 }
 
 }  // namespace psnap::core

@@ -21,8 +21,11 @@
 // with the one atomic store/CAS the algorithm already performs.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -45,9 +48,8 @@ struct ViewEntryT {
   friend bool operator==(const ViewEntryT&, const ViewEntryT&) = default;
 };
 
-// A view is a vector of ViewEntryT sorted by component index.  Scans that
-// terminate by borrowing (condition (2)) binary-search it, per the paper's
-// small-register remark after Theorem 1.
+// A view is a vector of ViewEntryT sorted by component index.  A scan
+// extracts its components from it with view_find's forward cursor.
 template <class V>
 using ViewT = std::vector<ViewEntryT<V>>;
 
@@ -56,9 +58,59 @@ using View = ViewT<std::uint64_t>;
 using BlobViewEntry = ViewEntryT<value::Blob>;
 using BlobView = ViewT<value::Blob>;
 
-// Looks up `index` in a sorted view; returns nullptr if absent.
+// Finds `key` among the strictly increasing keys proj(keys[0..n-1]) from
+// the hint `cursor`: gallops forward from it, then bisects the bracket it
+// lands in; a key behind the cursor restarts from 0.  Returns the key's
+// position (n if absent) and moves `cursor` past it.  A lookup that skips g
+// keys reads at most 3 + 2g of them, O(log g) asymptotically, so increasing
+// keys cost amortized O(1) each and any other key O(log distance).
+template <class Keys, class Proj = std::identity>
+std::size_t cursor_find(const Keys& keys, std::uint32_t key,
+                        std::size_t& cursor, Proj proj = {}) {
+  const std::size_t n = std::size(keys);
+  auto key_at = [&](std::size_t j) { return std::invoke(proj, keys[j]); };
+  std::size_t lo = cursor < n ? cursor : n;
+  if (lo > 0 && key_at(lo - 1) >= key) lo = 0;
+  // Every key before lo is < key; key_at(hi) >= key once a probe finds it.
+  std::size_t hi = n;
+  for (std::size_t step = 1; lo + step - 1 < n; step *= 2) {
+    if (key_at(lo + step - 1) >= key) {
+      hi = lo + step - 1;
+      break;
+    }
+    lo += step;
+  }
+  const auto first = std::ranges::begin(keys);
+  lo = std::ranges::lower_bound(first + lo, first + hi, key, {}, proj) - first;
+  const bool found = lo < n && key_at(lo) == key;
+  cursor = lo + found;
+  return found ? lo : n;
+}
+
+// Looks up `index` in a sorted view with cursor_find; returns nullptr if
+// absent.  Start `cursor` at 0 for each view.
 template <class V>
-const ViewEntryT<V>* view_find(const ViewT<V>& view, std::uint32_t index);
+const ViewEntryT<V>* view_find(const ViewT<V>& view, std::uint32_t index,
+                               std::size_t& cursor) {
+  const std::size_t k = cursor_find(view, index, cursor, &ViewEntryT<V>::index);
+  return k == view.size() ? nullptr : &view[k];
+}
+
+// A scan's result extraction: emit(k, value) receives indices[k]'s value
+// in `view`, looked up in the caller's order with one forward cursor.  The
+// correctness argument guarantees every announced index is present,
+// borrowed views included.
+template <class V, class Emit>
+void extract_view(const ViewT<V>& view, std::span<const std::uint32_t> indices,
+                  Emit&& emit) {
+  std::size_t cursor = 0;
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const ViewEntryT<V>* e = view_find(view, indices[k], cursor);
+    PSNAP_ASSERT_MSG(e != nullptr,
+                     "borrowed view is missing an announced component");
+    emit(k, e->value);
+  }
+}
 
 template <class V>
 struct RecordT {
@@ -141,13 +193,8 @@ struct IndexSet {
   std::vector<std::uint32_t> indices;
 };
 
-// Canonicalizes an arbitrary index list: sorted, duplicates removed.
-std::vector<std::uint32_t> canonical_indices(
-    std::span<const std::uint32_t> indices);
-
-// Allocation-free variant: canonicalizes into `out` (cleared first),
-// reusing its capacity.  The hot-path form used with ScanContext buffers.
-void canonical_indices_into(std::span<const std::uint32_t> indices,
-                            std::vector<std::uint32_t>& out);
+// Canonicalizes an index list in place: sorted, duplicates removed.  A
+// strictly increasing list costs one linear check and no sort.
+void canonicalize(std::vector<std::uint32_t>& indices);
 
 }  // namespace psnap::core

@@ -173,10 +173,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
                             announced->indices.end());
     }
   }
-  std::sort(ctx.union_args.begin(), ctx.union_args.end());
-  ctx.union_args.erase(
-      std::unique(ctx.union_args.begin(), ctx.union_args.end()),
-      ctx.union_args.end());
+  canonicalize(ctx.union_args);
 
   const ViewV& view = embedded_scan(ctx.union_args, ctx);
 
@@ -248,10 +245,10 @@ void RegisterPartialSnapshotT<Policy, Value>::seed_blobs(
 }
 
 template <class Policy, class Value>
-template <class Extract>
+template <class Emit>
 void RegisterPartialSnapshotT<Policy, Value>::do_scan(
     std::span<const std::uint32_t> indices, ScanContext& ctx,
-    Extract&& extract) {
+    Emit&& emit) {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
   const std::uint32_t m = size_.load();
@@ -260,7 +257,8 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
   ctx.begin();
   auto guard = ebr_.pin();
 
-  canonical_indices_into(indices, ctx.canonical);
+  ctx.canonical.assign(indices.begin(), indices.end());
+  canonicalize(ctx.canonical);
 
   // Announce, then join: an update whose getSet sees us joined is
   // guaranteed to read our announcement (in Release mode: the join store
@@ -291,7 +289,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
   const ViewV& view = embedded_scan(ctx.canonical, ctx);
   as_->leave();
 
-  extract(view);
+  extract_view(view, indices, emit);
 }
 
 template <class Policy, class Value>
@@ -300,17 +298,9 @@ void RegisterPartialSnapshotT<Policy, Value>::scan(
     ScanContext& ctx) {
   out.clear();
   if (indices.empty()) return;
-  do_scan(indices, ctx, [&](const ViewV& view) {
-    // Extract the requested components, in the caller's order, by binary
-    // search (the paper's small-register remark after Theorem 1).  The
-    // correctness argument guarantees every announced index is present.
-    out.reserve(indices.size());
-    for (std::uint32_t i : indices) {
-      const ViewEntryT<ValueType>* e = view_find(view, i);
-      PSNAP_ASSERT_MSG(e != nullptr,
-                       "borrowed view is missing an announced component");
-      out.push_back(Value::decode(e->value));
-    }
+  out.reserve(indices.size());
+  do_scan(indices, ctx, [&](std::size_t, const ValueType& v) {
+    out.push_back(Value::decode(v));
   });
 }
 
@@ -326,13 +316,8 @@ void RegisterPartialSnapshotT<Policy, Value>::scan_blobs(
     // resize, not clear: surviving elements keep their byte capacity, so a
     // shape-stable caller's result buffers stop allocating after warm-up.
     out.resize(indices.size());
-    do_scan(indices, ctx, [&](const ViewV& view) {
-      for (std::size_t k = 0; k < indices.size(); ++k) {
-        const ViewEntryT<ValueType>* e = view_find(view, indices[k]);
-        PSNAP_ASSERT_MSG(e != nullptr,
-                         "borrowed view is missing an announced component");
-        Value::copy(e->value, out[k]);
-      }
+    do_scan(indices, ctx, [&](std::size_t k, const ValueType& v) {
+      Value::copy(v, out[k]);
     });
   } else {
     PartialSnapshot::scan_blobs(indices, out, ctx);

@@ -144,11 +144,11 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // The one seed body; `fill(i, payload)` writes component i's payload.
   template <class Fill>
   void do_seed(std::size_t count, Fill&& fill);
-  // The one scan body; `extract` pulls the caller's components out of the
+  // The one scan body; `emit(k, value)` receives indices[k]'s value in the
   // final view (u64 decoding or blob copies).
-  template <class Extract>
+  template <class Emit>
   void do_scan(std::span<const std::uint32_t> indices, ScanContext& ctx,
-               Extract&& extract);
+               Emit&& emit);
 
   // Published component count (monotone; see core/growth.h).
   GrowableSize size_;

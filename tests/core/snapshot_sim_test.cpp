@@ -15,7 +15,6 @@
 #include "core/cas_psnap.h"
 #include "core/op_stats.h"
 #include "core/partial_snapshot.h"
-#include "core/register_psnap.h"
 #include "registry/registry.h"
 #include "runtime/explore.h"
 #include "runtime/sim_scheduler.h"
@@ -225,19 +224,52 @@ INSTANTIATE_TEST_SUITE_P(Fig3Planes, SnapshotReadBlockSimTest,
 // Helping-path (condition (2)) coverage.
 // ---------------------------------------------------------------------------
 
+// The fig1/fig3 variants whose scans extract their result from a view (the
+// versioned plane's scans walk version chains instead and never borrow).
+std::vector<registry::SnapshotVariant> view_scan_impls() {
+  return test::snapshot_impls([](const registry::SnapshotVariant& v) {
+    return v.sim_safe && v.value != "versioned" &&
+           (v.entry.starts_with("fig1_") || v.entry.starts_with("fig3_"));
+  });
+}
+
 struct BorrowProbe {
   std::uint64_t scans_borrowed = 0;
   std::uint64_t scans_total = 0;
+  // Result positions whose value does not encode the index asked for
+  // there, and scans whose two positions of the repeated index disagree.
+  std::uint64_t wrong_component = 0;
+  std::uint64_t duplicates_disagree = 0;
 };
 
 // Runs a borrow-inducing scenario (one busy updater, one scanner) across
-// random schedules and reports how many scans terminated via condition (2).
-template <class MakeSnap>
-BorrowProbe probe_borrows(MakeSnap make_snap, std::uint64_t runs) {
-  std::atomic<std::uint64_t> borrowed{0}, total{0};
+// random schedules.  Every value written to component c is 1000 k + c, so
+// a value names its component.  The scanner asks for its components in
+// descending order with one index repeated -- the order in which result
+// extraction cannot walk the view forward -- through scan() and, on the
+// blob plane, scan_blobs(), and the probe reports how many scans
+// terminated via condition (2) and what each returned.
+BorrowProbe probe_borrows(const registry::SnapshotVariant& variant,
+                          std::uint64_t runs) {
+  constexpr std::uint32_t kM = 3;
+  const std::vector<std::uint32_t> asked{2, 1, 1, 0};
+  std::atomic<std::uint64_t> borrowed{0}, total{0}, wrong{0}, disagree{0};
+  auto check = [&](const std::vector<std::uint64_t>& values) {
+    total.fetch_add(1);
+    if (tls_op_stats().borrowed) borrowed.fetch_add(1);
+    for (std::size_t k = 0; k < asked.size(); ++k) {
+      if (values.size() != asked.size() || values[k] % 1000 != asked[k]) {
+        wrong.fetch_add(1);
+      }
+    }
+    if (values.size() == asked.size() && values[1] != values[2]) {
+      disagree.fetch_add(1);
+    }
+  };
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = make_snap();
+        auto snap = test::make_snapshot(variant, kM, 2);
+        snap->seed(std::vector<std::uint64_t>{0, 1, 2});
         SimScheduler::Options options;
         // Bias toward the updater (pid 0): the scanner's collects are then
         // separated by whole updates, which is the adversary that forces
@@ -248,34 +280,49 @@ BorrowProbe probe_borrows(MakeSnap make_snap, std::uint64_t runs) {
         options.seed = seed;
         SimScheduler sched(options);
         sched.add_process([&] {
-          for (std::uint64_t k = 1; k <= 10; ++k) snap->update(0, k);
+          for (std::uint32_t k = 1; k <= 10; ++k) {
+            snap->update(k % kM, 1000 * k + k % kM);
+          }
         });
         sched.add_process([&] {
-          std::vector<std::uint64_t> out;
-          snap->scan(std::vector<std::uint32_t>{0, 1}, out);
-          total.fetch_add(1);
-          if (tls_op_stats().borrowed) borrowed.fetch_add(1);
+          std::vector<std::uint64_t> values;
+          snap->scan(asked, values);
+          check(values);
+          if (variant.value == "blob") {
+            std::vector<value::Blob> blobs;
+            snap->scan_blobs(asked, blobs);
+            values.clear();
+            for (const value::Blob& b : blobs) {
+              values.push_back(value::IndirectBlob::decode(b));
+            }
+            check(values);
+          }
         });
         sched.run();
       },
       runs);
-  return BorrowProbe{borrowed.load(), total.load()};
+  return BorrowProbe{borrowed.load(), total.load(), wrong.load(),
+                     disagree.load()};
 }
 
-TEST(SnapshotHelpingCoverage, Fig1BorrowPathExercised) {
-  auto probe = probe_borrows(
-      [] { return std::make_unique<RegisterPartialSnapshot>(2, 2); }, 200);
-  EXPECT_EQ(probe.scans_total, 200u);
-  // Under random schedules with six updates racing one scan, a healthy
-  // fraction of scans must have used the helping path.
+class SnapshotBorrowSimTest
+    : public ::testing::TestWithParam<registry::SnapshotVariant> {};
+
+// Condition (2) must actually fire, and a borrowed view must serve the
+// scanner's components in its own order, repeats included.
+TEST_P(SnapshotBorrowSimTest, BorrowedViewsServeDescendingRepeatingScans) {
+  constexpr std::uint64_t kRuns = 200;
+  const BorrowProbe probe = probe_borrows(GetParam(), kRuns);
+  const std::uint64_t scans_per_run = GetParam().value == "blob" ? 2 : 1;
+  EXPECT_EQ(probe.scans_total, kRuns * scans_per_run);
   EXPECT_GT(probe.scans_borrowed, 0u);
+  EXPECT_EQ(probe.wrong_component, 0u);
+  EXPECT_EQ(probe.duplicates_disagree, 0u);
 }
 
-TEST(SnapshotHelpingCoverage, Fig3BorrowPathExercised) {
-  auto probe = probe_borrows(
-      [] { return std::make_unique<CasPartialSnapshot>(2, 2); }, 200);
-  EXPECT_GT(probe.scans_borrowed, 0u);
-}
+INSTANTIATE_TEST_SUITE_P(ViewScans, SnapshotBorrowSimTest,
+                         ::testing::ValuesIn(view_scan_impls()),
+                         test::snapshot_param_name);
 
 TEST(SnapshotHelpingCoverage, Fig3CasFailureExercised) {
   // Two updaters hammering one component must produce CAS failures in some
