@@ -34,7 +34,8 @@ struct PerLocation {
 // last field the loop reads -- the tag's pid on the collect planes, the
 // version word on the versioned plane.  A record can straddle two lines
 // (the 72-byte versioned record does for 3 of the 4 16-byte malloc
-// alignments), and one prefetch would leave the second miss serial.
+// alignments, and for most slots of the dense initial-record storage),
+// and one prefetch would leave the second miss serial.
 template <class Rec>
 void prefetch_record(const Rec* rec) {
   __builtin_prefetch(rec);
@@ -80,14 +81,18 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
                    "helping dereferences records on arbitrary components; "
                    "use reclaim=hp for bounded tail latency instead)");
   for (std::uint32_t i = 0; i < initial_components; ++i) {
-    r_.at(i)->init(make_initial_record<Value>(initial_value, i), /*label=*/i);
+    r_.at(i)->init(init_initial_record<Value>(*initial_records_.at(i),
+                                              initial_value, i),
+                   /*label=*/i);
   }
 }
 
 template <class Policy, class Value>
 CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
   // Published records/announcements are owned here; everything in flight
-  // through plane_ drains into the pools when plane_ is destroyed.
+  // through plane_ drains into the pools when plane_ is destroyed.  Record
+  // frees go through Rec::dispose, which leaves storage-owned initial
+  // records to initial_records_.
   const std::uint32_t m = size_.load();
   for (std::uint32_t i = 0; i < m; ++i) {
     const Rec* head = r_.at(i)->peek();
@@ -95,9 +100,9 @@ CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
       // Chain-trim invariant: the only unretired nodes of a chain are the
       // head and its prev (everything older went through the pool when it
       // was displaced), so the destructor owns exactly those two.
-      delete head->prev.load(std::memory_order_relaxed);
+      Rec::dispose(head->prev.load(std::memory_order_relaxed));
     }
-    delete head;
+    Rec::dispose(head);
   }
   // Any pid that ever announced is below the bound (its acquisition
   // raised the watermark first; destruction is quiescent).
@@ -119,7 +124,7 @@ CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
         auto& entry = desc->slots[e];
         if (entry.node != nullptr &&
             !entry.installed.load(std::memory_order_relaxed)) {
-          delete entry.node;
+          Rec::dispose(entry.node);
         }
       }
       delete desc;
@@ -133,7 +138,9 @@ std::uint32_t CasPartialSnapshotT<Policy, Value>::add_components(
   // Same initial-record construction as the constructor; nobody can read
   // a new slot until grow_components publishes the count.
   return grow_components(size_, r_, count, [this](auto& slot, std::uint32_t i) {
-    slot->init(make_initial_record<Value>(initial_value_, i), /*label=*/i);
+    slot->init(init_initial_record<Value>(*initial_records_.at(i),
+                                          initial_value_, i),
+               /*label=*/i);
   });
 }
 

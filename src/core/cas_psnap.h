@@ -286,6 +286,22 @@ class CasPartialSnapshotT final : public PartialSnapshot {
                      sizeof(HeadSlot) == kCachelineBytes),
                 "collect-plane heads are padded: one per line");
 
+  // An initial record's storage slot (core/record.h), by HeadSlot's rule:
+  // one record per line on the collect planes, where a recycled initial
+  // record is rewritten by its next updater while scanners read its
+  // neighbours; dense on the versioned plane, whose scans touch a window
+  // of records and nothing else.
+  using RecordSlot = std::conditional_t<Value::kVersioned, Unpadded<Rec>,
+                                        CachelinePadded<Rec>>;
+  static_assert(!Value::kVersioned ||
+                    (sizeof(RecordSlot) == sizeof(Rec) &&
+                     alignof(RecordSlot) == alignof(Rec)),
+                "versioned initial records are dense");
+  static_assert(Value::kVersioned ||
+                    (alignof(RecordSlot) == kCachelineBytes &&
+                     sizeof(RecordSlot) == kCachelineBytes),
+                "collect-plane initial records are padded: one per line");
+
   // The versioned plane's batch descriptor (primitives::BatchControl):
   // entry table + shared stamp, pooled like the records it publishes.
   // resolve() routes helpers (readers/updaters that hit an unresolved
@@ -354,8 +370,14 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   std::uint32_t n_;
   std::uint64_t initial_value_;
   Options options_;
-  // Pools are declared before plane_ on purpose: its domains' destructors
-  // flush retired nodes into them, so they must be destroyed after it.
+  // Declaration order is teardown order, reversed: plane_ is destroyed
+  // first and flushes its retired nodes into the pools; the pools then
+  // dispose of their free lists; the initial-record storage goes last,
+  // because displaced initial records sit in those lists and in the heads
+  // until then (RecordT::dispose skips them).
+  //
+  // The initial records, built in place: one allocation per segment.
+  ComponentStorage<RecordSlot> initial_records_;
   reclaim::Pool<Rec> record_pool_;
   reclaim::Pool<IndexSet> announce_pool_;
   reclaim::Pool<BatchDesc> batch_pool_;

@@ -1,7 +1,7 @@
 // Shared record types for the snapshot algorithms.
 //
-// Both algorithms store, per component, a pointer to an immutable heap
-// record carrying (value, view, counter, id) -- the paper's large register
+// Both algorithms store, per component, a pointer to an immutable record
+// carrying (value, view, counter, id) -- the paper's large register
 // contents, realized as its own suggested variant "store a pointer to a set
 // of registers" (Section 3).  Records are:
 //
@@ -10,8 +10,28 @@
 //   * uniquely tagged: (pid, counter) pairs are never reused across
 //     *published* records, reproducing the paper's "no two write operations
 //     write exactly the same contents" ABA argument;
-//   * reclaimed through EBR: readers dereference records only while pinned,
-//     so pointer identity is also ABA-safe within one operation.
+//   * reclaimed through EBR (or hazard pointers): readers dereference
+//     records only while protected, so pointer identity is also ABA-safe
+//     within one operation.
+//
+// Where records live.  An update's record comes from a reclaim::Pool, and
+// a pool that is still warming up heap-allocates it.  Figure 1's and
+// Figure 3's INITIAL records -- one per component, installed by the
+// constructor and add_components -- are instead built in place in a
+// ComponentStorage the object owns (init_initial_record), so building an
+// object of m components allocates once per storage segment (1024
+// components), not m times.  Past construction a storage-owned record is
+// an ordinary record: an update displaces it, the pool recycles it, and a
+// later update republishes it with a real tag.  Only its memory differs,
+// and it says so in its storage_owned bit, which no life of the record
+// ever clears.
+//
+// Disposal.  Every record delete -- an owner's destructor sweep over its
+// heads, chain predecessors and crashed batches, and Pool teardown -- goes
+// through RecordT::dispose, the one rule: delete a heap record, skip a
+// storage-owned one, whose storage frees it.  An owner declares its
+// initial-record storage before its pools, and its pools before its
+// reclamation domain, so teardown runs domain flush -> pools -> storage.
 //
 // Everything here is templated over the payload type V of the value plane
 // (primitives/value_plane.h): V = std::uint64_t on the direct plane (the
@@ -117,12 +137,26 @@ struct RecordT {
   V value{};
   std::uint64_t counter = 0;     // per-process publication counter
   std::uint32_t pid = kInitPid;  // writing process
+  // Set once, on an initial record built in its object's storage; it
+  // survives every recycle and republication (the memory stays the
+  // storage's).  Sits in the padding after pid, so it costs no size.
+  bool storage_owned = false;
   ViewT<V> view;                 // the update's embedded-scan result
 
   bool is_initial() const { return pid == kInitPid; }
+
+  // The one disposal rule (see the header comment): delete a heap record,
+  // leave a storage-owned one to its storage.  Rec is the record's full
+  // type -- RecordT has no virtual destructor.
+  template <class Rec>
+  static void dispose(const Rec* rec) {
+    if (rec != nullptr && !rec->storage_owned) delete rec;
+  }
 };
 
 using Record = RecordT<std::uint64_t>;
+static_assert(sizeof(Record) == 48,
+              "storage_owned must fit the padding after pid");
 
 // The versioned plane's record (primitives/version_chain.h): the same
 // pooled immutable record, extended with the chain fields.  A publication
@@ -139,6 +173,9 @@ struct VersionedRecordT : RecordT<V> {
   std::atomic<const primitives::BatchControl*> batch{nullptr};
 };
 
+static_assert(sizeof(VersionedRecordT<std::uint64_t>) == 72,
+              "storage_owned must fit the padding after pid");
+
 // The record type a value plane publishes: versioned planes carry the
 // chain fields, the others are plain RecordT.
 template <class Value>
@@ -147,23 +184,24 @@ using RecordFor =
                        VersionedRecordT<typename Value::ValueType>,
                        RecordT<typename Value::ValueType>>;
 
-// Builds a pre-installed initial record (constructor / add_components
-// paths of fig1 and fig3): sentinel pid, the component index as the
-// counter, which keeps every record tag unique.  On the versioned plane
-// the initial record roots its chain: version 0 (older than every epoch),
-// no predecessor.
+// Builds component `index`'s initial record in place in `rec`, a fresh
+// slot of the owner's initial-record storage, and returns it for the head
+// (constructor / add_components paths of fig1 and fig3): sentinel pid, the
+// component index as the counter, which keeps every record tag unique, and
+// storage_owned set.  On the versioned plane the initial record roots its
+// chain: version 0 (older than every epoch), no predecessor.
 template <class Value>
-RecordFor<Value>* make_initial_record(std::uint64_t initial_value,
-                                      std::uint32_t index) {
-  auto* rec = new RecordFor<Value>();
-  Value::encode(initial_value, rec->value);
-  rec->counter = index;
-  rec->pid = kInitPid;
+const RecordFor<Value>* init_initial_record(RecordFor<Value>& rec,
+                                            std::uint64_t initial_value,
+                                            std::uint32_t index) {
+  Value::encode(initial_value, rec.value);
+  rec.counter = index;
+  rec.pid = kInitPid;
+  rec.storage_owned = true;
   if constexpr (Value::kVersioned) {
-    rec->version.store(primitives::kInitialVersion,
-                       std::memory_order_relaxed);
+    rec.version.store(primitives::kInitialVersion, std::memory_order_relaxed);
   }
-  return rec;
+  return &rec;
 }
 
 // The seed() loop of the record-publishing implementations (fig1, fig3,

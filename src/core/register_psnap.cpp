@@ -29,16 +29,17 @@ RegisterPartialSnapshotT<Policy, Value>::RegisterPartialSnapshotT(
                    "max_processes exceeds the pid-slot capacity");
   PSNAP_ASSERT(as_->max_processes() >= n_);
   for (std::uint32_t i = 0; i < initial_components; ++i) {
-    // Initial records carry the sentinel pid and the component index as the
-    // counter, which keeps every record tag unique.
-    r_.at(i)->init(make_initial_record<Value>(initial_value, i), /*label=*/i);
+    r_.at(i)->init(init_initial_record<Value>(*initial_records_.at(i),
+                                              initial_value, i),
+                   /*label=*/i);
   }
 }
 
 template <class Policy, class Value>
 RegisterPartialSnapshotT<Policy, Value>::~RegisterPartialSnapshotT() {
   const std::uint32_t m = size_.load();
-  for (std::uint32_t i = 0; i < m; ++i) delete r_.at(i)->peek();
+  // Rec::dispose leaves storage-owned initial records to initial_records_.
+  for (std::uint32_t i = 0; i < m; ++i) Rec::dispose(r_.at(i)->peek());
   // Any pid that ever announced is below the bound (its acquisition
   // raised the watermark first; destruction is quiescent), so the sweep
   // is population-bounded too.
@@ -54,7 +55,9 @@ std::uint32_t RegisterPartialSnapshotT<Policy, Value>::add_components(
   // Same initial-record construction as the constructor; nobody can read
   // a new slot until grow_components publishes the count.
   return grow_components(size_, r_, count, [this](auto& slot, std::uint32_t i) {
-    slot->init(make_initial_record<Value>(initial_value_, i), /*label=*/i);
+    slot->init(init_initial_record<Value>(*initial_records_.at(i),
+                                          initial_value_, i),
+               /*label=*/i);
   });
 }
 

@@ -158,7 +158,16 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // register_psnap.cpp) and bounds the destructor's announcement sweep.
   exec::PidBound bound_;
   std::uint64_t initial_value_;
-  // Pools before ebr_: ~EbrDomain flushes retired nodes into them.
+  // Declaration order is teardown order, reversed: ebr_ is destroyed first
+  // and flushes its retired nodes into the pools; the pools then dispose
+  // of their free lists; the initial-record storage goes last, because
+  // displaced initial records sit in those lists and in the heads until
+  // then (RecordT::dispose skips them).
+  //
+  // The initial records (core/record.h), built in place: one allocation
+  // per segment.  Padded like r_'s heads: a recycled initial record is
+  // rewritten by its next updater while scanners read its neighbours.
+  ComponentStorage<CachelinePadded<Rec>> initial_records_;
   reclaim::Pool<Rec> record_pool_;
   reclaim::Pool<IndexSet> announce_pool_;
   // CachelinePadded: a Register is 16 bytes; without padding four

@@ -309,30 +309,32 @@ std::string CheckpointWriter::commit(const CheckpointData& frame) {
 
   int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw_errno("open " + tmp_path);
+  // Every later failure closes the file if it is open and unlinks the
+  // temp file (best effort), so failed commits leave no orphans behind;
+  // the exception reports the failing call's errno.
+  auto fail = [&tmp_path](int open_fd, const std::string& what) {
+    const int saved = errno;
+    if (open_fd >= 0) ::close(open_fd);
+    ::unlink(tmp_path.c_str());
+    errno = saved;
+    throw_errno(what);
+  };
   const std::byte* p = image.data();
   std::size_t left = image.size();
   while (left > 0) {
     ssize_t n = ::write(fd, p, left);
     if (n < 0) {
       if (errno == EINTR) continue;
-      int saved = errno;
-      ::close(fd);
-      errno = saved;
-      throw_errno("write " + tmp_path);
+      fail(fd, "write " + tmp_path);
     }
     p += n;
     left -= static_cast<std::size_t>(n);
   }
-  if (options_.sync && ::fsync(fd) != 0) {
-    int saved = errno;
-    ::close(fd);
-    errno = saved;
-    throw_errno("fsync " + tmp_path);
-  }
+  if (options_.sync && ::fsync(fd) != 0) fail(fd, "fsync " + tmp_path);
   ::close(fd);
 
   if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    throw_errno("rename " + tmp_path + " -> " + final_path);
+    fail(-1, "rename " + tmp_path + " -> " + final_path);
   }
   if (options_.sync) fsync_path(dir_, /*directory=*/true);
 

@@ -104,7 +104,8 @@ class CheckpointWriter {
       : CheckpointWriter(std::move(dir), Options{}) {}
 
   // Atomically commits one frame; returns the committed path.  Throws
-  // std::runtime_error on IO failure.
+  // std::runtime_error on IO failure, after removing the frame's temp
+  // file, so the committed frames are as before the call.
   std::string commit(const CheckpointData& frame);
 
   const std::string& dir() const { return dir_; }

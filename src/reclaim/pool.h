@@ -69,7 +69,7 @@ class Pool {
   // Pool before the domain in the owning class.
   ~Pool() {
     for (auto& padded : lists_) {
-      for (void* p : padded.value.free) delete static_cast<T*>(p);
+      for (void* p : padded.value.free) dispose(static_cast<T*>(p));
     }
   }
 
@@ -195,6 +195,17 @@ class Pool {
     Pool* pool;
     std::uint32_t base;
   };
+
+  // Frees a pooled node at teardown: `delete`, unless T states its own
+  // disposal rule as a static T::dispose(node) -- core::RecordT does, since
+  // its initial records live in their object's storage, not on the heap.
+  static void dispose(T* node) {
+    if constexpr (requires { T::dispose(node); }) {
+      T::dispose(node);
+    } else {
+      delete node;
+    }
+  }
 
   std::size_t flat_index(std::uint32_t shard, std::uint32_t slot) const {
     return std::size_t{shard} * kTotalSlots + slot;

@@ -23,7 +23,10 @@
 //      stamp 0, so every epoch of the restored object sees them.
 //
 // Cost: construction plus one pass over the frame -- it tracks the frame's
-// size, not m update protocols.
+// size, not m update protocols.  Construction itself allocates per storage
+// segment, not per component: Figure 1 and Figure 3 build their initial
+// records in place in per-segment storage (core/record.h), one allocation
+// per 1024 components for the heads and one for the records.
 //
 // Requirements, enforced loudly: the frame must be full (a partial frame
 // cannot define the unlisted components -- std::invalid_argument), and

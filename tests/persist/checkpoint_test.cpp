@@ -11,6 +11,7 @@
 #include <fstream>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -192,6 +193,29 @@ TEST(CheckpointWriter, PrunesToKeepFrames) {
   auto loaded = loader.load_newest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->sequence, 5u);
+}
+
+// A commit whose rename fails (a non-empty directory squats on the final
+// frame path) throws, leaves no temp file behind, and keeps the previous
+// frame the newest intact one.
+TEST(CheckpointWriter, FailedCommitRemovesItsTempFile) {
+  TempDir dir;
+  CheckpointWriter::Options options;
+  options.sync = false;
+  CheckpointWriter writer(dir.path, options);
+  writer.commit(sample_u64_frame(1));
+
+  const std::string blocker = dir.path + "/ckpt-2.psnap";
+  fs::create_directory(blocker);
+  std::ofstream(blocker + "/occupant") << "x";
+  EXPECT_THROW(writer.commit(sample_u64_frame(2)), std::runtime_error);
+
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir.path)) {
+    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+  }
+  auto loaded = CheckpointLoader(dir.path).load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, sample_u64_frame(1));
 }
 
 TEST(CheckpointLoader, IgnoresTmpOrphansAndStrays) {
