@@ -28,7 +28,8 @@
 // cycle's frame (restore never rolls back past what was durably
 // committed).  Recovery latency -- child spawn to first frame that
 // supersedes the pre-kill one -- is measured per cycle and written as a
-// JSON artifact for CI trending.
+// JSON artifact for CI trending, with the CRC-32 kernel ("pclmul" or
+// "slicing-by-8") that checksummed the frames.
 //
 // Exit status: 0 when every cycle survives with zero violations.
 #include <signal.h>
@@ -47,6 +48,7 @@
 #include "common/cli.h"
 #include "exec/thread_registry.h"
 #include "persist/checkpoint.h"
+#include "persist/crc32.h"
 #include "recovery/checkpointer.h"
 #include "recovery/restore.h"
 #include "registry/registry.h"
@@ -345,13 +347,15 @@ int main(int argc, char** argv) {
   }
   double mean_ms = sum / static_cast<double>(recovery_ms.size());
 
+  const std::string crc_kernel(psnap::persist::crc32_kernel());
   std::printf(
       "%llu kill/restore cycles survived, %llu frames verified, "
       "0 invariant violations\n"
-      "recovery latency: min %.1f ms, mean %.1f ms, max %.1f ms\n",
+      "recovery latency: min %.1f ms, mean %.1f ms, max %.1f ms "
+      "(crc kernel %s)\n",
       static_cast<unsigned long long>(cycles),
       static_cast<unsigned long long>(frames_verified), min_ms, mean_ms,
-      max_ms);
+      max_ms, crc_kernel.c_str());
 
   const std::string json_path = flags.get_string("json");
   if (!json_path.empty()) {
@@ -363,11 +367,12 @@ int main(int argc, char** argv) {
     std::fprintf(out,
                  "{\n  \"impl\": \"%s\",\n  \"stages\": %u,\n"
                  "  \"cycles\": %llu,\n  \"violations\": 0,\n"
+                 "  \"crc_kernel\": \"%s\",\n"
                  "  \"recovery_latency_ms\": {\"min\": %.3f, \"mean\": %.3f, "
                  "\"max\": %.3f},\n  \"per_cycle_ms\": [",
                  impl.c_str(), stages,
-                 static_cast<unsigned long long>(cycles), min_ms, mean_ms,
-                 max_ms);
+                 static_cast<unsigned long long>(cycles), crc_kernel.c_str(),
+                 min_ms, mean_ms, max_ms);
     for (std::size_t i = 0; i < recovery_ms.size(); ++i) {
       std::fprintf(out, "%s%.3f", i == 0 ? "" : ", ", recovery_ms[i]);
     }

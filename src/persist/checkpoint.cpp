@@ -2,13 +2,16 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <charconv>
 #include <cstring>
 #include <filesystem>
+#include <memory>
 #include <stdexcept>
 #include <system_error>
 
@@ -137,9 +140,25 @@ void fsync_path(const std::string& path, bool directory) {
   ::close(fd);
 }
 
-}  // namespace
+// One frame's byte image in the three pieces it is written from:
+// `header` is magic through the index list (on the blob plane followed by
+// the length-prefixed payloads, encoded into the same buffer), `payload`
+// the frame's own u64 values in place (empty on the blob plane), and
+// `trailer` the CRC over both.  The writer hands the pieces to writev;
+// serialize_frame concatenates them.
+struct EncodedFrame {
+  std::vector<std::byte> header;
+  std::span<const std::byte> payload;
+  std::array<std::byte, kCrcBytes> trailer{};
 
-std::vector<std::byte> serialize_frame(const CheckpointData& frame) {
+  std::size_t size() const {
+    return header.size() + payload.size() + trailer.size();
+  }
+};
+
+// The one frame encoder.  The result borrows frame.values, so it must
+// not outlive the frame.
+EncodedFrame encode_frame(const CheckpointData& frame) {
   auto plane = plane_from_name(frame.value_plane);
   if (!plane) {
     throw std::invalid_argument("serialize_frame: unknown value plane '" +
@@ -153,51 +172,64 @@ std::vector<std::byte> serialize_frame(const CheckpointData& frame) {
         "serialize_frame: " + std::to_string(payloads) + " payloads for " +
         std::to_string(entries) + " entries");
   }
-  if (!frame.indices.empty()) {
-    for (std::uint32_t i : frame.indices) {
-      if (i >= frame.num_components) {
-        throw std::invalid_argument(
-            "serialize_frame: partial-frame index " + std::to_string(i) +
-            " >= m=" + std::to_string(frame.num_components));
-      }
+  for (std::uint32_t i : frame.indices) {
+    if (i >= frame.num_components) {
+      throw std::invalid_argument(
+          "serialize_frame: partial-frame index " + std::to_string(i) +
+          " >= m=" + std::to_string(frame.num_components));
     }
   }
 
-  // The exact image size, so the one allocation below is the only one.
-  std::size_t size = sizeof(kMagic) + 2 * sizeof(std::uint64_t) +
-                     6 * sizeof(std::uint32_t) + frame.impl_spec.size() +
-                     frame.indices.size() * sizeof(std::uint32_t) + kCrcBytes;
+  // The exact header size, so the one allocation below is the only one.
+  std::size_t header_size = sizeof(kMagic) + 2 * sizeof(std::uint64_t) +
+                            6 * sizeof(std::uint32_t) +
+                            frame.impl_spec.size() +
+                            frame.indices.size() * sizeof(std::uint32_t);
   if (*plane == Plane::kBlob) {
     for (const value::Blob& blob : frame.blobs) {
-      size += sizeof(std::uint32_t) + blob.size();
+      header_size += sizeof(std::uint32_t) + blob.size();
     }
-  } else {
-    size += frame.values.size() * sizeof(std::uint64_t);
   }
 
+  EncodedFrame out;
+  std::vector<std::byte>& header = out.header;
+  header.reserve(header_size);
+  append_bytes(header, std::as_bytes(std::span(kMagic)));
+  append_raw(header, frame.sequence);
+  append_raw(header, frame.epoch);
+  append_raw(header, static_cast<std::uint32_t>(*plane));
+  append_raw(header, frame.initial_m);
+  append_raw(header, frame.num_components);
+  append_raw(header, frame.max_threads);
+  append_raw(header, static_cast<std::uint32_t>(frame.impl_spec.size()));
+  append_raw(header, static_cast<std::uint32_t>(frame.indices.size()));
+  append_bytes(header, std::as_bytes(std::span(frame.impl_spec)));
+  append_bytes(header, std::as_bytes(std::span(frame.indices)));
+  if (*plane == Plane::kBlob) {
+    for (const value::Blob& blob : frame.blobs) {
+      append_raw(header, static_cast<std::uint32_t>(blob.size()));
+      append_bytes(header, blob);
+    }
+  } else {
+    out.payload = std::as_bytes(std::span(frame.values));
+  }
+  PSNAP_ASSERT(header.size() == header_size);
+
+  const std::uint32_t crc = crc32_finish(
+      crc32_update(crc32_update(crc32_init(), header), out.payload));
+  std::memcpy(out.trailer.data(), &crc, kCrcBytes);
+  return out;
+}
+
+}  // namespace
+
+std::vector<std::byte> serialize_frame(const CheckpointData& frame) {
+  const EncodedFrame encoded = encode_frame(frame);
   std::vector<std::byte> out;
-  out.reserve(size);
-  append_bytes(out, std::as_bytes(std::span(kMagic)));
-  append_raw(out, frame.sequence);
-  append_raw(out, frame.epoch);
-  append_raw(out, static_cast<std::uint32_t>(*plane));
-  append_raw(out, frame.initial_m);
-  append_raw(out, frame.num_components);
-  append_raw(out, frame.max_threads);
-  append_raw(out, static_cast<std::uint32_t>(frame.impl_spec.size()));
-  append_raw(out, static_cast<std::uint32_t>(frame.indices.size()));
-  append_bytes(out, std::as_bytes(std::span(frame.impl_spec)));
-  append_bytes(out, std::as_bytes(std::span(frame.indices)));
-  if (*plane == Plane::kBlob) {
-    for (const value::Blob& blob : frame.blobs) {
-      append_raw(out, static_cast<std::uint32_t>(blob.size()));
-      append_bytes(out, blob);
-    }
-  } else {
-    append_bytes(out, std::as_bytes(std::span(frame.values)));
-  }
-  append_raw(out, crc32(out));
-  PSNAP_ASSERT(out.size() == size);
+  out.reserve(encoded.size());
+  append_bytes(out, encoded.header);
+  append_bytes(out, encoded.payload);
+  append_bytes(out, encoded.trailer);
   return out;
 }
 
@@ -262,6 +294,11 @@ std::optional<CheckpointData> parse_frame(std::span<const std::byte> bytes,
 
   const std::size_t entries = frame.entry_count();
   if (plane == Plane::kBlob) {
+    // Every entry carries at least its length prefix: a count the bytes
+    // left cannot hold is rejected before it sizes an allocation.
+    if (entries > cur.remaining() / sizeof(std::uint32_t)) {
+      return reject("truncated blob payload");
+    }
     frame.blobs.reserve(entries);
     for (std::size_t k = 0; k < entries; ++k) {
       std::uint32_t len = 0;
@@ -300,7 +337,7 @@ CheckpointWriter::CheckpointWriter(std::string dir, Options options)
 }
 
 std::string CheckpointWriter::commit(const CheckpointData& frame) {
-  const std::vector<std::byte> image = serialize_frame(frame);
+  const EncodedFrame encoded = encode_frame(frame);
   const std::string final_name =
       std::string(kFramePrefix) + std::to_string(frame.sequence) +
       std::string(kFrameSuffix);
@@ -319,16 +356,31 @@ std::string CheckpointWriter::commit(const CheckpointData& frame) {
     errno = saved;
     throw_errno(what);
   };
-  const std::byte* p = image.data();
-  std::size_t left = image.size();
+  // header | payload | trailer straight from their buffers; a partial
+  // write resumes inside the piece it stopped in.
+  std::array<iovec, 3> pieces = {{
+      {const_cast<std::byte*>(encoded.header.data()), encoded.header.size()},
+      {const_cast<std::byte*>(encoded.payload.data()),
+       encoded.payload.size()},
+      {const_cast<std::byte*>(encoded.trailer.data()),
+       encoded.trailer.size()},
+  }};
+  iovec* next = pieces.data();
+  int left = static_cast<int>(pieces.size());
   while (left > 0) {
-    ssize_t n = ::write(fd, p, left);
+    ssize_t n = ::writev(fd, next, left);
     if (n < 0) {
       if (errno == EINTR) continue;
       fail(fd, "write " + tmp_path);
     }
-    p += n;
-    left -= static_cast<std::size_t>(n);
+    auto written = static_cast<std::size_t>(n);
+    for (; left > 0 && written >= next->iov_len; ++next, --left) {
+      written -= next->iov_len;
+    }
+    if (left > 0) {
+      next->iov_base = static_cast<std::byte*>(next->iov_base) + written;
+      next->iov_len -= written;
+    }
   }
   if (options_.sync && ::fsync(fd) != 0) fail(fd, "fsync " + tmp_path);
   ::close(fd);
@@ -340,10 +392,12 @@ std::string CheckpointWriter::commit(const CheckpointData& frame) {
 
   // Prune: keep the newest keep_frames committed frames.  Pruning after
   // the commit means a crash anywhere in here leaves MORE history than
-  // asked for, never less.
+  // asked for, never less.  The frame just committed always stays, even
+  // when its sequence is older than the newest keep_frames on disk.
   CheckpointLoader loader(dir_);
   std::vector<std::string> paths = loader.frame_paths();
   for (std::size_t k = options_.keep_frames; k < paths.size(); ++k) {
+    if (fs::path(paths[k]).filename() == final_name) continue;
     std::error_code ec;
     fs::remove(paths[k], ec);  // best effort
   }
@@ -374,7 +428,8 @@ std::vector<std::string> CheckpointLoader::frame_paths() const {
 std::optional<CheckpointData> CheckpointLoader::load_newest(
     Report* report) const {
   for (const std::string& path : frame_paths()) {
-    std::vector<std::byte> image;
+    std::unique_ptr<std::byte[]> image;
+    std::size_t got = 0;
     {
       int fd = ::open(path.c_str(), O_RDONLY);
       if (fd < 0) {
@@ -385,14 +440,18 @@ std::optional<CheckpointData> CheckpointLoader::load_newest(
       }
       // Committed frames never change after their rename, so the size
       // fstat reports is the image's size: read straight into a buffer of
-      // that size.  A short read leaves a truncated image, which the
-      // parser rejects like any other torn frame.
+      // that size, left uninitialized because the read fills it.  A short
+      // read leaves a truncated image, which the parser rejects like any
+      // other torn frame.
       struct stat st {};
       bool ok = ::fstat(fd, &st) == 0;
-      if (ok) image.resize(static_cast<std::size_t>(st.st_size));
-      std::size_t got = 0;
-      while (ok && got < image.size()) {
-        ssize_t n = ::read(fd, image.data() + got, image.size() - got);
+      std::size_t size = 0;
+      if (ok) {
+        size = static_cast<std::size_t>(st.st_size);
+        image = std::make_unique_for_overwrite<std::byte[]>(size);
+      }
+      while (ok && got < size) {
+        ssize_t n = ::read(fd, image.get() + got, size - got);
         if (n < 0 && errno == EINTR) continue;
         if (n < 0) ok = false;
         if (n <= 0) break;
@@ -405,10 +464,9 @@ std::optional<CheckpointData> CheckpointLoader::load_newest(
         }
         continue;
       }
-      image.resize(got);
     }
     std::string error;
-    if (auto frame = parse_frame(image, &error)) {
+    if (auto frame = parse_frame(std::span(image.get(), got), &error)) {
       return frame;
     }
     if (report != nullptr) {

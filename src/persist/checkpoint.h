@@ -25,11 +25,19 @@
 //   payload per entry: u64 value (planes 0/2) or u32 len + bytes (plane 1)
 //   u32     crc32 over every byte above
 //
-// Commit protocol (CheckpointWriter): serialize to "<name>.tmp" in the
-// checkpoint directory, fsync the file, rename(2) to "ckpt-<seq>.psnap",
-// fsync the directory.  rename is atomic, so a reader (or a loader after
-// kill -9) sees either no frame or a complete one; a crash mid-write
-// leaves only a .tmp orphan the loader never considers.
+// Commit protocol (CheckpointWriter): write the frame to "<name>.tmp" in
+// the checkpoint directory, fsync the file, rename(2) to
+// "ckpt-<seq>.psnap", fsync the directory.  rename is atomic, so a reader
+// (or a loader after kill -9) sees either no frame or a complete one; a
+// crash mid-write leaves only a .tmp orphan the loader never considers.
+// The writer builds no image: one encoder yields the header bytes (magic
+// through the index list), the payload straight from the frame's values
+// and the CRC trailer, threading the CRC through crc32_update, and one
+// writev loop writes the three pieces (blob payloads are encoded into
+// the header buffer).  serialize_frame concatenates the same pieces, so
+// its image is byte for byte the file commit writes.  Pruning never
+// removes the frame just committed, even one older than the newest
+// keep_frames on disk.
 //
 // Load protocol (CheckpointLoader): walk frames newest-sequence-first and
 // return the first that verifies -- magic, structural bounds, and CRC
@@ -74,8 +82,9 @@ struct CheckpointData {
 };
 
 // Serializes a frame to its on-disk byte image (including the CRC
-// trailer).  Throws std::invalid_argument when the frame is malformed
-// (unknown plane name, payload count != entry_count()).
+// trailer): the bytes CheckpointWriter::commit writes, in one buffer.
+// Throws std::invalid_argument when the frame is malformed (unknown plane
+// name, payload count != entry_count()).
 std::vector<std::byte> serialize_frame(const CheckpointData& frame);
 
 // Parses and VERIFIES a frame image; returns nullopt (with a reason in

@@ -1,12 +1,15 @@
-// The durable checkpoint format: CRC framing, serialize/parse round
-// trips on every value plane, the atomic-rename commit protocol, and the
-// loader's newest-intact-frame contract (the torn/corrupt half of that
-// contract lives in torn_checkpoint_test.cpp).
+// The durable checkpoint format: both CRC kernels against a bit-at-a-time
+// reference, serialize/parse round trips on every value plane, pinned
+// frame images, the atomic-rename commit protocol, and the loader's
+// newest-intact-frame contract (the torn/corrupt half of that contract
+// lives in torn_checkpoint_test.cpp).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <bit>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -63,8 +66,8 @@ TEST(Crc32, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc32_finish(state), crc32(bytes));
 }
 
-// Bit-at-a-time CRC-32 straight from the polynomial: the reference the
-// table-driven implementation must reproduce bit for bit.
+// Bit-at-a-time CRC-32 straight from the polynomial: the reference both
+// kernels must reproduce bit for bit.
 std::uint32_t reference_crc32(std::span<const std::byte> bytes) {
   std::uint32_t c = 0xFFFFFFFFu;
   for (std::byte b : bytes) {
@@ -97,6 +100,70 @@ TEST(Crc32, MatchesBytewiseReference) {
     EXPECT_EQ(crc32_finish(state), want)
         << "offset " << offset << " len " << len << " split " << split;
   }
+}
+
+using Kernel = std::uint32_t (*)(std::uint32_t, std::span<const std::byte>);
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::byte> buf(n);
+  for (std::byte& b : buf) b = static_cast<std::byte>(rng());
+  return buf;
+}
+
+// Holds one kernel against the bit-at-a-time reference: every length up
+// to 1100 (both sides of the 64-byte fold threshold and of each 16-byte
+// block) at odd offsets, random lengths up to 256 KiB, two-piece
+// incremental updates split at every residue mod 16 around block edges,
+// and one 512 KiB frame-sized buffer.
+void expect_kernel_matches_reference(Kernel update) {
+  auto crc = [update](std::span<const std::byte> bytes) {
+    return crc32_finish(update(crc32_init(), bytes));
+  };
+  const std::vector<std::byte> buf = random_bytes((512u << 10) + 64, 0xc5c);
+  const std::span<const std::byte> all(buf);
+
+  for (std::size_t len = 0; len <= 1100; ++len) {
+    const std::size_t offset = 2 * (len % 8) + 1;
+    auto bytes = all.subspan(offset, len);
+    ASSERT_EQ(crc(bytes), reference_crc32(bytes))
+        << "offset " << offset << " len " << len;
+  }
+
+  std::mt19937_64 rng(0x5eed2);
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t offset = 2 * (rng() % 8) + 1;
+    auto bytes = all.subspan(offset, rng() % ((256u << 10) + 1));
+    ASSERT_EQ(crc(bytes), reference_crc32(bytes))
+        << "offset " << offset << " len " << bytes.size();
+  }
+
+  auto edges = all.subspan(3, 4096 + 37);
+  const std::uint32_t want = reference_crc32(edges);
+  for (std::size_t edge : {std::size_t{64}, std::size_t{128},
+                           std::size_t{1024}, std::size_t{4096}}) {
+    for (std::size_t split = edge - 17; split <= edge + 17; ++split) {
+      std::uint32_t state = update(crc32_init(), edges.first(split));
+      state = update(state, edges.subspan(split));
+      ASSERT_EQ(crc32_finish(state), want) << "split " << split;
+    }
+  }
+
+  auto frame_sized = all.subspan(1, 512u << 10);
+  EXPECT_EQ(crc(frame_sized), reference_crc32(frame_sized));
+}
+
+TEST(Crc32, SlicingBy8MatchesReference) {
+  expect_kernel_matches_reference(crc32_update_slicing8);
+}
+
+// crc32_update routes every span of 64 bytes or more through the folding
+// kernel on a CPU that has PCLMULQDQ.
+TEST(Crc32, FoldingMatchesReference) {
+  if (crc32_kernel() != "pclmul") {
+    GTEST_SKIP() << "CPU without PCLMULQDQ; crc32_update is slicing-by-8";
+  }
+  expect_kernel_matches_reference(crc32_update);
 }
 
 TEST(CheckpointFrame, RoundTripU64) {
@@ -146,6 +213,83 @@ TEST(CheckpointFrame, RoundTripPartial) {
   EXPECT_EQ(*parsed, frame);
 }
 
+// Three fixed frames whose images are pinned below: a full 65536-entry
+// versioned frame (the psnapbench versioned_range size), a partial u64
+// frame and a blob frame.
+CheckpointData pinned_versioned_frame() {
+  CheckpointData frame;
+  frame.impl_spec = "fig3_cas:value=versioned";
+  frame.sequence = 42;
+  frame.epoch = 0x1234567;
+  frame.value_plane = "versioned";
+  frame.initial_m = 1024;
+  frame.num_components = 65536;
+  frame.max_threads = 8;
+  frame.values.resize(frame.num_components);
+  for (std::uint64_t i = 0; i < frame.values.size(); ++i) {
+    frame.values[i] = (i + 1) * 0x9E3779B97F4A7C15ull;
+  }
+  return frame;
+}
+
+CheckpointData pinned_partial_frame() {
+  CheckpointData frame;
+  frame.impl_spec = "fig3_cas:coalesce=false";
+  frame.sequence = 7;
+  frame.value_plane = "u64";
+  frame.initial_m = 3;
+  frame.num_components = 9;
+  frame.max_threads = 4;
+  frame.indices = {0, 3, 4, 8};
+  frame.values = {100, 0xFFFFFFFFFFFFFFFFull, 0, 0x0123456789ABCDEFull};
+  return frame;
+}
+
+CheckpointData pinned_blob_frame() {
+  CheckpointData frame;
+  frame.impl_spec = "fig3_cas:value=blob";
+  frame.sequence = 3;
+  frame.value_plane = "blob";
+  frame.initial_m = 2;
+  frame.num_components = 3;
+  frame.max_threads = 4;
+  frame.blobs = {value::Blob{std::byte{1}, std::byte{2}}, value::Blob{},
+                 value::Blob(100, std::byte{0xAB})};
+  return frame;
+}
+
+// The on-disk bytes do not depend on the CRC kernel or on how the image
+// is assembled: size and trailer CRC of each image are pinned to what the
+// slicing-by-8, single-buffer serializer wrote, and the trailer is the
+// bit-at-a-time CRC of the bytes before it.  (The header is native-endian;
+// the pins are a little-endian host's.)
+TEST(CheckpointFrame, ImagesArePinned) {
+  if constexpr (std::endian::native != std::endian::little) {
+    GTEST_SKIP() << "pinned images are little-endian";
+  }
+  struct Pin {
+    CheckpointData frame;
+    std::size_t size;
+    std::uint32_t trailer;
+  };
+  const Pin pins[] = {{pinned_versioned_frame(), 524364, 0xC99F5C30u},
+                      {pinned_partial_frame(), 123, 0xBC48E0DEu},
+                      {pinned_blob_frame(), 185, 0xC8E6A2A4u}};
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.frame.value_plane);
+    const std::vector<std::byte> image = serialize_frame(pin.frame);
+    ASSERT_EQ(image.size(), pin.size);
+    const auto body = std::span(image).first(image.size() - 4);
+    std::uint32_t trailer = 0;
+    std::memcpy(&trailer, image.data() + body.size(), sizeof(trailer));
+    EXPECT_EQ(trailer, pin.trailer);
+    EXPECT_EQ(reference_crc32(body), trailer);
+    auto parsed = parse_frame(image);
+    ASSERT_TRUE(parsed.has_value());
+    EXPECT_EQ(*parsed, pin.frame);
+  }
+}
+
 TEST(CheckpointFrame, SerializeValidates) {
   CheckpointData bad_plane = sample_u64_frame(1);
   bad_plane.value_plane = "exotic";
@@ -193,6 +337,56 @@ TEST(CheckpointWriter, PrunesToKeepFrames) {
   auto loaded = loader.load_newest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->sequence, 5u);
+}
+
+// A 512 KiB frame goes through commit's writev loop and back: the file
+// holds exactly serialize_frame's image, and load_newest returns the frame.
+TEST(CheckpointWriter, LargeFrameRoundTrip) {
+  TempDir dir;
+  CheckpointWriter::Options options;
+  options.sync = false;
+  CheckpointWriter writer(dir.path, options);
+  const CheckpointData frame = pinned_versioned_frame();
+  const std::string path = writer.commit(frame);
+
+  const std::vector<std::byte> image = serialize_frame(frame);
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> file((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_EQ(file.size(), image.size());
+  EXPECT_EQ(std::memcmp(file.data(), image.data(), image.size()), 0);
+
+  auto loaded = CheckpointLoader(dir.path).load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, frame);
+}
+
+// A commit whose sequence is older than the newest keep_frames on disk
+// still leaves its own frame in place: the prune never removes the frame
+// it was called for, so the returned path exists.
+TEST(CheckpointWriter, PruneKeepsTheFrameJustCommitted) {
+  TempDir dir;
+  CheckpointWriter::Options options;
+  options.keep_frames = 2;
+  options.sync = false;
+  CheckpointWriter writer(dir.path, options);
+  writer.commit(sample_u64_frame(10));
+  writer.commit(sample_u64_frame(11));
+  const std::string path = writer.commit(sample_u64_frame(5));
+  EXPECT_TRUE(fs::exists(path));
+
+  CheckpointLoader loader(dir.path);
+  EXPECT_EQ(loader.frame_paths().size(), 3u);
+  auto loaded = loader.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->sequence, 11u);
+
+  // The next in-order commit prunes back to keep_frames.
+  writer.commit(sample_u64_frame(12));
+  auto paths = loader.frame_paths();
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_NE(paths[0].find("ckpt-12"), std::string::npos);
+  EXPECT_NE(paths[1].find("ckpt-11"), std::string::npos);
 }
 
 // A commit whose rename fails (a non-empty directory squats on the final

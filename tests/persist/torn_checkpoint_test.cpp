@@ -16,11 +16,13 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <vector>
 
 #include "persist/checkpoint.h"
+#include "persist/crc32.h"
 
 namespace psnap::persist {
 namespace {
@@ -163,6 +165,37 @@ TEST_F(TornCheckpointTest, SwappedFrameBodiesRejected) {
   auto loaded = CheckpointLoader(dir_.path).load_newest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(*loaded, frame_a_);
+}
+
+// A blob frame with an intact CRC whose component count (byte offset 32)
+// claims 2^32 - 1 entries: the parser must reject it on the bytes left
+// before sizing any allocation by that count, and the loader must fall
+// back to frame B instead of letting an exception escape.
+TEST_F(TornCheckpointTest, HugeBlobCountRejectedBeforeAllocation) {
+  CheckpointData blob_frame = make_frame(3);
+  blob_frame.value_plane = "blob";
+  blob_frame.values.clear();
+  blob_frame.blobs = {value::Blob(3, std::byte{1}), value::Blob{},
+                      value::Blob(5, std::byte{2}), value::Blob{}};
+  std::vector<std::byte> image = serialize_frame(blob_frame);
+  constexpr std::size_t kCountOffset = 32;
+  const std::uint32_t huge = 0xFFFFFFFFu;
+  std::memcpy(image.data() + kCountOffset, &huge, sizeof(huge));
+  const std::uint32_t crc = crc32(std::span(image).first(image.size() - 4));
+  std::memcpy(image.data() + image.size() - 4, &crc, sizeof(crc));
+
+  std::string error;
+  EXPECT_EQ(parse_frame(image, &error), std::nullopt);
+  EXPECT_EQ(error, "truncated blob payload");
+
+  const auto* chars = reinterpret_cast<const char*>(image.data());
+  write_file(dir_.path + "/ckpt-3.psnap",
+             std::vector<char>(chars, chars + image.size()));
+  CheckpointLoader::Report report;
+  auto loaded = CheckpointLoader(dir_.path).load_newest(&report);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, frame_b_);
+  EXPECT_EQ(report.rejected.size(), 1u);
 }
 
 }  // namespace
