@@ -11,20 +11,16 @@ namespace psnap::baseline {
 
 template <class Value>
 DoubleCollectSnapshotT<Value>::DoubleCollectSnapshotT(
-    std::uint32_t initial_components, std::uint32_t max_processes,
+    core::InitialVector initial, std::uint32_t max_processes,
     std::uint64_t max_collects_per_scan, std::uint64_t initial_value)
-    : size_(initial_components),
+    : size_(initial.count()),
       n_(max_processes),
       initial_value_(initial_value),
       max_collects_(max_collects_per_scan) {
-  PSNAP_ASSERT(initial_components > 0 && n_ > 0);
+  PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
-  for (std::uint32_t i = 0; i < initial_components; ++i) {
-    SimpleRecord* rec = make_record(/*counter=*/i, core::kInitPid);
-    Value::encode(initial_value, rec->value);
-    r_.at(i).init(rec, /*label=*/i);
-  }
+  build_components(0, initial.count(), initial);
 }
 
 template <class Value>
@@ -34,14 +30,27 @@ DoubleCollectSnapshotT<Value>::~DoubleCollectSnapshotT() {
 }
 
 template <class Value>
+void DoubleCollectSnapshotT<Value>::build_components(
+    std::uint32_t first, std::uint32_t count,
+    const core::InitialVector& initial) {
+  using Slot = primitives::Register<const SimpleRecord*>;
+  r_.build(
+      first, count,
+      [&](Slot& slot, std::uint64_t i) {
+        SimpleRecord* rec = make_record(/*counter=*/i, core::kInitPid);
+        initial.fill<Value>(i, initial_value_, rec->value);
+        slot.init(rec, /*label=*/i);
+      },
+      [](Slot& slot) { delete slot.peek(); });
+}
+
+template <class Value>
 std::uint32_t DoubleCollectSnapshotT<Value>::add_components(
     std::uint32_t count) {
-  return core::grow_components(
-      size_, r_, count, [this](auto& slot, std::uint32_t i) {
-        SimpleRecord* rec = make_record(/*counter=*/i, core::kInitPid);
-        Value::encode(initial_value_, rec->value);
-        slot.init(rec, /*label=*/i);
-      });
+  return core::grow_components(size_, count,
+                               [this](std::uint32_t first, std::uint32_t k) {
+                                 build_components(first, k, {});
+                               });
 }
 
 template <class Value>
@@ -73,35 +82,6 @@ void DoubleCollectSnapshotT<Value>::update_blob(
     do_update(i, [bytes](ValueType& out) { Value::assign(out, bytes); });
   } else {
     core::PartialSnapshot::update_blob(i, bytes);
-  }
-}
-
-template <class Value>
-template <class Fill>
-void DoubleCollectSnapshotT<Value>::do_seed(std::size_t count, Fill&& fill) {
-  require_seed_size(count);
-  core::seed_initial_records(
-      size_.load(), [this](std::uint32_t i) { return r_.at(i).peek(); },
-      fill);
-}
-
-template <class Value>
-void DoubleCollectSnapshotT<Value>::seed(
-    std::span<const std::uint64_t> values) {
-  do_seed(values.size(), [values](std::uint32_t i, ValueType& out) {
-    Value::encode(values[i], out);
-  });
-}
-
-template <class Value>
-void DoubleCollectSnapshotT<Value>::seed_blobs(
-    std::span<const psnap::value::Blob> blobs) {
-  if constexpr (Value::kIndirect) {
-    do_seed(blobs.size(), [blobs](std::uint32_t i, ValueType& out) {
-      Value::copy(blobs[i], out);
-    });
-  } else {
-    core::PartialSnapshot::seed_blobs(blobs);
   }
 }
 

@@ -48,7 +48,7 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
   using ValueType = typename Value::ValueType;
 
   // max_collects_per_scan == 0 means retry forever.
-  DoubleCollectSnapshotT(std::uint32_t initial_components,
+  DoubleCollectSnapshotT(core::InitialVector initial,
                          std::uint32_t max_processes,
                          std::uint64_t max_collects_per_scan = 0,
                          std::uint64_t initial_value = 0);
@@ -71,9 +71,6 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<psnap::value::Blob>& out,
                   core::ScanContext& ctx) override;
-  // Rewrites the initial records' payloads in place.
-  void seed(std::span<const std::uint64_t> values) override;
-  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // Batched updates share one EBR pin and one retire wave, but each of
   // the k exchanges still linearizes on its own (there is no helping
   // round here to amortize) -- kAmortized.
@@ -103,8 +100,10 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
 
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
-  template <class Fill>
-  void do_seed(std::size_t count, Fill&& fill);
+  // Builds components [first, first + count), one initial record each,
+  // for the constructor and add_components.
+  void build_components(std::uint32_t first, std::uint32_t count,
+                        const core::InitialVector& initial);
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
   // Runs the double collect; `extract` receives a lookup from a requested

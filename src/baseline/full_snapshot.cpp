@@ -11,20 +11,18 @@
 namespace psnap::baseline {
 
 template <class Value>
-FullSnapshotT<Value>::FullSnapshotT(std::uint32_t initial_components,
+FullSnapshotT<Value>::FullSnapshotT(core::InitialVector initial,
                                     std::uint32_t max_processes,
                                     std::uint64_t initial_value,
                                     exec::PidBound bound)
-    : size_(initial_components),
+    : size_(initial.count()),
       n_(max_processes),
       bound_(bound),
       initial_value_(initial_value) {
-  PSNAP_ASSERT(initial_components > 0 && n_ > 0);
+  PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
-  for (std::uint32_t i = 0; i < initial_components; ++i) {
-    r_.at(i).init(make_initial(initial_value, i), /*label=*/i);
-  }
+  build_components(0, initial.count(), initial);
 }
 
 template <class Value>
@@ -64,11 +62,30 @@ FullSnapshotT<Value>::~FullSnapshotT() {
 }
 
 template <class Value>
+void FullSnapshotT<Value>::build_components(
+    std::uint32_t first, std::uint32_t count,
+    const core::InitialVector& initial) {
+  r_.build(
+      first, count,
+      [&](Slot& slot, std::uint64_t i) {
+        auto* rec = new FullRecord();
+        initial.fill<Value>(i, initial_value_, rec->value);
+        rec->counter = i;
+        if constexpr (Value::kVersioned) {
+          rec->version.store(primitives::kInitialVersion,
+                             std::memory_order_relaxed);
+        }
+        slot.init(rec, /*label=*/i);
+      },
+      [](Slot& slot) { delete slot.peek(); });
+}
+
+template <class Value>
 std::uint32_t FullSnapshotT<Value>::add_components(std::uint32_t count) {
-  return core::grow_components(
-      size_, r_, count, [this](auto& slot, std::uint32_t i) {
-        slot.init(make_initial(initial_value_, i), /*label=*/i);
-      });
+  return core::grow_components(size_, count,
+                               [this](std::uint32_t first, std::uint32_t k) {
+                                 build_components(first, k, {});
+                               });
 }
 
 template <class Value>
@@ -202,34 +219,6 @@ void FullSnapshotT<Value>::update_blob(std::uint32_t i,
     do_update(i, [bytes](ValueType& out) { Value::assign(out, bytes); });
   } else {
     core::PartialSnapshot::update_blob(i, bytes);
-  }
-}
-
-template <class Value>
-template <class Fill>
-void FullSnapshotT<Value>::do_seed(std::size_t count, Fill&& fill) {
-  require_seed_size(count);
-  core::seed_initial_records(
-      size_.load(), [this](std::uint32_t i) { return r_.at(i).peek(); },
-      fill);
-}
-
-template <class Value>
-void FullSnapshotT<Value>::seed(std::span<const std::uint64_t> values) {
-  do_seed(values.size(), [values](std::uint32_t i, ValueType& out) {
-    Value::encode(values[i], out);
-  });
-}
-
-template <class Value>
-void FullSnapshotT<Value>::seed_blobs(
-    std::span<const psnap::value::Blob> blobs) {
-  if constexpr (Value::kIndirect) {
-    do_seed(blobs.size(), [blobs](std::uint32_t i, ValueType& out) {
-      Value::copy(blobs[i], out);
-    });
-  } else {
-    core::PartialSnapshot::seed_blobs(blobs);
   }
 }
 

@@ -52,7 +52,7 @@ class FullSnapshotT final : public core::PartialSnapshot {
   // `bound` sizes the helping rule's moved-twice table (the one per-pid
   // cost here; scans are Omega(m) by design, that is the baseline's
   // point).
-  FullSnapshotT(std::uint32_t initial_components, std::uint32_t max_processes,
+  FullSnapshotT(core::InitialVector initial, std::uint32_t max_processes,
                 std::uint64_t initial_value = 0,
                 exec::PidBound bound = {});
   ~FullSnapshotT() override;
@@ -85,9 +85,6 @@ class FullSnapshotT final : public core::PartialSnapshot {
   std::uint64_t scan_versioned(std::span<const std::uint32_t> indices,
                                std::vector<std::uint64_t>& out,
                                core::ScanContext& ctx) override;
-  // Rewrites the initial records' payloads in place.
-  void seed(std::span<const std::uint64_t> values) override;
-  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // Batched updates: collect planes share ONE embedded full scan (the
   // Omega(m) helping cost, paid once for k writes) and publish k records
   // by exchange -- kAmortized.  The versioned plane shares one stamp
@@ -137,17 +134,10 @@ class FullSnapshotT final : public core::PartialSnapshot {
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
 
-  FullRecord* make_initial(std::uint64_t v, std::uint32_t index) {
-    auto* rec = new FullRecord();
-    Value::encode(v, rec->value);
-    rec->counter = index;
-    rec->pid = core::kInitPid;
-    if constexpr (Value::kVersioned) {
-      rec->version.store(primitives::kInitialVersion,
-                         std::memory_order_relaxed);
-    }
-    return rec;
-  }
+  // Builds components [first, first + count), one initial record each,
+  // for the constructor and add_components.
+  void build_components(std::uint32_t first, std::uint32_t count,
+                        const core::InitialVector& initial);
 
   // Fills the context's plane values with components [0, m) for the count
   // m the caller captured at operation start.
@@ -156,9 +146,6 @@ class FullSnapshotT final : public core::PartialSnapshot {
 
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
-  // The one seed body; `fill(i, payload)` writes component i's payload.
-  template <class Fill>
-  void do_seed(std::size_t count, Fill&& fill);
   // The one scan body; `extract` pulls the caller's components out of the
   // full view (u64 decoding or blob copies).
   template <class Extract>

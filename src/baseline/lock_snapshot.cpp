@@ -5,16 +5,23 @@
 namespace psnap::baseline {
 
 template <class Value>
-std::uint32_t LockSnapshotT<Value>::add_components(std::uint32_t count) {
-  PSNAP_ASSERT(count > 0);
-  std::scoped_lock lock(mu_);
-  std::uint32_t first = static_cast<std::uint32_t>(data_.size());
-  data_.resize(data_.size() + count);
-  for (std::uint32_t i = first; i < first + count; ++i) {
-    Value::encode(initial_value_, data_[i]);
+std::uint32_t LockSnapshotT<Value>::append(
+    std::uint32_t count, const core::InitialVector& initial) {
+  const auto first = static_cast<std::uint32_t>(data_.size());
+  core::require_component_room(first, count);
+  data_.resize(first + count);
+  for (std::uint32_t k = 0; k < count; ++k) {
+    initial.fill<Value>(k, initial_value_, data_[first + k]);
   }
   count_.store(first + count, std::memory_order_release);
   return first;
+}
+
+template <class Value>
+std::uint32_t LockSnapshotT<Value>::add_components(std::uint32_t count) {
+  PSNAP_ASSERT(count > 0);
+  std::scoped_lock lock(mu_);
+  return append(count, {});
 }
 
 template <class Value>
@@ -35,29 +42,6 @@ void LockSnapshotT<Value>::update_blob(std::uint32_t i,
     Value::assign(data_[i], bytes);
   } else {
     core::PartialSnapshot::update_blob(i, bytes);
-  }
-}
-
-template <class Value>
-void LockSnapshotT<Value>::seed(std::span<const std::uint64_t> values) {
-  require_seed_size(values.size());
-  std::scoped_lock lock(mu_);
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    Value::encode(values[i], data_[i]);
-  }
-}
-
-template <class Value>
-void LockSnapshotT<Value>::seed_blobs(
-    std::span<const psnap::value::Blob> blobs) {
-  if constexpr (Value::kIndirect) {
-    require_seed_size(blobs.size());
-    std::scoped_lock lock(mu_);
-    for (std::size_t i = 0; i < blobs.size(); ++i) {
-      Value::copy(blobs[i], data_[i]);
-    }
-  } else {
-    core::PartialSnapshot::seed_blobs(blobs);
   }
 }
 

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <vector>
 
+#include "core/growth.h"
 #include "core/partial_snapshot.h"
 #include "core/scan_context.h"
 #include "primitives/value_plane.h"
@@ -25,12 +26,9 @@ class LockSnapshotT final : public core::PartialSnapshot {
  public:
   using ValueType = typename Value::ValueType;
 
-  LockSnapshotT(std::uint32_t initial_components,
-                std::uint64_t initial_value = 0)
-      : count_(initial_components),
-        initial_value_(initial_value),
-        data_(initial_components) {
-    for (ValueType& v : data_) Value::encode(initial_value, v);
+  LockSnapshotT(core::InitialVector initial, std::uint64_t initial_value = 0)
+      : count_(0), initial_value_(initial_value) {
+    append(initial.count(), initial);
   }
 
   std::uint32_t num_components() const override {
@@ -55,9 +53,6 @@ class LockSnapshotT final : public core::PartialSnapshot {
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<psnap::value::Blob>& out,
                   core::ScanContext& ctx) override;
-  // Overwrites the guarded vector in place.
-  void seed(std::span<const std::uint64_t> values) override;
-  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // One critical section covers all k writes, so batches are trivially
   // atomic -- the lock baseline is the reference implementation the
   // batch-atomicity oracle checks the clever ones against.
@@ -71,6 +66,14 @@ class LockSnapshotT final : public core::PartialSnapshot {
   using core::PartialSnapshot::scan_blobs;
 
  private:
+  // Appends `count` components, each from `initial` or at the initial
+  // value, under the core::kMaxComponents limit (std::length_error,
+  // nothing appended); returns the first new index.  The constructor's
+  // and add_components' one body.  Callers hold mu_ once the object is
+  // shared.
+  std::uint32_t append(std::uint32_t count,
+                       const core::InitialVector& initial);
+
   std::mutex mu_;
   std::atomic<std::uint32_t> count_;
   std::uint64_t initial_value_;

@@ -9,33 +9,44 @@
 namespace psnap::baseline {
 
 template <class Value>
-void SeqlockSnapshotT<Value>::init_cell(Cell& cell, std::uint32_t index) {
-  if constexpr (Value::kVersioned) {
-    auto* node = new primitives::VersionNodeU64();
-    node->value = initial_value_;
-    node->version.store(primitives::kInitialVersion,
-                        std::memory_order_relaxed);
-    cell.init(node, /*label=*/index);
-  } else if constexpr (Value::kIndirect) {
-    auto* node = new primitives::BlobNode();
-    Value::encode(initial_value_, node->bytes);
-    cell.init(node, /*label=*/index);
-  } else {
-    cell.init(initial_value_, /*label=*/index);
-  }
+void SeqlockSnapshotT<Value>::build_components(
+    std::uint32_t first, std::uint32_t count,
+    const core::InitialVector& initial) {
+  data_.build(
+      first, count,
+      [&](Cell& cell, std::uint64_t i) {
+        if constexpr (Value::kVersioned) {
+          auto* node = new primitives::VersionNodeU64();
+          initial.fill<Value>(i, initial_value_, node->value);
+          node->version.store(primitives::kInitialVersion,
+                              std::memory_order_relaxed);
+          cell.init(node, /*label=*/i);
+        } else if constexpr (Value::kIndirect) {
+          auto* node = new primitives::BlobNode();
+          initial.fill<Value>(i, initial_value_, node->bytes);
+          cell.init(node, /*label=*/i);
+        } else {
+          std::uint64_t v = 0;
+          initial.fill<Value>(i, initial_value_, v);
+          cell.init(v, /*label=*/i);
+        }
+      },
+      [](Cell& cell) {
+        if constexpr (Value::kVersioned || Value::kIndirect) {
+          delete cell.peek();
+        }
+      });
 }
 
 template <class Value>
-SeqlockSnapshotT<Value>::SeqlockSnapshotT(std::uint32_t initial_components,
+SeqlockSnapshotT<Value>::SeqlockSnapshotT(core::InitialVector initial,
                                           std::uint64_t max_attempts_per_scan,
                                           std::uint64_t initial_value)
-    : size_(initial_components),
+    : size_(initial.count()),
       initial_value_(initial_value),
       max_attempts_(max_attempts_per_scan) {
-  PSNAP_ASSERT(initial_components > 0);
-  for (std::uint32_t i = 0; i < initial_components; ++i) {
-    init_cell(data_.at(i), i);
-  }
+  PSNAP_ASSERT(initial.count() > 0);
+  build_components(0, initial.count(), initial);
 }
 
 template <class Value>
@@ -59,9 +70,9 @@ SeqlockSnapshotT<Value>::~SeqlockSnapshotT() {
 
 template <class Value>
 std::uint32_t SeqlockSnapshotT<Value>::add_components(std::uint32_t count) {
-  return core::grow_components(size_, data_, count,
-                               [this](auto& slot, std::uint32_t i) {
-                                 init_cell(slot, i);
+  return core::grow_components(size_, count,
+                               [this](std::uint32_t first, std::uint32_t k) {
+                                 build_components(first, k, {});
                                });
 }
 
@@ -165,48 +176,6 @@ void SeqlockSnapshotT<Value>::update_blob(std::uint32_t i,
     do_update(i, [bytes](ValueType& out) { Value::assign(out, bytes); });
   } else {
     core::PartialSnapshot::update_blob(i, bytes);
-  }
-}
-
-template <class Value>
-template <class Fill>
-void SeqlockSnapshotT<Value>::do_seed(std::size_t count, Fill&& fill) {
-  require_seed_size(count);
-  // Every writer section bumps the version, so a zero version means no
-  // update has run: each cell still holds what init_cell installed, and
-  // the seed contract makes it reachable by nobody else.
-  PSNAP_ASSERT_MSG(version_.peek() == 0,
-                   "seed() after an update: the seed contract requires a "
-                   "freshly constructed object");
-  const std::uint32_t m = size_.load();
-  for (std::uint32_t i = 0; i < m; ++i) fill(data_.at(i), i);
-}
-
-template <class Value>
-void SeqlockSnapshotT<Value>::seed(std::span<const std::uint64_t> values) {
-  do_seed(values.size(), [values](Cell& cell, std::uint32_t i) {
-    if constexpr (Value::kVersioned) {
-      // The chain's initial node keeps its stamp 0: every epoch sees it.
-      const_cast<primitives::VersionNodeU64*>(cell.peek())->value = values[i];
-    } else if constexpr (Value::kIndirect) {
-      Value::encode(values[i],
-                    const_cast<primitives::BlobNode*>(cell.peek())->bytes);
-    } else {
-      cell.init(values[i], /*label=*/i);
-    }
-  });
-}
-
-template <class Value>
-void SeqlockSnapshotT<Value>::seed_blobs(
-    std::span<const psnap::value::Blob> blobs) {
-  if constexpr (Value::kIndirect) {
-    do_seed(blobs.size(), [blobs](Cell& cell, std::uint32_t i) {
-      Value::copy(blobs[i],
-                  const_cast<primitives::BlobNode*>(cell.peek())->bytes);
-    });
-  } else {
-    core::PartialSnapshot::seed_blobs(blobs);
   }
 }
 

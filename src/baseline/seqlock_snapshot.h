@@ -49,7 +49,7 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   using ValueType = typename Value::ValueType;
 
   // max_attempts_per_scan == 0 means retry forever.
-  SeqlockSnapshotT(std::uint32_t initial_components,
+  SeqlockSnapshotT(core::InitialVector initial,
                    std::uint64_t max_attempts_per_scan = 0,
                    std::uint64_t initial_value = 0);
   ~SeqlockSnapshotT() override;
@@ -84,10 +84,6 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   std::uint64_t scan_versioned(std::span<const std::uint32_t> indices,
                                std::vector<std::uint64_t>& out,
                                core::ScanContext& ctx) override;
-  // Rewrites the cells' construction-time payloads in place: the raw word
-  // on the u64 plane, the initial node's payload on the others.
-  void seed(std::span<const std::uint64_t> values) override;
-  void seed_blobs(std::span<const psnap::value::Blob> blobs) override;
   // Batched updates: every plane is kAtomic here, because the global
   // writer section is a natural multi-component critical section -- all k
   // writes land inside one odd/even window, so a collect-plane scan either
@@ -142,13 +138,14 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   };
   struct NoPlane {};
 
-  void init_cell(Cell& cell, std::uint32_t index);
+  // Builds components [first, first + count) for the constructor and
+  // add_components: the raw word on the u64 plane, an initial node on the
+  // others.
+  void build_components(std::uint32_t first, std::uint32_t count,
+                        const core::InitialVector& initial);
 
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
-  // The one seed body; `fill(cell, i)` writes component i's payload.
-  template <class Fill>
-  void do_seed(std::size_t count, Fill&& fill);
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
   // Runs the versioned retry loop; `collect` re-reads the components into

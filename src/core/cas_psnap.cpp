@@ -33,8 +33,8 @@ struct PerLocation {
 // the line holding its first field (the value) and the line holding the
 // last field the loop reads -- the tag's pid on the collect planes, the
 // version word on the versioned plane.  A record can straddle two lines
-// (the 72-byte versioned record does for 3 of the 4 16-byte malloc
-// alignments, and for most slots of the dense initial-record storage),
+// (the 48-byte versioned record does for 2 of the 4 16-byte malloc
+// alignments, and for half the slots of the dense initial-record storage),
 // and one prefetch would leave the second miss serial.
 template <class Rec>
 void prefetch_record(const Rec* rec) {
@@ -50,14 +50,14 @@ void prefetch_record(const Rec* rec) {
 
 template <class Policy, class Value>
 CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
-    std::uint32_t initial_components, std::uint32_t max_processes)
-    : CasPartialSnapshotT(initial_components, max_processes, Options{}) {}
+    InitialVector initial, std::uint32_t max_processes)
+    : CasPartialSnapshotT(initial, max_processes, Options{}) {}
 
 template <class Policy, class Value>
 CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
-    std::uint32_t initial_components, std::uint32_t max_processes,
-    Options options, std::uint64_t initial_value)
-    : size_(initial_components),
+    InitialVector initial, std::uint32_t max_processes, Options options,
+    std::uint64_t initial_value)
+    : size_(initial.count()),
       n_(max_processes),
       initial_value_(initial_value),
       options_(options),
@@ -67,7 +67,7 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
       plane_(options.use_hp ? reclaim::Plane::Kind::kHazard
                             : reclaim::Plane::Kind::kEbr,
              options.reclaim_shards, kComponentSegmentSize) {
-  PSNAP_ASSERT(initial_components > 0 && n_ > 0);
+  PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
   // The registry rejects these spellings before construction; the asserts
@@ -80,11 +80,7 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
                    "the versioned plane requires shards == 1 (batch "
                    "helping dereferences records on arbitrary components; "
                    "use reclaim=hp for bounded tail latency instead)");
-  for (std::uint32_t i = 0; i < initial_components; ++i) {
-    r_.at(i)->init(init_initial_record<Value>(*initial_records_.at(i),
-                                              initial_value, i),
-                   /*label=*/i);
-  }
+  build_components(0, initial.count(), initial);
 }
 
 template <class Policy, class Value>
@@ -135,13 +131,12 @@ CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
 template <class Policy, class Value>
 std::uint32_t CasPartialSnapshotT<Policy, Value>::add_components(
     std::uint32_t count) {
-  // Same initial-record construction as the constructor; nobody can read
-  // a new slot until grow_components publishes the count.
-  return grow_components(size_, r_, count, [this](auto& slot, std::uint32_t i) {
-    slot->init(init_initial_record<Value>(*initial_records_.at(i),
-                                          initial_value_, i),
-               /*label=*/i);
-  });
+  // The constructor's build, at the initial value; nobody can read a new
+  // slot until grow_components publishes the count.
+  return grow_components(size_, count,
+                         [this](std::uint32_t first, std::uint32_t k) {
+                           build_components(first, k, {});
+                         });
 }
 
 template <class Policy, class Value>
@@ -282,7 +277,8 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
           // just validated it still stands.  (A write-ablation borrow -- a
           // record remembered from an earlier collect -- is EBR-only: hp
           // rejects use_cas=false at construction.)
-          view = borrow->view;
+          // (Versioned records carry no view: that plane never collects.)
+          if constexpr (!Value::kVersioned) view = borrow->view;
         }
       }
     }
@@ -376,44 +372,43 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
     // has already linearized immediately before its winner, so it does
     // not retry (batch code does -- see do_update_batch).
     (void)do_update_versioned(i, fill);
-    return;
+  } else {
+    PSNAP_ASSERT(i < size_.load());
+    std::uint32_t pid = exec::ctx().pid;
+    PSNAP_ASSERT(pid < n_);
+    tls_op_stats().reset();
+    ScanContext& ctx = tls_scan_context();
+    ctx.begin();
+    Op op(plane_);
+    op.pin_component(i);
+
+    // Figure 3 reads the current record before anything else; the CAS at the
+    // end succeeds only if the component was not updated in between.
+    // Release mode: acquire load; the record is only compared by address
+    // until the CAS, and if dereferenced (retire path) the acquire pairs
+    // with the publishing CAS's release.  hp: the head stays protected in
+    // kHazOld through the CAS below, which also closes the ABA window -- a
+    // protected record cannot be recycled, so the CAS can only succeed
+    // against the very record this load read.
+    const Rec* old = op.protect(*r_.at(i), kHazOld);
+    const ViewV& view = help(op, ctx);
+
+    // Counter is bumped only when the record is actually published
+    // (paper: "if the compare&swap was successful then counter++"); tags of
+    // *published* records stay unique either way, because a failed record is
+    // never visible to anyone.
+    //
+    // The record comes from the pool (capacity-reusing; zero steady-state
+    // allocations) and goes back to it on every non-publishing exit -- the
+    // CAS-failure path and an injected halt at the publish step both unwind
+    // through the Handle instead of leaking.
+    auto rec = plane_.acquire(record_pool_, i);
+    fill(rec->value);
+    rec->counter = counter_.at(pid).value + 1;
+    rec->pid = pid;
+    rec->view = view;  // capacity-reusing copy into the recycled vector
+    if (publish(i, old, rec)) ++counter_.at(pid).value;
   }
-
-  PSNAP_ASSERT(i < size_.load());
-  std::uint32_t pid = exec::ctx().pid;
-  PSNAP_ASSERT(pid < n_);
-  tls_op_stats().reset();
-  ScanContext& ctx = tls_scan_context();
-  ctx.begin();
-  Op op(plane_);
-  op.pin_component(i);
-
-  // Figure 3 reads the current record before anything else; the CAS at the
-  // end succeeds only if the component was not updated in between.
-  // Release mode: acquire load; the record is only compared by address
-  // until the CAS, and if dereferenced (retire path) the acquire pairs
-  // with the publishing CAS's release.  hp: the head stays protected in
-  // kHazOld through the CAS below, which also closes the ABA window -- a
-  // protected record cannot be recycled, so the CAS can only succeed
-  // against the very record this load read.
-  const Rec* old = op.protect(*r_.at(i), kHazOld);
-  const ViewV& view = help(op, ctx);
-
-  // Counter is bumped only when the record is actually published
-  // (paper: "if the compare&swap was successful then counter++"); tags of
-  // *published* records stay unique either way, because a failed record is
-  // never visible to anyone.
-  //
-  // The record comes from the pool (capacity-reusing; zero steady-state
-  // allocations) and goes back to it on every non-publishing exit -- the
-  // CAS-failure path and an injected halt at the publish step both unwind
-  // through the Handle instead of leaking.
-  auto rec = plane_.acquire(record_pool_, i);
-  fill(rec->value);
-  rec->counter = counter_.at(pid).value + 1;
-  rec->pid = pid;
-  rec->view = view;  // capacity-reusing copy into the recycled vector
-  if (publish(i, old, rec)) ++counter_.at(pid).value;
 }
 
 template <class Policy, class Value>
@@ -450,7 +445,6 @@ bool CasPartialSnapshotT<Policy, Value>::do_update_versioned(std::uint32_t i,
     fill(rec->value);
     rec->counter = counter_.at(pid).value + 1;
     rec->pid = pid;
-    rec->view.clear();  // versioned updates carry no helping view
     rec->version.store(primitives::kUnstamped, std::memory_order_relaxed);
     rec->prev.store(old, std::memory_order_relaxed);
     // A recycled record may have been a batch member in a previous life;
@@ -521,36 +515,6 @@ template <class Policy, class Value>
 void CasPartialSnapshotT<Policy, Value>::update(std::uint32_t i,
                                                 std::uint64_t v) {
   do_update(i, [v](ValueType& out) { Value::encode(v, out); });
-}
-
-template <class Policy, class Value>
-template <class Fill>
-void CasPartialSnapshotT<Policy, Value>::do_seed(std::size_t count,
-                                                 Fill&& fill) {
-  require_seed_size(count);
-  seed_initial_records(
-      size_.load(), [this](std::uint32_t i) { return r_.at(i)->peek(); },
-      fill);
-}
-
-template <class Policy, class Value>
-void CasPartialSnapshotT<Policy, Value>::seed(
-    std::span<const std::uint64_t> values) {
-  do_seed(values.size(), [values](std::uint32_t i, ValueType& out) {
-    Value::encode(values[i], out);
-  });
-}
-
-template <class Policy, class Value>
-void CasPartialSnapshotT<Policy, Value>::seed_blobs(
-    std::span<const value::Blob> blobs) {
-  if constexpr (Value::kIndirect) {
-    do_seed(blobs.size(), [blobs](std::uint32_t i, ValueType& out) {
-      Value::copy(blobs[i], out);
-    });
-  } else {
-    PartialSnapshot::seed_blobs(blobs);
-  }
 }
 
 template <class Policy, class Value>
@@ -676,7 +640,6 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
       // member, bumped below once the whole table is handed over.
       rec->counter = counter_.at(pid).value + 1 + j;
       rec->pid = pid;
-      rec->view.clear();
       rec->version.store(primitives::kUnstamped, std::memory_order_relaxed);
       rec->prev.store(nullptr, std::memory_order_relaxed);
       rec->batch.store(desc, std::memory_order_relaxed);

@@ -150,11 +150,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // scan keeps two such blocks in flight.
   static constexpr std::size_t kReadBlock = 16;
 
-  CasPartialSnapshotT(std::uint32_t initial_components,
-                      std::uint32_t max_processes);
-  CasPartialSnapshotT(std::uint32_t initial_components,
-                      std::uint32_t max_processes, Options options,
-                      std::uint64_t initial_value = 0);
+  CasPartialSnapshotT(InitialVector initial, std::uint32_t max_processes);
+  CasPartialSnapshotT(InitialVector initial, std::uint32_t max_processes,
+                      Options options, std::uint64_t initial_value = 0);
   ~CasPartialSnapshotT() override;
 
   std::uint32_t num_components() const override { return size_.load(); }
@@ -203,11 +201,6 @@ class CasPartialSnapshotT final : public PartialSnapshot {
             std::vector<std::uint64_t>& out, ScanContext& ctx) override;
   void update_blob(std::uint32_t i,
                    std::span<const std::byte> bytes) override;
-  // Rewrites the initial records' payloads in place (on every plane and
-  // both reclamation planes: no record has been published or retired
-  // yet, so neither EBR nor hp has anything to protect).
-  void seed(std::span<const std::uint64_t> values) override;
-  void seed_blobs(std::span<const value::Blob> blobs) override;
   // Batched updates.  Collect planes amortize: ONE getSet + announced-set
   // union + embedded scan (the helping round) is shared by all k records,
   // which then publish with fig3's per-entry try-once CAS -- kAmortized.
@@ -302,6 +295,14 @@ class CasPartialSnapshotT final : public PartialSnapshot {
                      sizeof(RecordSlot) == kCachelineBytes),
                 "collect-plane initial records are padded: one per line");
 
+  // Builds components [first, first + count) -- initial records, then
+  // heads (core/record.h) -- for the constructor and add_components.
+  void build_components(std::uint32_t first, std::uint32_t count,
+                        const InitialVector& initial) {
+    build_initial_records<Value>(initial_records_, r_, first, count, initial,
+                                 initial_value_);
+  }
+
   // The versioned plane's batch descriptor (primitives::BatchControl):
   // entry table + shared stamp, pooled like the records it publishes.
   // resolve() routes helpers (readers/updaters that hit an unresolved
@@ -337,9 +338,6 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // The one update body; `fill` writes the new payload into the record.
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
-  // The one seed body; `fill(i, payload)` writes component i's payload.
-  template <class Fill>
-  void do_seed(std::size_t count, Fill&& fill);
   // The versioned plane's singleton update; returns whether the CAS
   // published (false = linearized immediately before the winner).  Batch
   // code retries it until true -- versioned batches must not drop writes.
@@ -374,7 +372,7 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // first and flushes its retired nodes into the pools; the pools then
   // dispose of their free lists; the initial-record storage goes last,
   // because displaced initial records sit in those lists and in the heads
-  // until then (RecordT::dispose skips them).
+  // until then (RecordHeader::dispose skips them).
   //
   // The initial records, built in place: one allocation per segment.
   ComponentStorage<RecordSlot> initial_records_;

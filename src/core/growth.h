@@ -1,8 +1,9 @@
 // Monotone component count with in-order publication.
 //
 // add_components(k) on a snapshot object has two halves: reserving a block
-// of indices (one fetch-add, so concurrent growers get disjoint blocks)
-// and publishing the new count once the block's slots are initialized.
+// of indices (a CAS on the reservation watermark, so concurrent growers
+// get disjoint blocks and a block past the limit is refused) and
+// publishing the new count once the block's slots are initialized.
 // Publication must be IN ORDER -- the count may only advance past a block
 // whose slots are ready, or a concurrent scan of index < num_components()
 // could read an uninitialized slot.  A grower whose predecessor block is
@@ -26,6 +27,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/assert.h"
@@ -49,6 +52,23 @@ using ComponentStorage =
     segarray::SegmentedArray<T, kComponentSegmentSize,
                              (std::size_t{1} << 12)>;
 
+// The most components an object holds: ComponentStorage's capacity, and
+// the one limit every implementation enforces (the lock baseline's vector
+// included).
+inline constexpr std::uint32_t kMaxComponents =
+    static_cast<std::uint32_t>(ComponentStorage<char>::capacity());
+
+// Throws std::length_error unless `have` components plus `adding` more fit
+// within kMaxComponents.
+inline void require_component_room(std::uint64_t have, std::uint64_t adding) {
+  if (have + adding > kMaxComponents) {
+    throw std::length_error(
+        "component limit: " + std::to_string(have) + " + " +
+        std::to_string(adding) + " components exceed the limit of " +
+        std::to_string(kMaxComponents));
+  }
+}
+
 // Grow-only storage for per-pid state (announcement registers, publication
 // counters, active-set flags).  Pids are dense -- the thread registry
 // hands out the lowest free pid -- and bounded by its capacity, so the
@@ -58,8 +78,11 @@ using PerPidStorage = segarray::SegmentedArray<T, 64, 64>;
 
 class GrowableSize {
  public:
+  // Throws std::length_error past kMaxComponents.  Declared first in every
+  // owner, so an oversized object is refused before it allocates.
   explicit GrowableSize(std::uint32_t initial)
-      : reserved_(initial), ready_(initial) {}
+      : reserved_((require_component_room(0, initial), initial)),
+        ready_(initial) {}
 
   GrowableSize(const GrowableSize&) = delete;
   GrowableSize& operator=(const GrowableSize&) = delete;
@@ -70,10 +93,19 @@ class GrowableSize {
   }
 
   // Reserves k fresh indices; returns the first.  The caller must
-  // initialize slots [first, first+k) and then publish(first, k).
+  // initialize slots [first, first+k) and then publish(first, k).  A
+  // block past kMaxComponents throws std::length_error and reserves
+  // nothing: the CAS only moves the watermark for a block that fits, so a
+  // refused request can neither leave it advanced nor wrap it.
   std::uint32_t reserve(std::uint32_t k) {
     PSNAP_ASSERT(k > 0);
-    return reserved_.fetch_add(k, std::memory_order_acq_rel);
+    std::uint32_t first = reserved_.load(std::memory_order_relaxed);
+    do {
+      require_component_room(first, k);
+    } while (!reserved_.compare_exchange_strong(first, first + k,
+                                                std::memory_order_acq_rel,
+                                                std::memory_order_relaxed));
+    return first;
   }
 
   // Publishes the reserved block, waiting out any unfinished predecessor
@@ -96,21 +128,17 @@ class GrowableSize {
   std::atomic<std::uint32_t> ready_;
 };
 
-// The one add_components body shared by every implementation: reserve a
-// block, initialize its slots (init(slot, index) for each new index, with
-// the slot reference coming from the grow-only storage), publish in
-// order, return the first index.  Keeping the protocol here means a fix
-// to the ordering or the capacity check lands everywhere at once.
-template <class Storage, class InitFn>
-std::uint32_t grow_components(GrowableSize& size, Storage& storage,
-                              std::uint32_t count, InitFn&& init) {
-  PSNAP_ASSERT(count > 0);
-  std::uint32_t first = size.reserve(count);
-  PSNAP_ASSERT_MSG(std::uint64_t{first} + count <= Storage::capacity(),
-                   "component capacity exceeded");
-  for (std::uint32_t i = first; i < first + count; ++i) {
-    init(storage.at(i), i);
-  }
+// The one add_components body shared by every segmented implementation:
+// reserve a block, build its slots with build(first, count) -- the call
+// the constructor makes for [0, m), so a grown object and one constructed
+// at its size hold the same storage -- publish in order, and return the
+// first index.  Keeping the protocol here means a fix to the ordering or
+// the limit lands everywhere at once.
+template <class BuildFn>
+std::uint32_t grow_components(GrowableSize& size, std::uint32_t count,
+                              BuildFn&& build) {
+  const std::uint32_t first = size.reserve(count);
+  build(first, count);
   size.publish(first, count);
   return first;
 }

@@ -41,28 +41,6 @@ void PartialSnapshot::update_blob(std::uint32_t i,
   reject_blob_op(*this, "update_blob");
 }
 
-void PartialSnapshot::seed(std::span<const std::uint64_t> /*values*/) {
-  throw std::logic_error("seed is not supported by '" + std::string(name()) +
-                         "'");
-}
-
-void PartialSnapshot::seed_blobs(std::span<const value::Blob> /*blobs*/) {
-  if (value_plane() != "blob") {
-    reject_blob_op(*this, "seed_blobs");
-  }
-  throw std::logic_error("seed_blobs is not supported by '" +
-                         std::string(name()) + "'");
-}
-
-void PartialSnapshot::require_seed_size(std::size_t count) const {
-  if (count != num_components()) {
-    throw std::invalid_argument(
-        "seed: " + std::to_string(count) + " values for " +
-        std::to_string(num_components()) + " components of '" +
-        std::string(name()) + "'");
-  }
-}
-
 void PartialSnapshot::update_batch(std::span<const BatchEntry> /*entries*/) {
   throw std::logic_error(
       "update_batch is not supported by '" + std::string(name()) +

@@ -24,11 +24,61 @@
 #include <string_view>
 #include <vector>
 
+#include "common/assert.h"
 #include "primitives/value_plane.h"
 
 namespace psnap::core {
 
 struct ScanContext;
+
+// The vector an object is constructed from (Section 2.1's initial
+// vector): count() components, each starting at its payload from the
+// given u64 or blob span, or at the object's initial value when no span
+// is given.  This is the only way to give an object an initial state;
+// recovery::restore() builds from a checkpoint frame this way.  The
+// payloads are written once, as construction builds each component: no
+// operation runs, no pid is needed, and on the versioned plane they carry
+// stamp 0, so every epoch sees them.  Implicit from a count, so a
+// constructor or make_snapshot() call that passes m still reads the same.
+// The spans are borrowed: they must outlive the construction, not the
+// object.  Blob payloads need the blob plane.
+class InitialVector {
+ public:
+  InitialVector(std::uint32_t count = 0) : count_(count) {}  // NOLINT
+  explicit InitialVector(std::span<const std::uint64_t> values)
+      : count_(clamp(values.size())), values_(values) {}
+  explicit InitialVector(std::span<const value::Blob> blobs)
+      : count_(clamp(blobs.size())), blobs_(blobs) {}
+
+  std::uint32_t count() const { return count_; }
+  bool has_payloads() const { return !values_.empty() || !blobs_.empty(); }
+  bool has_blobs() const { return !blobs_.empty(); }
+
+  // Writes component i's starting payload, on plane Value, into `out`:
+  // the one given, or `fallback` (the object's initial value) if none was.
+  template <class Value>
+  void fill(std::uint64_t i, std::uint64_t fallback,
+            typename Value::ValueType& out) const {
+    if constexpr (Value::kIndirect) {
+      if (i < blobs_.size()) return Value::copy(blobs_[i], out);
+    } else {
+      PSNAP_ASSERT_MSG(blobs_.empty(), "blob payloads need the blob plane");
+    }
+    Value::encode(i < values_.size() ? values_[i] : fallback, out);
+  }
+
+ private:
+  // A span too long for a count saturates, so the component limit
+  // (core/growth.h) refuses it instead of a wrapped count passing.
+  static std::uint32_t clamp(std::size_t n) {
+    return n > ~std::uint32_t{0} ? ~std::uint32_t{0}
+                                 : static_cast<std::uint32_t>(n);
+  }
+
+  std::uint32_t count_;
+  std::span<const std::uint64_t> values_;
+  std::span<const value::Blob> blobs_;
+};
 
 // One component write of a batched update (update_batch below).
 struct BatchEntry {
@@ -60,7 +110,8 @@ class PartialSnapshot {
   virtual ~PartialSnapshot() = default;
 
   // The current component count.  Monotone at runtime: construction sets
-  // the initial count and add_components() grows it; there is no shrink.
+  // the initial count (InitialVector::count()) and add_components() grows
+  // it; there is no shrink.
   virtual std::uint32_t num_components() const = 0;
   virtual std::string_view name() const = 0;
 
@@ -79,36 +130,14 @@ class PartialSnapshot {
   // invalidated).  Concurrent add_components calls receive disjoint
   // blocks.  Lock-free for the wait-free implementations; the lock/seqlock
   // baselines serialize growth through their global writer section, in
-  // character for those baselines.
+  // character for those baselines.  A request past the component limit
+  // (core::kMaxComponents) throws std::length_error and changes nothing;
+  // so does constructing an object above it.
   virtual std::uint32_t add_components(std::uint32_t count) = 0;
 
   // Sets component i (0-based, < num_components) to v on behalf of
   // exec::ctx().pid.
   virtual void update(std::uint32_t i, std::uint64_t v) = 0;
-
-  // ---- Seeding ----
-  //
-  // Makes values[i] component i's INITIAL value, for every i <
-  // num_components(): the object then behaves exactly as if it had been
-  // constructed from that vector (Section 2.1's initial vector).  This is
-  // what recovery::restore() rebuilds a checkpoint with -- one pass over
-  // the components instead of m update protocols.
-  //
-  // Contract: the caller is the thread that constructed the object (and
-  // grew it, if it did), no operation has run on it yet, and no other
-  // thread holds it.  The payloads are written in place: no record
-  // allocation, no EBR pin, no getSet, no CAS, no camera fetch-add, no
-  // base-object steps, and no pid is needed.  On the versioned plane the
-  // seeded values keep the initial records' stamp 0, so every epoch sees
-  // them.
-  //
-  // values.size() != num_components() throws std::invalid_argument.  On
-  // the blob plane seed() writes each value as update() would (an 8-byte
-  // payload); seed_blobs() sets arbitrary payloads and, like update_blob,
-  // requires the blob plane (std::logic_error elsewhere).  The default
-  // implementations throw std::logic_error.
-  virtual void seed(std::span<const std::uint64_t> values);
-  virtual void seed_blobs(std::span<const value::Blob> blobs);
 
   // ---- Batched updates ----
   //
@@ -235,11 +264,6 @@ class PartialSnapshot {
   }
   // Complete scan (partial scan of all components).
   std::vector<std::uint64_t> scan_all();
-
- protected:
-  // The seed()/seed_blobs() size check: throws std::invalid_argument
-  // unless `count` equals num_components().
-  void require_seed_size(std::size_t count) const;
 };
 
 }  // namespace psnap::core

@@ -3,7 +3,10 @@
 // Both algorithms store, per component, a pointer to an immutable record
 // carrying (value, view, counter, id) -- the paper's large register
 // contents, realized as its own suggested variant "store a pointer to a set
-// of registers" (Section 3).  Records are:
+// of registers" (Section 3).  A RecordHeader holds what every plane
+// publishes (value, counter, pid); the collect planes' RecordT adds the
+// view, and the versioned plane's VersionedRecordT the chain fields
+// instead (48 bytes either way on the word planes).  Records are:
 //
 //   * immutable after publication: a record is fully built before the
 //     store/CAS that publishes it, and never written again;
@@ -18,17 +21,19 @@
 // a pool that is still warming up heap-allocates it.  Figure 1's and
 // Figure 3's INITIAL records -- one per component, installed by the
 // constructor and add_components -- are instead built in place in a
-// ComponentStorage the object owns (init_initial_record), so building an
+// ComponentStorage the object owns (build_initial_records), so building an
 // object of m components allocates once per storage segment (1024
-// components), not m times.  Past construction a storage-owned record is
-// an ordinary record: an update displaces it, the pool recycles it, and a
-// later update republishes it with a real tag.  Only its memory differs,
-// and it says so in its storage_owned bit, which no life of the record
-// ever clears.
+// components), not m times.  Each is written once, in the pass that
+// constructs its segment, with its final payload: the constructor's
+// InitialVector (a restored checkpoint's values) or the initial value.
+// Past construction a storage-owned record is an ordinary record: an
+// update displaces it, the pool recycles it, and a later update
+// republishes it with a real tag.  Only its memory differs, and it says so
+// in its storage_owned bit, which no life of the record ever clears.
 //
 // Disposal.  Every record delete -- an owner's destructor sweep over its
 // heads, chain predecessors and crashed batches, and Pool teardown -- goes
-// through RecordT::dispose, the one rule: delete a heap record, skip a
+// through RecordHeader::dispose, the one rule: delete a heap record, skip a
 // storage-owned one, whose storage frees it.  An owner declares its
 // initial-record storage before its pools, and its pools before its
 // reclamation domain, so teardown runs domain flush -> pools -> storage.
@@ -51,6 +56,8 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "core/growth.h"
+#include "core/partial_snapshot.h"
 #include "primitives/value_plane.h"
 #include "primitives/version_chain.h"
 
@@ -132,8 +139,10 @@ void extract_view(const ViewT<V>& view, std::span<const std::uint32_t> indices,
   }
 }
 
+// The part of a record both kinds of plane share: the payload and the
+// (pid, counter) tag.
 template <class V>
-struct RecordT {
+struct RecordHeader {
   V value{};
   std::uint64_t counter = 0;     // per-process publication counter
   std::uint32_t pid = kInitPid;  // writing process
@@ -141,31 +150,38 @@ struct RecordT {
   // survives every recycle and republication (the memory stays the
   // storage's).  Sits in the padding after pid, so it costs no size.
   bool storage_owned = false;
-  ViewT<V> view;                 // the update's embedded-scan result
 
   bool is_initial() const { return pid == kInitPid; }
 
   // The one disposal rule (see the header comment): delete a heap record,
   // leave a storage-owned one to its storage.  Rec is the record's full
-  // type -- RecordT has no virtual destructor.
+  // type -- RecordHeader has no virtual destructor.
   template <class Rec>
   static void dispose(const Rec* rec) {
     if (rec != nullptr && !rec->storage_owned) delete rec;
   }
 };
 
+// The collect planes' record: the header plus the view of the update's
+// embedded scan, which a concurrent scan may borrow (condition (2)).
+template <class V>
+struct RecordT : RecordHeader<V> {
+  ViewT<V> view;
+};
+
 using Record = RecordT<std::uint64_t>;
 static_assert(sizeof(Record) == 48,
               "storage_owned must fit the padding after pid");
 
-// The versioned plane's record (primitives/version_chain.h): the same
-// pooled immutable record, extended with the chain fields.  A publication
-// appends the record to its component's version chain (prev set before the
-// publishing CAS, version fixed afterwards by the publish-then-stamp
-// protocol), so the record doubles as the plane's version node -- no
-// second allocation, same Pool/EBR lifecycle.
+// The versioned plane's record (primitives/version_chain.h): the header
+// extended with the chain fields.  A publication appends the record to its
+// component's version chain (prev set before the publishing CAS, version
+// fixed afterwards by the publish-then-stamp protocol), so the record
+// doubles as the plane's version node -- no second allocation, same
+// Pool/EBR lifecycle.  Versioned scans never collect, so no update embeds
+// a scan and the record carries no view.
 template <class V>
-struct VersionedRecordT : RecordT<V> {
+struct VersionedRecordT : RecordHeader<V> {
   mutable std::atomic<std::uint64_t> version{primitives::kUnstamped};
   std::atomic<const VersionedRecordT<V>*> prev{nullptr};
   // Non-null while the record is an unresolved update_batch member
@@ -173,8 +189,8 @@ struct VersionedRecordT : RecordT<V> {
   std::atomic<const primitives::BatchControl*> batch{nullptr};
 };
 
-static_assert(sizeof(VersionedRecordT<std::uint64_t>) == 72,
-              "storage_owned must fit the padding after pid");
+static_assert(sizeof(VersionedRecordT<std::uint64_t>) == 48,
+              "versioned records carry the header and the chain fields only");
 
 // The record type a value plane publishes: versioned planes carry the
 // chain fields, the others are plain RecordT.
@@ -184,43 +200,47 @@ using RecordFor =
                        VersionedRecordT<typename Value::ValueType>,
                        RecordT<typename Value::ValueType>>;
 
-// Builds component `index`'s initial record in place in `rec`, a fresh
-// slot of the owner's initial-record storage, and returns it for the head
-// (constructor / add_components paths of fig1 and fig3): sentinel pid, the
-// component index as the counter, which keeps every record tag unique, and
-// storage_owned set.  On the versioned plane the initial record roots its
-// chain: version 0 (older than every epoch), no predecessor.
+// Builds component `index`'s initial record in place in `rec`, a freshly
+// constructed slot of the owner's initial-record storage: its payload from
+// `initial` (or `fallback`), the sentinel pid, the component index as the
+// counter, which keeps every record tag unique, and storage_owned set.  On
+// the versioned plane the initial record roots its chain: version 0 (older
+// than every epoch), no predecessor.
 template <class Value>
-const RecordFor<Value>* init_initial_record(RecordFor<Value>& rec,
-                                            std::uint64_t initial_value,
-                                            std::uint32_t index) {
-  Value::encode(initial_value, rec.value);
+void init_initial_record(RecordFor<Value>& rec, const InitialVector& initial,
+                         std::uint64_t fallback, std::uint64_t index) {
+  initial.fill<Value>(index, fallback, rec.value);
   rec.counter = index;
   rec.pid = kInitPid;
   rec.storage_owned = true;
   if constexpr (Value::kVersioned) {
     rec.version.store(primitives::kInitialVersion, std::memory_order_relaxed);
   }
-  return &rec;
 }
 
-// The seed() loop of the record-publishing implementations (fig1, fig3,
-// the full-snapshot and double-collect baselines).  The seed contract (no
-// operation has run, no other thread holds the object) leaves every
-// component's head the initial record the constructor or add_components
-// installed, reachable by nobody else, so its payload is written in place;
-// on the versioned plane it keeps its stamp 0 and null prev.
-// `head_at(i)` is a non-step read of component i's head; `fill(i, payload)`
-// writes component i's payload.
-template <class HeadAt, class Fill>
-void seed_initial_records(std::uint32_t m, HeadAt&& head_at, Fill&& fill) {
-  for (std::uint32_t i = 0; i < m; ++i) {
-    const auto* head = head_at(i);
-    PSNAP_ASSERT_MSG(head->pid == kInitPid,
-                     "seed() after an update: the seed contract requires a "
-                     "freshly constructed object");
-    using Rec = std::remove_cvref_t<decltype(*head)>;
-    fill(i, const_cast<Rec*>(head)->value);
+// Builds components [first, first + count) of fig1 or fig3, one storage
+// segment at a time (SegmentedArray::build): the segment's initial
+// records in place in `records` (init_initial_record), then its heads,
+// each pointing at its record.  A segment's records are contiguous, so a
+// head finds its record by offset, with one directory lookup per segment,
+// not per component.  The constructor builds [0, m) and add_components its
+// reserved block, so both leave the same storage.
+template <class Value, class Records, class Heads>
+void build_initial_records(Records& records, Heads& heads, std::uint32_t first,
+                           std::uint32_t count, const InitialVector& initial,
+                           std::uint64_t fallback) {
+  const std::uint64_t end = std::uint64_t{first} + count;
+  for (std::uint64_t lo = first; lo < end;) {
+    const std::uint64_t hi = std::min<std::uint64_t>(
+        end, (lo / kComponentSegmentSize + 1) * kComponentSegmentSize);
+    records.build(lo, hi - lo, [&](auto& slot, std::uint64_t i) {
+      init_initial_record<Value>(*slot, initial, fallback, i);
+    });
+    auto* recs = &records.at(lo);
+    heads.build(lo, hi - lo, [&](auto& head, std::uint64_t i) {
+      head->init(&*recs[i - lo], /*label=*/i);
+    });
+    lo = hi;
   }
 }
 

@@ -13,10 +13,10 @@ namespace psnap::core {
 
 template <class Policy, class Value>
 RegisterPartialSnapshotT<Policy, Value>::RegisterPartialSnapshotT(
-    std::uint32_t initial_components, std::uint32_t max_processes,
+    InitialVector initial, std::uint32_t max_processes,
     std::unique_ptr<activeset::ActiveSet> active_set,
     std::uint64_t initial_value, exec::PidBound bound)
-    : size_(initial_components),
+    : size_(initial.count()),
       n_(max_processes),
       bound_(bound),
       initial_value_(initial_value),
@@ -24,15 +24,11 @@ RegisterPartialSnapshotT<Policy, Value>::RegisterPartialSnapshotT(
               ? std::move(active_set)
               : std::make_unique<activeset::RegisterActiveSetT<Policy>>(
                     max_processes, bound)) {
-  PSNAP_ASSERT(initial_components > 0 && n_ > 0);
+  PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
   PSNAP_ASSERT(as_->max_processes() >= n_);
-  for (std::uint32_t i = 0; i < initial_components; ++i) {
-    r_.at(i)->init(init_initial_record<Value>(*initial_records_.at(i),
-                                              initial_value, i),
-                   /*label=*/i);
-  }
+  build_components(0, initial.count(), initial);
 }
 
 template <class Policy, class Value>
@@ -52,13 +48,12 @@ RegisterPartialSnapshotT<Policy, Value>::~RegisterPartialSnapshotT() {
 template <class Policy, class Value>
 std::uint32_t RegisterPartialSnapshotT<Policy, Value>::add_components(
     std::uint32_t count) {
-  // Same initial-record construction as the constructor; nobody can read
-  // a new slot until grow_components publishes the count.
-  return grow_components(size_, r_, count, [this](auto& slot, std::uint32_t i) {
-    slot->init(init_initial_record<Value>(*initial_records_.at(i),
-                                          initial_value_, i),
-               /*label=*/i);
-  });
+  // The constructor's build, at the initial value; nobody can read a new
+  // slot until grow_components publishes the count.
+  return grow_components(size_, count,
+                         [this](std::uint32_t first, std::uint32_t k) {
+                           build_components(first, k, {});
+                         });
 }
 
 template <class Policy, class Value>
@@ -214,36 +209,6 @@ void RegisterPartialSnapshotT<Policy, Value>::update_blob(
     do_update(i, [bytes](ValueType& out) { Value::assign(out, bytes); });
   } else {
     PartialSnapshot::update_blob(i, bytes);
-  }
-}
-
-template <class Policy, class Value>
-template <class Fill>
-void RegisterPartialSnapshotT<Policy, Value>::do_seed(std::size_t count,
-                                                      Fill&& fill) {
-  require_seed_size(count);
-  seed_initial_records(
-      size_.load(), [this](std::uint32_t i) { return r_.at(i)->peek(); },
-      fill);
-}
-
-template <class Policy, class Value>
-void RegisterPartialSnapshotT<Policy, Value>::seed(
-    std::span<const std::uint64_t> values) {
-  do_seed(values.size(), [values](std::uint32_t i, ValueType& out) {
-    Value::encode(values[i], out);
-  });
-}
-
-template <class Policy, class Value>
-void RegisterPartialSnapshotT<Policy, Value>::seed_blobs(
-    std::span<const value::Blob> blobs) {
-  if constexpr (Value::kIndirect) {
-    do_seed(blobs.size(), [blobs](std::uint32_t i, ValueType& out) {
-      Value::copy(blobs[i], out);
-    });
-  } else {
-    PartialSnapshot::seed_blobs(blobs);
   }
 }
 

@@ -83,7 +83,7 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // default-constructed active set's collect and sizes the condition-(2)
   // helping table, so both cost O(live pids) under the default adaptive
   // provider.  An injected active_set carries its own bound.
-  RegisterPartialSnapshotT(std::uint32_t initial_components,
+  RegisterPartialSnapshotT(InitialVector initial,
                            std::uint32_t max_processes,
                            std::unique_ptr<activeset::ActiveSet> active_set =
                                nullptr,
@@ -116,9 +116,6 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
                    std::span<const std::byte> bytes) override;
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<value::Blob>& out, ScanContext& ctx) override;
-  // Rewrites the initial records' payloads in place.
-  void seed(std::span<const std::uint64_t> values) override;
-  void seed_blobs(std::span<const value::Blob> blobs) override;
   using PartialSnapshot::scan;
   using PartialSnapshot::scan_blobs;
 
@@ -141,9 +138,13 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // (u64 encoding or blob bytes).
   template <class Fill>
   void do_update(std::uint32_t i, Fill&& fill);
-  // The one seed body; `fill(i, payload)` writes component i's payload.
-  template <class Fill>
-  void do_seed(std::size_t count, Fill&& fill);
+  // Builds components [first, first + count) -- initial records, then
+  // heads (core/record.h) -- for the constructor and add_components.
+  void build_components(std::uint32_t first, std::uint32_t count,
+                        const InitialVector& initial) {
+    build_initial_records<Value>(initial_records_, r_, first, count, initial,
+                                 initial_value_);
+  }
   // The one scan body; `emit(k, value)` receives indices[k]'s value in the
   // final view (u64 decoding or blob copies).
   template <class Emit>
@@ -162,7 +163,7 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // and flushes its retired nodes into the pools; the pools then dispose
   // of their free lists; the initial-record storage goes last, because
   // displaced initial records sit in those lists and in the heads until
-  // then (RecordT::dispose skips them).
+  // then (RecordHeader::dispose skips them).
   //
   // The initial records (core/record.h), built in place: one allocation
   // per segment.  Padded like r_'s heads: a recycled initial record is

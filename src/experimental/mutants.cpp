@@ -1,9 +1,9 @@
 #include "experimental/mutants.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <vector>
 
-#include "common/assert.h"
 #include "core/partial_snapshot.h"
 #include "primitives/primitives.h"
 
@@ -17,12 +17,14 @@ namespace {
 // registers, so the chassis itself must be beyond suspicion.
 class MutantChassis : public core::PartialSnapshot {
  public:
-  explicit MutantChassis(std::uint32_t initial_m)
-      : slots_(initial_m + kGrowSlack) {
+  explicit MutantChassis(const core::InitialVector& initial)
+      : slots_(initial.count() + kGrowSlack) {
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      slots_[i].init(0, i);
+      std::uint64_t v = 0;
+      initial.fill<value::DirectU64>(i, 0, v);
+      slots_[i].init(v, i);
     }
-    size_.init(initial_m);
+    size_.init(initial.count());
   }
 
   std::uint32_t num_components() const override {
@@ -34,8 +36,9 @@ class MutantChassis : public core::PartialSnapshot {
   std::uint32_t add_components(std::uint32_t count) override {
     for (;;) {
       std::uint64_t cur = size_.load();
-      PSNAP_ASSERT_MSG(cur + count <= slots_.size(),
-                       "mutant chassis grow capacity exceeded");
+      if (cur + count > slots_.size()) {
+        throw std::length_error("mutant chassis grow capacity exceeded");
+      }
       if (size_.compare_and_swap_bool(cur, cur + count)) {
         return static_cast<std::uint32_t>(cur);
       }
@@ -165,10 +168,10 @@ class StaleEpochMutant final : public MutantChassis {
 
 template <class Mutant>
 registry::SnapshotFactory factory() {
-  return [](std::uint32_t initial_m, std::uint32_t /*max_threads*/,
+  return [](core::InitialVector initial, std::uint32_t /*max_threads*/,
             const registry::Options& options) {
     options.check_consumed();
-    return std::make_unique<Mutant>(initial_m);
+    return std::make_unique<Mutant>(initial);
   };
 }
 

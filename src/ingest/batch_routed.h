@@ -72,13 +72,6 @@ class BatchRouted final : public core::PartialSnapshot {
     inner_->update_batch_blob(std::span<const core::BlobBatchEntry>(&e, 1));
   }
 
-  void seed(std::span<const std::uint64_t> values) override {
-    inner_->seed(values);
-  }
-  void seed_blobs(std::span<const psnap::value::Blob> blobs) override {
-    inner_->seed_blobs(blobs);
-  }
-
   void update_batch(std::span<const core::BatchEntry> entries) override {
     inner_->update_batch(entries);
   }

@@ -16,8 +16,8 @@
 //   u64     epoch      versioned-plane camera epoch at the scan (else 0)
 //   u32     plane      0 = u64, 1 = blob, 2 = versioned
 //   u32     initial_m  components at construction
-//   u32     m          components at the scan (restore grows from
-//                      initial_m up to here)
+//   u32     m          components at the scan (restore builds the
+//                      object at this count; initial_m may not exceed it)
 //   u32     max_threads
 //   u32     spec_len   + that many bytes of registry spec
 //   u32     index_count  0 = full frame over [0, m); else that many u32

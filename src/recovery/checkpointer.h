@@ -61,6 +61,8 @@ class Checkpointer {
   struct Options {
     BackoffPolicy backoff;
     // Recorded into every frame so restore() can rebuild the object.
+    // restore() builds at the frame's count; initial_m (0 by default)
+    // only has to stay at or below it.
     std::string impl_spec;
     std::uint32_t initial_m = 0;
     std::uint32_t max_threads = 0;

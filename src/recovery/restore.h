@@ -5,33 +5,37 @@
 // object whose observable state -- value plane, component count, growth
 // watermark, and every component's payload -- matches the consistent scan
 // the frame captured.  A full frame IS an initial vector in the paper's
-// model (Section 2.1), so the object is built starting from it rather than
-// driven there by operations:
+// model (Section 2.1), so the object is built from it rather than driven
+// there by operations:
 //
-//   1. build: registry::make_snapshot(frame.impl_spec, frame.initial_m,
-//      frame.max_threads), i.e. the SAME spec string the checkpointed
-//      service was built from (options, ablations, and plane included);
-//   2. regrow: add_components() from the constructed count up to
-//      frame.num_components, so growth is REPLAYED -- post-restore the
-//      object sits at the same point of its grow-only lifecycle and
-//      further add_components() calls continue from there;
-//   3. seed: one PartialSnapshot::seed (or seed_blobs) over all
-//      components writes the frame's payloads into the fresh object's
-//      initial records in place.  No update protocol is replayed: no
-//      record allocation, pin, getSet, CAS or camera fetch-add, and the
-//      caller needs no pid.  On the versioned plane the seeded records keep
-//      stamp 0, so every epoch of the restored object sees them.
+//   1. check: the frame must be full, hold at least one component, and
+//      have initial_m <= num_components (std::invalid_argument otherwise);
+//   2. build: registry::make_snapshot(frame.impl_spec, InitialVector of
+//      the frame's payloads, frame.max_threads), i.e. the SAME spec string
+//      the checkpointed service was built from (options, ablations, and
+//      plane included), at the frame's count.  Growth is not replayed:
+//      constructing N components leaves the same count and storage as
+//      constructing fewer and growing to N, so the object sits at the
+//      frame's point of its grow-only lifecycle and further
+//      add_components() calls continue from there.  The frame's initial_m
+//      and the spec's m0= only bound that count: either above it throws.
 //
-// Cost: construction plus one pass over the frame -- it tracks the frame's
-// size, not m update protocols.  Construction itself allocates per storage
-// segment, not per component: Figure 1 and Figure 3 build their initial
-// records in place in per-segment storage (core/record.h), one allocation
-// per 1024 components for the heads and one for the records.
+// Each initial record is written once, with its payload, in the pass that
+// constructs its storage segment.  No update protocol is replayed: no
+// record allocation, pin, getSet, CAS or camera fetch-add, and the caller
+// needs no pid.  On the versioned plane the restored records carry stamp
+// 0, so every epoch of the restored object sees them.
 //
-// Requirements, enforced loudly: the frame must be full (a partial frame
-// cannot define the unlisted components -- std::invalid_argument), and
-// the spec must rebuild on the frame's value plane (a frame written from a
-// blob object does not restore into a u64 spec -- std::invalid_argument).
+// Cost: construction alone -- one pass over the frame's payloads, not m
+// update protocols and no second pass.  Construction allocates per
+// storage segment, not per component: Figure 1 and Figure 3 build their
+// initial records in place in per-segment storage (core/record.h), one
+// allocation per 1024 components for the heads and one for the records,
+// each segment written in one pass (SegmentedArray::build).
+//
+// Requirements, enforced loudly: the spec must rebuild on the frame's
+// value plane (a frame written from a blob object does not restore into a
+// u64 spec -- std::invalid_argument).
 #pragma once
 
 #include <memory>

@@ -132,7 +132,7 @@ std::unique_ptr<activeset::ActiveSet> fig1_active_set(const Options& options,
   return make_active_set(as_spec, n);
 }
 
-std::unique_ptr<core::PartialSnapshot> make_fig1(std::uint32_t m,
+std::unique_ptr<core::PartialSnapshot> make_fig1(core::InitialVector m,
                                                  std::uint32_t n,
                                                  const Options& options) {
   auto as = fig1_active_set(options, n);
@@ -146,7 +146,7 @@ std::unique_ptr<core::PartialSnapshot> make_fig1(std::uint32_t m,
                                                          initial, bound);
 }
 
-std::unique_ptr<core::PartialSnapshot> make_fig3(std::uint32_t m,
+std::unique_ptr<core::PartialSnapshot> make_fig3(core::InitialVector m,
                                                  std::uint32_t n,
                                                  const Options& options) {
   core::CasPartialSnapshot::Options impl;
@@ -167,7 +167,7 @@ std::unique_ptr<core::PartialSnapshot> make_fig3(std::uint32_t m,
   return std::make_unique<core::CasPartialSnapshot>(m, n, impl, initial);
 }
 
-std::unique_ptr<core::PartialSnapshot> make_full(std::uint32_t m,
+std::unique_ptr<core::PartialSnapshot> make_full(core::InitialVector m,
                                                  std::uint32_t n,
                                                  const Options& options) {
   std::uint64_t initial = options.get_uint("initial", 0);
@@ -207,7 +207,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .sim_safe = false,
       .values = "u64,blob",
       .make =
-          [](std::uint32_t m, std::uint32_t n,
+          [](core::InitialVector m, std::uint32_t n,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t initial = options.get_uint("initial", 0);
             exec::PidBound bound = pid_bound(options, n);
@@ -247,7 +247,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .reclaims = "ebr,hp",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t n,
+          [](core::InitialVector m, std::uint32_t n,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             core::CasPartialSnapshotFast::Options impl;
             impl.active_set = faicas_options(options, n);
@@ -277,7 +277,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .values = "u64,blob",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t n,
+          [](core::InitialVector m, std::uint32_t n,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             // No faicas options exposed here historically; keep the bound
             // wiring identical to before.
@@ -316,7 +316,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .values = "u64,blob",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t n,
+          [](core::InitialVector m, std::uint32_t n,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t cap = options.get_uint("max_attempts", 0);
             std::uint64_t initial = options.get_uint("initial", 0);
@@ -338,7 +338,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .values = "u64,blob",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t /*n*/,
+          [](core::InitialVector m, std::uint32_t /*n*/,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t initial = options.get_uint("initial", 0);
             if (value_plane(options) == "blob") {
@@ -359,7 +359,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .values = "u64,blob,versioned",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t /*n*/,
+          [](core::InitialVector m, std::uint32_t /*n*/,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t cap = options.get_uint("max_attempts", 0);
             std::uint64_t initial = options.get_uint("initial", 0);
@@ -395,7 +395,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .reclaims = "ebr,hp",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
+          [](core::InitialVector m, std::uint32_t n, const Options& options) {
             const bool versioned = value_plane(options) == "versioned";
             return std::make_unique<ingest::BatchRouted>(
                 make_fig3(m, n, options), /*wait_free=*/!versioned);
@@ -412,7 +412,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .values = "versioned",
       .supports_batch = true,
       .make =
-          [](std::uint32_t m, std::uint32_t n, const Options& options) {
+          [](core::InitialVector m, std::uint32_t n, const Options& options) {
             return std::make_unique<ingest::BatchRouted>(
                 std::make_unique<baseline::FullSnapshotVersioned>(
                     m, n, options.get_uint("initial", 0),

@@ -236,13 +236,13 @@ const SnapshotInfo* SnapshotRegistry::find(std::string_view name) const {
 }
 
 std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
-    std::string_view spec, std::uint32_t initial_m,
+    std::string_view spec, core::InitialVector initial_m,
     std::uint32_t max_threads) const {
   return make(spec, initial_m, max_threads, /*knobs=*/nullptr);
 }
 
 std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
-    std::string_view spec, std::uint32_t initial_m,
+    std::string_view spec, core::InitialVector initial_m,
     std::uint32_t max_threads, IngestKnobs* knobs) const {
   auto [name, opt_spec] = split_spec(spec);
   const SnapshotInfo* info = find(name);
@@ -253,8 +253,19 @@ std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
   }
   Options options = Options::parse(opt_spec);
   // Universal options, consumed before the factory runs: any spec may
-  // reshape the object's initial component count and thread bound.
-  initial_m = get_u32_option(options, "m0", initial_m);
+  // reshape the object's initial component count and thread bound.  A
+  // vector with payloads keeps its count; m0= only bounds it from below.
+  if (options.contains("m0")) {
+    const std::uint32_t m0 = get_u32_option(options, "m0", 0);
+    if (!initial_m.has_payloads()) {
+      initial_m = m0;
+    } else if (m0 > initial_m.count()) {
+      throw std::invalid_argument(
+          "spec '" + std::string(spec) + "' sets m0=" + std::to_string(m0) +
+          " but the initial vector holds only " +
+          std::to_string(initial_m.count()) + " components");
+    }
+  }
   max_threads = get_u32_option(options, "max_threads", max_threads);
   // The value plane is validated centrally against the entry's supported
   // list, so an unsupported combo fails with the catalogue (which names
@@ -266,6 +277,11 @@ std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
         "snapshot implementation '" + info->name +
         "' does not support value=" + plane + " (supported: " +
         info->values + ")\nknown implementations:\n" + snapshot_catalogue());
+  }
+  if (initial_m.has_blobs() && plane != "blob") {
+    throw std::invalid_argument("spec '" + std::string(spec) +
+                                "' builds value=" + plane +
+                                ", which cannot hold blob payloads");
   }
   // The reclamation plane gets the same central treatment (the catalogue
   // lists each entry's planes as {reclaim=...}).  The option is peeked,
@@ -388,13 +404,13 @@ std::pair<std::string_view, std::string_view> split_spec(
 }
 
 std::unique_ptr<core::PartialSnapshot> make_snapshot(
-    std::string_view spec, std::uint32_t initial_m,
+    std::string_view spec, core::InitialVector initial_m,
     std::uint32_t max_threads) {
   return SnapshotRegistry::instance().make(spec, initial_m, max_threads);
 }
 
 std::unique_ptr<core::PartialSnapshot> make_snapshot(
-    std::string_view spec, std::uint32_t initial_m,
+    std::string_view spec, core::InitialVector initial_m,
     std::uint32_t max_threads, IngestKnobs* knobs) {
   return SnapshotRegistry::instance().make(spec, initial_m, max_threads,
                                            knobs);

@@ -88,14 +88,15 @@ class Options {
 // Partial snapshot implementations.
 // ---------------------------------------------------------------------------
 
-// Factory signature of the dynamic runtime: initial_m is the component
-// count at construction (the object grows from there via add_components),
-// max_threads the bound on concurrently live pids (threads register
-// dynamically through exec::ThreadRegistry; the bound sizes nothing
-// up-front thanks to the grow-only per-pid storage).
+// Factory signature of the dynamic runtime: initial_m is the initial
+// vector -- a component count, optionally with every component's payload
+// (the object grows from there via add_components) -- and max_threads the
+// bound on concurrently live pids (threads register dynamically through
+// exec::ThreadRegistry; the bound sizes nothing up-front thanks to the
+// grow-only per-pid storage).
 using SnapshotFactory =
     std::function<std::unique_ptr<core::PartialSnapshot>(
-        std::uint32_t initial_m, std::uint32_t max_threads,
+        core::InitialVector initial_m, std::uint32_t max_threads,
         const Options& options)>;
 
 struct SnapshotInfo {
@@ -216,13 +217,16 @@ class SnapshotRegistry {
   // component count), max_threads=<u32> -- which override the caller's
   // initial_m / max_threads arguments, so a CLI spec can reshape the
   // object without the binary growing flags -- and value=<plane>,
-  // validated against the entry's supported plane list.  Throws
-  // std::invalid_argument for unknown names (with a "did you mean"
-  // suggestion and the full catalogue), unknown options, or an
-  // unsupported value plane (again with the full catalogue, which lists
-  // each entry's planes).
+  // validated against the entry's supported plane list.  An initial_m
+  // that carries payloads keeps its count: m0= may then not exceed it.
+  // Throws std::invalid_argument for unknown names (with a "did you mean"
+  // suggestion and the full catalogue), unknown options, an unsupported
+  // value plane (again with the full catalogue, which lists each entry's
+  // planes), an m0= above a payload vector's count, or blob payloads for
+  // a plane other than value=blob; std::length_error for a count above
+  // core::kMaxComponents.
   std::unique_ptr<core::PartialSnapshot> make(std::string_view spec,
-                                              std::uint32_t initial_m,
+                                              core::InitialVector initial_m,
                                               std::uint32_t max_threads)
       const;
 
@@ -235,7 +239,7 @@ class SnapshotRegistry {
   // forwards nullptr, so batching specs fail loudly in callers that
   // would silently ignore them).
   std::unique_ptr<core::PartialSnapshot> make(std::string_view spec,
-                                              std::uint32_t initial_m,
+                                              core::InitialVector initial_m,
                                               std::uint32_t max_threads,
                                               IngestKnobs* knobs) const;
 
@@ -286,11 +290,11 @@ std::pair<std::string_view, std::string_view> split_spec(
     std::string_view spec);
 
 std::unique_ptr<core::PartialSnapshot> make_snapshot(
-    std::string_view spec, std::uint32_t initial_m,
+    std::string_view spec, core::InitialVector initial_m,
     std::uint32_t max_threads);
 
 std::unique_ptr<core::PartialSnapshot> make_snapshot(
-    std::string_view spec, std::uint32_t initial_m,
+    std::string_view spec, core::InitialVector initial_m,
     std::uint32_t max_threads, IngestKnobs* knobs);
 
 std::unique_ptr<activeset::ActiveSet> make_active_set(

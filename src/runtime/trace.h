@@ -121,14 +121,6 @@ class TracingSnapshot final : public core::PartialSnapshot {
   std::uint32_t add_components(std::uint32_t count) override;
   void update(std::uint32_t i, std::uint64_t v) override;
   void update_blob(std::uint32_t i, std::span<const std::byte> bytes) override;
-  // Seeding sets the initial vector before any operation, so it emits no
-  // event.
-  void seed(std::span<const std::uint64_t> values) override {
-    delegate_.seed(values);
-  }
-  void seed_blobs(std::span<const value::Blob> blobs) override {
-    delegate_.seed_blobs(blobs);
-  }
   void update_batch(std::span<const core::BatchEntry> entries) override;
   using core::PartialSnapshot::update_batch;
   void update_batch_blob(

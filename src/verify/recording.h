@@ -41,14 +41,6 @@ class RecordingSnapshot final : public core::PartialSnapshot {
   // so blob-plane histories check against the same sequential spec.
   void update_blob(std::uint32_t i,
                    std::span<const std::byte> bytes) override;
-  // Forwarded without recording: seeding sets the object's initial vector
-  // before any operation runs and is not an operation itself.
-  void seed(std::span<const std::uint64_t> values) override {
-    delegate_.seed(values);
-  }
-  void seed_blobs(std::span<const value::Blob> blobs) override {
-    delegate_.seed_blobs(blobs);
-  }
   void update_batch(std::span<const core::BatchEntry> entries) override;
   using core::PartialSnapshot::update_batch;
   // Forwarded without recording: the fuzzers drive the blob plane through

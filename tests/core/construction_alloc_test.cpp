@@ -1,11 +1,12 @@
-// Building or growing an object allocates per storage segment, not per
-// component.
+// Building, growing or restoring an object allocates per storage segment,
+// not per component.
 //
 // Figure 1's and Figure 3's initial records are built in place in a
 // ComponentStorage the object owns (core/record.h), next to the heads, so
 // constructing m components -- and add_components(k) -- costs a handful of
 // allocations per 1024-component segment plus a constant for the rest of
-// the object (active set, pools, registry spec parsing).  A per-component
+// the object (active set, pools, registry spec parsing).  restore() builds
+// the object from a frame's payloads the same way.  A per-component
 // allocation anywhere on these paths makes the count at least m.  This
 // suite replaces the global operator new, which is why it is its own test
 // binary.
@@ -17,6 +18,8 @@
 #include "core/growth.h"
 #include "core/partial_snapshot.h"
 #include "exec/exec.h"
+#include "persist/checkpoint.h"
+#include "recovery/restore.h"
 #include "registry/registry.h"
 #include "tests/support/counting_allocator.h"
 
@@ -57,6 +60,27 @@ TEST_P(ConstructionAllocTest, AddComponentsAllocatesPerSegment) {
   exec::ScopedPid pid(0);
   EXPECT_EQ(snap->scan({kM, kM + kGrowBy - 1}),
             (std::vector<std::uint64_t>{0, 0}));
+}
+
+TEST_P(ConstructionAllocTest, RestoreAllocatesPerSegment) {
+  persist::CheckpointData frame;
+  frame.impl_spec = GetParam();
+  frame.value_plane =
+      std::string(registry::make_snapshot(GetParam(), 1, 1)->value_plane());
+  frame.initial_m = kM;
+  frame.num_components = kM;
+  frame.max_threads = 4;
+  frame.values.resize(kM);
+  for (std::uint32_t i = 0; i < kM; ++i) frame.values[i] = 3 * i + 1;
+
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  auto snap = recovery::restore(frame);
+  const std::uint64_t made =
+      g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_LE(made, allocation_bound(kM)) << GetParam();
+  exec::ScopedPid pid(0);
+  EXPECT_EQ(snap->scan({0, kM - 1}),
+            (std::vector<std::uint64_t>{1, 3 * (kM - 1) + 1}));
 }
 
 INSTANTIATE_TEST_SUITE_P(Fig1Fig3, ConstructionAllocTest,

@@ -1,10 +1,13 @@
-// The seed() contract (core/partial_snapshot.h) on every registry variant
-// (every entry on every value and reclamation plane it supports): a
-// freshly built object seeded with a vector -- without a pid -- scans
-// back exactly that vector, components
-// added by add_components before the seed included; later updates
-// supersede seeded values; versioned scans see the seed from the first
-// epoch on; a wrong-sized vector is rejected without touching the object.
+// Seeding an object with an initial vector (core::InitialVector, the only
+// way to give an object an initial state) on every registry variant (every
+// entry on every value and reclamation plane it supports): an object built
+// from a vector -- without a pid -- scans back exactly that vector, also
+// when the vector is longer than the spec's m0=; blob payloads seed the
+// blob plane and are refused elsewhere; later updates supersede seeded
+// values; versioned scans see the seed from the first epoch on; and an
+// object constructed at m components is the same as one constructed
+// smaller and grown to m, which is what lets restore() build at a frame's
+// count instead of replaying its growth.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -34,35 +37,45 @@ std::vector<std::uint32_t> all_indices(std::uint32_t m) {
 
 class SeedTest : public ::testing::TestWithParam<registry::SnapshotVariant> {
  protected:
-  std::unique_ptr<PartialSnapshot> make(std::uint32_t m) {
-    return registry::make_snapshot(GetParam().spec, m, 4);
+  std::unique_ptr<PartialSnapshot> make(InitialVector initial,
+                                        const std::string& options = "") {
+    std::string spec = GetParam().spec;
+    if (!options.empty()) spec += "," + options;
+    return registry::make_snapshot(spec, initial, 4);
   }
   const std::string& plane() const { return GetParam().value; }
 };
 
-TEST_P(SeedTest, ScanAllReturnsTheSeedIncludingGrownComponents) {
-  auto snap = make(3);
-  ASSERT_EQ(snap->add_components(4), 3u);
+TEST_P(SeedTest, ScanAllReturnsTheSeedAboveM0) {
   const std::vector<std::uint64_t> values = pattern(7);
   ASSERT_EQ(exec::ctx().pid, exec::kInvalidPid);  // seeding needs none
-  snap->seed(values);
+  // The payloads decide the count; m0= may only bound it.
+  auto snap = make(InitialVector(values), "m0=3");
+  ASSERT_EQ(snap->num_components(), 7u);
 
   exec::ScopedPid pid(0);
   EXPECT_EQ(snap->scan_all(), values);
+  // Components grown later start at the initial value.
+  ASSERT_EQ(snap->add_components(2), 7u);
+  EXPECT_EQ(snap->scan({6, 7, 8}),
+            (std::vector<std::uint64_t>{1042, 0, 0}));
 }
 
-TEST_P(SeedTest, SeedBlobsSetsArbitraryPayloadsOnTheBlobPlaneOnly) {
-  auto snap = make(2);
-  if (plane() != "blob") {
-    EXPECT_THROW(snap->seed_blobs(std::vector<value::Blob>(2)),
-                 std::logic_error);
-    return;
-  }
-  ASSERT_EQ(snap->add_components(1), 2u);
+TEST_P(SeedTest, M0AboveThePayloadCountIsRejected) {
+  const std::vector<std::uint64_t> values = pattern(3);
+  EXPECT_THROW(make(InitialVector(values), "m0=4"), std::invalid_argument);
+}
+
+TEST_P(SeedTest, BlobPayloadsSeedTheBlobPlaneOnly) {
   const std::vector<value::Blob> blobs{
       value::Blob(300, std::byte{0x5A}), value::Blob{},
       value::Blob{std::byte{1}, std::byte{2}, std::byte{3}}};
-  snap->seed_blobs(blobs);
+  if (plane() != "blob") {
+    EXPECT_THROW(make(InitialVector(blobs)), std::invalid_argument);
+    return;
+  }
+  auto snap = make(InitialVector(blobs));
+  ASSERT_EQ(snap->num_components(), 3u);
 
   exec::ScopedPid pid(0);
   std::vector<value::Blob> got;
@@ -71,8 +84,8 @@ TEST_P(SeedTest, SeedBlobsSetsArbitraryPayloadsOnTheBlobPlaneOnly) {
 }
 
 TEST_P(SeedTest, LaterUpdatesSupersedeSeededValues) {
-  auto snap = make(4);
-  snap->seed(std::vector<std::uint64_t>{5, 6, 7, 8});
+  const std::vector<std::uint64_t> values{5, 6, 7, 8};
+  auto snap = make(InitialVector(values));
 
   exec::ScopedPid pid(0);
   snap->update(2, 99);
@@ -84,9 +97,8 @@ TEST_P(SeedTest, LaterUpdatesSupersedeSeededValues) {
 
 TEST_P(SeedTest, FirstVersionedScanSeesTheSeed) {
   if (plane() != "versioned") return;
-  auto snap = make(5);
   const std::vector<std::uint64_t> values = pattern(5);
-  snap->seed(values);
+  auto snap = make(InitialVector(values));
 
   exec::ScopedPid pid(0);
   std::vector<std::uint64_t> out;
@@ -97,50 +109,27 @@ TEST_P(SeedTest, FirstVersionedScanSeesTheSeed) {
   EXPECT_EQ(out, (std::vector<std::uint64_t>{1000, 42, 1014, 1021, 1028}));
 }
 
-TEST_P(SeedTest, SizeMismatchThrowsAndChangesNothing) {
-  auto snap = make(3);
-  EXPECT_THROW(snap->seed(std::vector<std::uint64_t>{1, 2}),
-               std::invalid_argument);
-  EXPECT_THROW(snap->seed(std::vector<std::uint64_t>{1, 2, 3, 4}),
-               std::invalid_argument);
-  if (plane() == "blob") {
-    EXPECT_THROW(snap->seed_blobs(std::vector<value::Blob>(4)),
-                 std::invalid_argument);
-  }
-  {
-    exec::ScopedPid pid(0);
-    EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{0, 0, 0}));
-  }
-  // Still freshly built: a well-sized seed goes through.
-  snap->seed(std::vector<std::uint64_t>{1, 2, 3});
+TEST_P(SeedTest, ConstructionAtMMatchesGrowthToM) {
+  auto built = make(InitialVector(5));
+  auto grown = make(InitialVector(2));
+  ASSERT_EQ(grown->add_components(3), 2u);
+  EXPECT_EQ(built->num_components(), grown->num_components());
+
   exec::ScopedPid pid(0);
-  EXPECT_EQ(snap->scan_all(), (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(built->scan_all(), grown->scan_all());
+  // Both continue the grow-only lifecycle from the same watermark.
+  EXPECT_EQ(built->add_components(1), 5u);
+  EXPECT_EQ(grown->add_components(1), 5u);
+  for (PartialSnapshot* snap : {built.get(), grown.get()}) {
+    snap->update(5, 55);
+    snap->update(0, 10);
+  }
+  EXPECT_EQ(built->scan_all(), grown->scan_all());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, SeedTest,
                          ::testing::ValuesIn(test::snapshot_impls()),
                          test::snapshot_param_name);
-
-// An implementation without a seed path inherits the throwing defaults.
-class Unseedable final : public PartialSnapshot {
- public:
-  std::uint32_t num_components() const override { return 1; }
-  std::string_view name() const override { return "unseedable"; }
-  bool is_wait_free() const override { return true; }
-  bool is_local() const override { return true; }
-  std::uint32_t add_components(std::uint32_t) override { return 1; }
-  void update(std::uint32_t, std::uint64_t) override {}
-  void scan(std::span<const std::uint32_t>, std::vector<std::uint64_t>&,
-            ScanContext&) override {}
-  using PartialSnapshot::scan;
-};
-
-TEST(SeedDefault, ThrowsLogicError) {
-  Unseedable snap;
-  EXPECT_THROW(snap.seed(std::vector<std::uint64_t>{1}), std::logic_error);
-  EXPECT_THROW(snap.seed_blobs(std::vector<value::Blob>(1)),
-               std::logic_error);
-}
 
 }  // namespace
 }  // namespace psnap::core

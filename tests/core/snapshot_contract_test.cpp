@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 
+#include "core/growth.h"
 #include "core/partial_snapshot.h"
 #include "exec/exec.h"
 #include "registry/registry.h"
@@ -126,6 +128,24 @@ TEST_P(SnapshotContractTest, FlagsReportedConsistently) {
   auto snap = make(2);
   EXPECT_FALSE(snap->name().empty());
   EXPECT_EQ(snap->num_components(), 2u);
+}
+
+// The component limit is a typed error, never an abort: a grow past it
+// reserves nothing (so the next grow continues from the old count, and a
+// request near 2^32 cannot wrap the watermark), and construction above it
+// fails before the object allocates its storage.  Nothing here allocates
+// anywhere near the limit.
+TEST_P(SnapshotContractTest, GrowPastTheComponentLimitIsRefused) {
+  auto snap = make(3);
+  EXPECT_THROW(snap->add_components(kMaxComponents), std::length_error);
+  EXPECT_THROW(snap->add_components(~std::uint32_t{0}), std::length_error);
+  EXPECT_EQ(snap->num_components(), 3u);
+  EXPECT_EQ(snap->add_components(1), 3u);
+  EXPECT_EQ(snap->num_components(), 4u);
+}
+
+TEST_P(SnapshotContractTest, ConstructionPastTheComponentLimitIsRefused) {
+  EXPECT_THROW(make(kMaxComponents + 1), std::length_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, SnapshotContractTest,

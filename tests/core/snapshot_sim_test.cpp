@@ -268,8 +268,9 @@ BorrowProbe probe_borrows(const registry::SnapshotVariant& variant,
   };
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto snap = test::make_snapshot(variant, kM, 2);
-        snap->seed(std::vector<std::uint64_t>{0, 1, 2});
+        const std::vector<std::uint64_t> initial{0, 1, 2};
+        auto snap =
+            test::make_snapshot(variant, InitialVector(initial), 2);
         SimScheduler::Options options;
         // Bias toward the updater (pid 0): the scanner's collects are then
         // separated by whole updates, which is the adversary that forces

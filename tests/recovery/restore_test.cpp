@@ -104,7 +104,7 @@ TEST(Restore, BlobPayloadsSurvive) {
   EXPECT_EQ(got, expect);
 }
 
-TEST(Restore, ReplaysGrowthToTheWatermark) {
+TEST(Restore, BuildsAtTheGrownWatermark) {
   exec::ThreadHandle pid;
   const std::string spec = "fig3_cas";
   auto snap = registry::make_snapshot(spec, 4, 4);
@@ -116,6 +116,7 @@ TEST(Restore, ReplaysGrowthToTheWatermark) {
   EXPECT_EQ(frame.initial_m, 4u);
   EXPECT_EQ(frame.num_components, 8u);
 
+  // Built at the frame's count rather than at initial_m and regrown.
   auto restored = restore(frame);
   EXPECT_EQ(restored->num_components(), 8u);
   EXPECT_EQ(restored->scan_all(), snap->scan_all());
@@ -172,15 +173,56 @@ TEST(Restore, PlaneMismatchRejected) {
 TEST(Restore, ShrunkenFrameRejected) {
   exec::ThreadHandle pid;
   CheckpointData frame;
-  frame.impl_spec = "fig3_cas";  // constructs m=4 via initial_m below
+  frame.impl_spec = "fig3_cas";
   frame.initial_m = 4;
-  frame.num_components = 2;      // frame claims fewer than constructed
+  frame.num_components = 2;  // frame claims fewer than constructed
   frame.max_threads = 2;
   frame.values = {1, 2};
-  // initial_m > num_components dies in the parser; emulate a consistent-
-  // looking but shrunken frame via the spec's m0= override.
+  EXPECT_THROW(restore(frame), std::invalid_argument);
+  // The same shrink spelled through the spec's m0= override.
   frame.initial_m = 2;
   frame.impl_spec = "fig3_cas:m0=4";
+  EXPECT_THROW(restore(frame), std::invalid_argument);
+}
+
+// Checkpointer::Options leaves initial_m at 0, so frames record it as 0:
+// initial_m only bounds the spec's m0=, and the frame's count builds the
+// object.
+TEST(Restore, FrameWithZeroInitialMRestores) {
+  exec::ThreadHandle pid;
+  const std::string spec = "fig3_cas";
+  auto snap = registry::make_snapshot(spec, 2, 4);
+  snap->update(0, 5);
+  snap->update(1, 6);
+
+  TempDir dir;
+  CheckpointWriter writer(dir.path);
+  Checkpointer::Options options;
+  options.impl_spec = spec;
+  Checkpointer ck(*snap, writer, options);
+  ck.checkpoint_now();
+  auto frame = CheckpointLoader(dir.path).load_newest();
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->initial_m, 0u);
+
+  auto restored = restore(*frame);
+  EXPECT_EQ(restored->num_components(), 2u);
+  EXPECT_EQ(restored->scan_all(), (std::vector<std::uint64_t>{5, 6}));
+}
+
+TEST(Restore, FrameWithNoComponentsRejected) {
+  CheckpointData frame;
+  frame.impl_spec = "fig3_cas";
+  frame.max_threads = 2;
+  EXPECT_THROW(restore(frame), std::invalid_argument);
+}
+
+TEST(Restore, PayloadCountMismatchRejected) {
+  CheckpointData frame;
+  frame.impl_spec = "fig3_cas";
+  frame.num_components = 3;
+  frame.max_threads = 2;
+  frame.values = {1, 2};
   EXPECT_THROW(restore(frame), std::invalid_argument);
 }
 
@@ -192,7 +234,7 @@ TEST(Restore, ShrunkenFrameRejected) {
 // round trip, and restore to an object whose component count and values
 // are consistent -- the count is whatever the crashed grow left published
 // (old or new, never torn), every restored value matches the checkpoint
-// scan, and growth replays on the restored object.
+// scan, and growth continues on the restored object.
 class CrashDuringGrowthTest
     : public ::testing::TestWithParam<registry::SnapshotVariant> {};
 
@@ -246,7 +288,7 @@ TEST_P(CrashDuringGrowthTest, CheckpointAndRestoreStayConsistent) {
       EXPECT_EQ(restored->scan_all(), frame->values);
     }
 
-    // Growth replays cleanly on the restored object regardless of where
+    // Growth continues cleanly on the restored object regardless of where
     // the original grower died.
     std::uint32_t next = restored->add_components(1);
     EXPECT_EQ(next, frame->num_components);

@@ -50,7 +50,7 @@ inline std::vector<const registry::ActiveSetInfo*> active_set_impls(
 }
 
 inline std::unique_ptr<core::PartialSnapshot> make_snapshot(
-    const registry::SnapshotVariant& variant, std::uint32_t m,
+    const registry::SnapshotVariant& variant, core::InitialVector m,
     std::uint32_t n) {
   return registry::make_snapshot(variant.spec, m, n);
 }
