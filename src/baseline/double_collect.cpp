@@ -9,8 +9,7 @@
 
 namespace psnap::baseline {
 
-template <class Value>
-DoubleCollectSnapshotT<Value>::DoubleCollectSnapshotT(
+DoubleCollectSnapshot::DoubleCollectSnapshot(
     core::InitialVector initial, std::uint32_t max_processes,
     std::uint64_t max_collects_per_scan, std::uint64_t initial_value)
     : size_(initial.count()),
@@ -23,75 +22,58 @@ DoubleCollectSnapshotT<Value>::DoubleCollectSnapshotT(
   build_components(0, initial.count(), initial);
 }
 
-template <class Value>
-DoubleCollectSnapshotT<Value>::~DoubleCollectSnapshotT() {
+DoubleCollectSnapshot::~DoubleCollectSnapshot() {
   const std::uint32_t m = size_.load();
   for (std::uint32_t i = 0; i < m; ++i) delete r_.at(i).peek();
 }
 
-template <class Value>
-void DoubleCollectSnapshotT<Value>::build_components(
+void DoubleCollectSnapshot::build_components(
     std::uint32_t first, std::uint32_t count,
     const core::InitialVector& initial) {
   using Slot = primitives::Register<const SimpleRecord*>;
   r_.build(
       first, count,
       [&](Slot& slot, std::uint64_t i) {
-        SimpleRecord* rec = make_record(/*counter=*/i, core::kInitPid);
-        initial.fill<Value>(i, initial_value_, rec->value);
+        auto* rec = new SimpleRecord();
+        initial.fill<value::DirectU64>(i, initial_value_, rec->value);
+        rec->counter = i;
         slot.init(rec, /*label=*/i);
       },
       [](Slot& slot) { delete slot.peek(); });
 }
 
-template <class Value>
-std::uint32_t DoubleCollectSnapshotT<Value>::add_components(
-    std::uint32_t count) {
+std::uint32_t DoubleCollectSnapshot::add_components(std::uint32_t count) {
   return core::grow_components(size_, count,
                                [this](std::uint32_t first, std::uint32_t k) {
                                  build_components(first, k, {});
                                });
 }
 
-template <class Value>
-template <class Fill>
-void DoubleCollectSnapshotT<Value>::do_update(std::uint32_t i, Fill&& fill) {
-  PSNAP_ASSERT(i < size_.load());
-  std::uint32_t pid = exec::ctx().pid;
-  PSNAP_ASSERT(pid < n_);
-  core::tls_op_stats().reset();
-  auto guard = ebr_.pin();
-  std::unique_ptr<SimpleRecord> rec(
-      make_record(++counter_.at(pid).value, pid));
-  fill(rec->value);
+void DoubleCollectSnapshot::publish(std::uint32_t i, std::uint64_t v,
+                                    std::uint32_t pid) {
+  auto rec = std::make_unique<SimpleRecord>();
+  rec->value = v;
+  rec->counter = ++counter_.at(pid).value;
+  rec->pid = pid;
   const SimpleRecord* old = r_.at(i).exchange(rec.get());
   rec.release();
   ebr_.retire(const_cast<SimpleRecord*>(old));
 }
 
-template <class Value>
-void DoubleCollectSnapshotT<Value>::update(std::uint32_t i,
-                                           std::uint64_t v) {
-  do_update(i, [v](ValueType& out) { Value::encode(v, out); });
+void DoubleCollectSnapshot::update(std::uint32_t i, std::uint64_t v) {
+  PSNAP_ASSERT(i < size_.load());
+  std::uint32_t pid = exec::ctx().pid;
+  PSNAP_ASSERT(pid < n_);
+  core::tls_op_stats().reset();
+  auto guard = ebr_.pin();
+  publish(i, v, pid);
 }
 
-template <class Value>
-void DoubleCollectSnapshotT<Value>::update_blob(
-    std::uint32_t i, std::span<const std::byte> bytes) {
-  if constexpr (Value::kIndirect) {
-    do_update(i, [bytes](ValueType& out) { Value::assign(out, bytes); });
-  } else {
-    core::PartialSnapshot::update_blob(i, bytes);
-  }
-}
-
-template <class Value>
-template <class EntryT, class Fill>
-void DoubleCollectSnapshotT<Value>::do_update_batch(
-    std::span<const EntryT> entries, Fill&& fill) {
+void DoubleCollectSnapshot::update_batch(
+    std::span<const core::BatchEntry> entries) {
   if (entries.empty()) return;
   const std::uint32_t m = size_.load();
-  for (const EntryT& e : entries) PSNAP_ASSERT(e.index < m);
+  for (const core::BatchEntry& e : entries) PSNAP_ASSERT(e.index < m);
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
   core::OpStats& stats = core::tls_op_stats();
@@ -101,10 +83,10 @@ void DoubleCollectSnapshotT<Value>::do_update_batch(
   auto guard = ebr_.pin();
 
   // Coalesce duplicate indices, later entries winning.
-  std::span<const EntryT*> merged =
-      ctx.arena.take<const EntryT*>(entries.size());
+  std::span<const core::BatchEntry*> merged =
+      ctx.arena.take<const core::BatchEntry*>(entries.size());
   std::uint32_t count = 0;
-  for (const EntryT& e : entries) {
+  for (const core::BatchEntry& e : entries) {
     std::uint32_t j = 0;
     while (j < count && merged[j]->index != e.index) ++j;
     merged[j] = &e;
@@ -113,40 +95,15 @@ void DoubleCollectSnapshotT<Value>::do_update_batch(
   stats.batch_size = count;
 
   for (std::uint32_t j = 0; j < count; ++j) {
-    std::unique_ptr<SimpleRecord> rec(
-        make_record(++counter_.at(pid).value, pid));
-    fill(*merged[j], rec->value);
-    const SimpleRecord* old = r_.at(merged[j]->index).exchange(rec.get());
-    rec.release();
-    ebr_.retire(const_cast<SimpleRecord*>(old));
+    publish(merged[j]->index, merged[j]->value, pid);
   }
 }
 
-template <class Value>
-void DoubleCollectSnapshotT<Value>::update_batch(
-    std::span<const core::BatchEntry> entries) {
-  do_update_batch(entries, [](const core::BatchEntry& e, ValueType& out) {
-    Value::encode(e.value, out);
-  });
-}
-
-template <class Value>
-void DoubleCollectSnapshotT<Value>::update_batch_blob(
-    std::span<const core::BlobBatchEntry> entries) {
-  if constexpr (Value::kIndirect) {
-    do_update_batch(entries, [](const core::BlobBatchEntry& e, ValueType& out) {
-      Value::assign(out, e.bytes);
-    });
-  } else {
-    core::PartialSnapshot::update_batch_blob(entries);
-  }
-}
-
-template <class Value>
-template <class Extract>
-void DoubleCollectSnapshotT<Value>::do_scan(
-    std::span<const std::uint32_t> indices, core::ScanContext& ctx,
-    Extract&& extract) {
+void DoubleCollectSnapshot::scan(std::span<const std::uint32_t> indices,
+                                 std::vector<std::uint64_t>& out,
+                                 core::ScanContext& ctx) {
+  out.clear();
+  if (indices.empty()) return;
   const std::uint32_t m = size_.load();
   for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
   core::OpStats& stats = core::tls_op_stats();
@@ -177,57 +134,14 @@ void DoubleCollectSnapshotT<Value>::do_scan(
     have_prev = true;
   }
 
-  // Still pinned: the collected records cannot be reclaimed under us, so
-  // the extractor may copy payloads straight out of them.  It looks each
-  // index's record up with a forward cursor over the canonical set.
+  // Still pinned: the collected records cannot be reclaimed under us.
+  // Each index's record is found with a forward cursor over the canonical
+  // set.
   std::size_t cursor = 0;
-  extract([&](std::uint32_t i) {
-    return cur[core::cursor_find(ctx.canonical, i, cursor)];
-  });
-}
-
-template <class Value>
-void DoubleCollectSnapshotT<Value>::scan(
-    std::span<const std::uint32_t> indices, std::vector<std::uint64_t>& out,
-    core::ScanContext& ctx) {
-  out.clear();
-  if (indices.empty()) return;
-  do_scan(indices, ctx, [&](auto&& record_of) {
-    out.reserve(indices.size());
-    for (std::uint32_t i : indices) {
-      out.push_back(Value::decode(record_of(i)->value));
-    }
-  });
-}
-
-template <class Value>
-void DoubleCollectSnapshotT<Value>::scan_blobs(
-    std::span<const std::uint32_t> indices,
-    std::vector<psnap::value::Blob>& out, core::ScanContext& ctx) {
-  if constexpr (Value::kIndirect) {
-    if (indices.empty()) {
-      out.clear();
-      return;
-    }
-    out.resize(indices.size());  // keeps element byte capacity
-    try {
-      do_scan(indices, ctx, [&](auto&& record_of) {
-        for (std::size_t k = 0; k < indices.size(); ++k) {
-          Value::copy(record_of(indices[k])->value, out[k]);
-        }
-      });
-    } catch (...) {
-      // Starvation path: never hand back a buffer of stale payloads (the
-      // u64 scan leaves `out` empty on throw; match it).
-      out.clear();
-      throw;
-    }
-  } else {
-    core::PartialSnapshot::scan_blobs(indices, out, ctx);
+  out.reserve(indices.size());
+  for (std::uint32_t i : indices) {
+    out.push_back(cur[core::cursor_find(ctx.canonical, i, cursor)]->value);
   }
 }
-
-template class DoubleCollectSnapshotT<psnap::value::DirectU64>;
-template class DoubleCollectSnapshotT<psnap::value::IndirectBlob>;
 
 }  // namespace psnap::baseline

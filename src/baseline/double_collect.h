@@ -12,10 +12,6 @@
 //
 // A scan that exceeds the configured collect cap throws StarvationError
 // rather than returning an inconsistent result.
-//
-// Value plane (primitives/value_plane.h): the record already carries the
-// payload behind the published pointer, so the blob plane just swaps the
-// record's value field for an owned byte buffer.
 #pragma once
 
 #include <stdexcept>
@@ -27,7 +23,6 @@
 #include "core/record.h"
 #include "core/scan_context.h"
 #include "primitives/primitives.h"
-#include "primitives/value_plane.h"
 #include "reclaim/ebr.h"
 
 namespace psnap::baseline {
@@ -42,75 +37,48 @@ class StarvationError : public std::runtime_error {
   std::uint64_t collects;
 };
 
-template <class Value = psnap::value::DirectU64>
-class DoubleCollectSnapshotT final : public core::PartialSnapshot {
+class DoubleCollectSnapshot final : public core::PartialSnapshot {
  public:
-  using ValueType = typename Value::ValueType;
-
   // max_collects_per_scan == 0 means retry forever.
-  DoubleCollectSnapshotT(core::InitialVector initial,
-                         std::uint32_t max_processes,
-                         std::uint64_t max_collects_per_scan = 0,
-                         std::uint64_t initial_value = 0);
-  ~DoubleCollectSnapshotT() override;
+  DoubleCollectSnapshot(core::InitialVector initial,
+                        std::uint32_t max_processes,
+                        std::uint64_t max_collects_per_scan = 0,
+                        std::uint64_t initial_value = 0);
+  ~DoubleCollectSnapshot() override;
 
   std::uint32_t num_components() const override { return size_.load(); }
-  std::string_view name() const override {
-    return Value::kIndirect ? "double-collect-blob" : "double-collect";
-  }
+  std::string_view name() const override { return "double-collect"; }
   bool is_wait_free() const override { return false; }
   bool is_local() const override { return true; }
-  std::string_view value_plane() const override { return Value::kName; }
 
   std::uint32_t add_components(std::uint32_t count) override;
   void update(std::uint32_t i, std::uint64_t v) override;
   void scan(std::span<const std::uint32_t> indices,
             std::vector<std::uint64_t>& out, core::ScanContext& ctx) override;
-  void update_blob(std::uint32_t i,
-                   std::span<const std::byte> bytes) override;
-  void scan_blobs(std::span<const std::uint32_t> indices,
-                  std::vector<psnap::value::Blob>& out,
-                  core::ScanContext& ctx) override;
   // Batched updates share one EBR pin and one retire wave, but each of
   // the k exchanges still linearizes on its own (there is no helping
   // round here to amortize) -- kAmortized.
   void update_batch(std::span<const core::BatchEntry> entries) override;
-  void update_batch_blob(
-      std::span<const core::BlobBatchEntry> entries) override;
   core::BatchAtomicity batch_atomicity() const override {
     return core::BatchAtomicity::kAmortized;
   }
   using core::PartialSnapshot::scan;
-  using core::PartialSnapshot::scan_blobs;
 
  private:
   // Plain (value, tag) records: no embedded views, that is the point.
   struct SimpleRecord {
-    ValueType value{};
+    std::uint64_t value = 0;
     std::uint64_t counter = 0;
     std::uint32_t pid = core::kInitPid;
   };
 
-  SimpleRecord* make_record(std::uint64_t counter, std::uint32_t pid) {
-    auto* rec = new SimpleRecord();
-    rec->counter = counter;
-    rec->pid = pid;
-    return rec;
-  }
-
-  template <class Fill>
-  void do_update(std::uint32_t i, Fill&& fill);
+  // Publishes a fresh record for component i on behalf of `pid` and
+  // retires the one it replaces.
+  void publish(std::uint32_t i, std::uint64_t v, std::uint32_t pid);
   // Builds components [first, first + count), one initial record each,
   // for the constructor and add_components.
   void build_components(std::uint32_t first, std::uint32_t count,
                         const core::InitialVector& initial);
-  template <class EntryT, class Fill>
-  void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
-  // Runs the double collect; `extract` receives a lookup from a requested
-  // index to its record in the stable collect (still EBR-pinned).
-  template <class Extract>
-  void do_scan(std::span<const std::uint32_t> indices,
-               core::ScanContext& ctx, Extract&& extract);
 
   core::GrowableSize size_;
   std::uint32_t n_;
@@ -120,9 +88,5 @@ class DoubleCollectSnapshotT final : public core::PartialSnapshot {
   reclaim::EbrDomain ebr_;
   core::PerPidStorage<CachelinePadded<std::uint64_t>> counter_;
 };
-
-using DoubleCollectSnapshot = DoubleCollectSnapshotT<psnap::value::DirectU64>;
-using DoubleCollectSnapshotBlob =
-    DoubleCollectSnapshotT<psnap::value::IndirectBlob>;
 
 }  // namespace psnap::baseline

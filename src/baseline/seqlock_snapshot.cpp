@@ -1,6 +1,5 @@
 #include "baseline/seqlock_snapshot.h"
 
-#include <algorithm>
 #include <atomic>
 
 #include "common/assert.h"
@@ -15,13 +14,7 @@ void SeqlockSnapshotT<Value>::build_components(
   data_.build(
       first, count,
       [&](Cell& cell, std::uint64_t i) {
-        if constexpr (Value::kVersioned) {
-          auto* node = new primitives::VersionNodeU64();
-          initial.fill<Value>(i, initial_value_, node->value);
-          node->version.store(primitives::kInitialVersion,
-                              std::memory_order_relaxed);
-          cell.init(node, /*label=*/i);
-        } else if constexpr (Value::kIndirect) {
+        if constexpr (Value::kIndirect) {
           auto* node = new primitives::BlobNode();
           initial.fill<Value>(i, initial_value_, node->bytes);
           cell.init(node, /*label=*/i);
@@ -32,7 +25,7 @@ void SeqlockSnapshotT<Value>::build_components(
         }
       },
       [](Cell& cell) {
-        if constexpr (Value::kVersioned || Value::kIndirect) {
+        if constexpr (Value::kIndirect) {
           delete cell.peek();
         }
       });
@@ -51,16 +44,7 @@ SeqlockSnapshotT<Value>::SeqlockSnapshotT(core::InitialVector initial,
 
 template <class Value>
 SeqlockSnapshotT<Value>::~SeqlockSnapshotT() {
-  if constexpr (Value::kVersioned) {
-    // Chain-trim invariant: {head, head->prev} are the only unretired
-    // nodes per chain (version_chain.h); older nodes already recycled.
-    const std::uint32_t m = size_.load();
-    for (std::uint32_t i = 0; i < m; ++i) {
-      const primitives::VersionNodeU64* head = data_.at(i).peek();
-      delete head->prev.load(std::memory_order_relaxed);
-      delete head;
-    }
-  } else if constexpr (Value::kIndirect) {
+  if constexpr (Value::kIndirect) {
     // Quiescent: the published nodes are owned here; in-flight retired
     // nodes drain into the pool when plane_.ebr is destroyed.
     const std::uint32_t m = size_.load();
@@ -81,50 +65,7 @@ template <class Fill>
 void SeqlockSnapshotT<Value>::do_update(std::uint32_t i, Fill&& fill) {
   PSNAP_ASSERT(i < size_.load());
   core::tls_op_stats().reset();
-  if constexpr (Value::kVersioned) {
-    // Versioned plane: the writer section serializes chain appends, which
-    // is what lets the cell publish with a plain exchange (value_cell.h).
-    // Build the node outside the section, publish inside it, stamp and
-    // trim after releasing it -- stalled stamps are fixed by readers and
-    // later writers (ensure_stamped), so holding the lock across them
-    // would buy nothing.
-    auto guard = plane_.ebr.pin();
-    auto node = plane_.pool.acquire(plane_.ebr);
-    fill(node->value);
-    // A recycled node may have been a batch member in a prior life.
-    node->batch.store(nullptr, std::memory_order_relaxed);
-    const primitives::VersionNodeU64* old = nullptr;
-    while (true) {
-      std::uint64_t v0 = version_.load();
-      if (v0 % 2 == 1) continue;  // another writer holds it
-      if (version_.compare_and_swap_bool(v0, v0 + 1)) {
-        old = data_.at(i).load();
-        // Fix the displaced head's version before publishing over it
-        // (chain stamps must never decrease in publication order).
-        primitives::ensure_stamped<primitives::Instrumented>(*old,
-                                                             plane_.camera);
-        node->version.store(primitives::kUnstamped,
-                            std::memory_order_relaxed);
-        node->prev.store(old, std::memory_order_relaxed);
-        const primitives::VersionNodeU64* displaced =
-            data_.at(i).exchange(node.get());
-        PSNAP_ASSERT(displaced == old);
-        // Only the holder modifies an odd version, so this CAS cannot fail.
-        bool released = version_.compare_and_swap_bool(v0 + 1, v0 + 2);
-        PSNAP_ASSERT(released);
-        break;
-      }
-    }
-    primitives::VersionNodeU64* published = node.release();
-    // Lazy chain trim: keeps the unretired set at {head, head->prev}.
-    if (const primitives::VersionNodeU64* trim =
-            old->prev.load(std::memory_order_relaxed)) {
-      plane_.pool.recycle(plane_.ebr,
-                          const_cast<primitives::VersionNodeU64*>(trim));
-    }
-    primitives::ensure_stamped<primitives::Instrumented>(*published,
-                                                         plane_.camera);
-  } else if constexpr (Value::kIndirect) {
+  if constexpr (Value::kIndirect) {
     // Build the immutable node before taking the writer section (pool-
     // backed: the byte buffer keeps its capacity across lives, and an
     // unwind before publication returns the node without a grace period).
@@ -203,62 +144,7 @@ void SeqlockSnapshotT<Value>::do_update_batch(std::span<const EntryT> entries,
   }
   stats.batch_size = count;
 
-  if constexpr (Value::kVersioned) {
-    using Node = primitives::VersionNodeU64;
-    auto guard = plane_.ebr.pin();
-    auto desc_handle = plane_.batch_pool.acquire(plane_.ebr);
-    SeqBatchDesc* desc = desc_handle.get();
-    desc->camera = &plane_.camera;
-    desc->version.store(primitives::kUnstamped, std::memory_order_relaxed);
-    desc->installed.store(false, std::memory_order_relaxed);
-    std::span<const Node*> olds = ctx.arena.take<const Node*>(count);
-    std::span<Node*> nodes = ctx.arena.take<Node*>(count);
-
-    while (true) {
-      std::uint64_t v0 = version_.load();
-      if (v0 % 2 == 1) continue;  // another writer holds it
-      if (!version_.compare_and_swap_bool(v0, v0 + 1)) continue;
-      // One writer section for the k chain appends.
-      for (std::uint32_t j = 0; j < count; ++j) {
-        auto node = plane_.pool.acquire(plane_.ebr);
-        fill(*merged[j], node->value);
-        const Node* old = data_.at(merged[j]->index).load();
-        primitives::ensure_stamped<primitives::Instrumented>(*old,
-                                                             plane_.camera);
-        node->version.store(primitives::kUnstamped,
-                            std::memory_order_relaxed);
-        node->prev.store(old, std::memory_order_relaxed);
-        node->batch.store(desc, std::memory_order_relaxed);
-        olds[j] = old;
-        nodes[j] = node.get();
-        data_.at(merged[j]->index).exchange(node.release());
-      }
-      // All members reachable: the descriptor is now published (every
-      // node's batch pointer names it), so ownership passes from the
-      // handle to the recycle below -- and any helper spinning in
-      // resolve() is released before the lock goes back even.
-      desc_handle.release();
-      desc->installed.store(true, std::memory_order_release);
-      bool released = version_.compare_and_swap_bool(v0 + 1, v0 + 2);
-      PSNAP_ASSERT(released);
-      break;
-    }
-
-    // Fix the one shared stamp -- the batch's linearization point -- then
-    // copy it into the members' own version words and trim the chains.
-    desc->resolve();
-    const std::uint64_t stamp = desc->version.load(std::memory_order_acquire);
-    stats.epoch = stamp;
-    for (std::uint32_t j = 0; j < count; ++j) {
-      primitives::stamp_version<primitives::Instrumented>(*nodes[j], stamp);
-    }
-    for (std::uint32_t j = 0; j < count; ++j) {
-      if (const Node* trim = olds[j]->prev.load(std::memory_order_relaxed)) {
-        plane_.pool.recycle(plane_.ebr, const_cast<Node*>(trim));
-      }
-    }
-    plane_.batch_pool.recycle(plane_.ebr, desc);
-  } else if constexpr (Value::kIndirect) {
+  if constexpr (Value::kIndirect) {
     auto guard = plane_.ebr.pin();
     std::span<const primitives::BlobNode*> olds =
         ctx.arena.take<const primitives::BlobNode*>(count);
@@ -339,84 +225,34 @@ void SeqlockSnapshotT<Value>::do_scan(std::span<const std::uint32_t> indices,
 }
 
 template <class Value>
-std::uint64_t SeqlockSnapshotT<Value>::do_scan_versioned(
-    std::span<const std::uint32_t> indices, std::vector<std::uint64_t>& out) {
-  if constexpr (Value::kVersioned) {
-    const std::uint32_t m = size_.load();
-    for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
-    core::OpStats& stats = core::tls_op_stats();
-    stats.reset();
-    auto guard = plane_.ebr.pin();
-
-    // No seqlock reads at all: a camera epoch plus per-component chain
-    // walks -- readers never retry, however contended the writer lock is.
-    const std::uint64_t epoch = plane_.camera.new_epoch();
-    stats.epoch = epoch;
-    out.resize(indices.size());
-    for (std::size_t k = 0; k < indices.size(); ++k) {
-      std::uint64_t walked = 0;
-      const primitives::VersionNodeU64* node =
-          primitives::chain_read<primitives::Instrumented>(
-              data_.at(indices[k]).load(), epoch, plane_.camera, walked);
-      out[k] = node->value;
-      stats.chain_nodes = std::max(stats.chain_nodes, walked);
-    }
-    return epoch;
-  } else {
-    (void)indices;
-    (void)out;
-    PSNAP_ASSERT_MSG(false, "do_scan_versioned on a non-versioned plane");
-    return 0;
-  }
-}
-
-template <class Value>
-std::uint64_t SeqlockSnapshotT<Value>::scan_versioned(
-    std::span<const std::uint32_t> indices, std::vector<std::uint64_t>& out,
-    core::ScanContext& ctx) {
-  if constexpr (Value::kVersioned) {
-    (void)ctx;
-    return do_scan_versioned(indices, out);
-  } else {
-    return core::PartialSnapshot::scan_versioned(indices, out, ctx);
-  }
-}
-
-template <class Value>
 void SeqlockSnapshotT<Value>::scan(std::span<const std::uint32_t> indices,
                                    std::vector<std::uint64_t>& out,
                                    core::ScanContext& ctx) {
-  if constexpr (Value::kVersioned) {
-    (void)ctx;
-    do_scan_versioned(indices, out);
-    return;
-  } else {
-    out.clear();
-    if (indices.empty()) return;
-    const std::uint32_t m = size_.load();
-    core::tls_op_stats().reset();
-    ctx.begin();
-    // Collect straight into `out` (capacity-reusing); a retry overwrites in
-    // place, and the starvation path clears the partial collect.
-    out.resize(indices.size());
-    try {
-      if constexpr (Value::kIndirect) {
-        // Pinned across the retry loop: every pointer loaded inside is
-        // dereferenceable even if the writer that replaced it has already
-        // retired it (a version mismatch only discards the copied bytes).
-        auto guard = plane_.ebr.pin();
-        do_scan(indices, m, [&](std::size_t j, std::uint32_t index) {
-          out[j] = Value::decode(data_.at(index).load()->bytes);
-        });
-      } else {
-        do_scan(indices, m, [&](std::size_t j, std::uint32_t index) {
-          out[j] = data_.at(index).load();
-        });
-      }
-    } catch (...) {
-      out.clear();
-      throw;
+  out.clear();
+  if (indices.empty()) return;
+  const std::uint32_t m = size_.load();
+  core::tls_op_stats().reset();
+  ctx.begin();
+  // Collect straight into `out` (capacity-reusing); a retry overwrites in
+  // place, and the starvation path clears the partial collect.
+  out.resize(indices.size());
+  try {
+    if constexpr (Value::kIndirect) {
+      // Pinned across the retry loop: every pointer loaded inside is
+      // dereferenceable even if the writer that replaced it has already
+      // retired it (a version mismatch only discards the copied bytes).
+      auto guard = plane_.ebr.pin();
+      do_scan(indices, m, [&](std::size_t j, std::uint32_t index) {
+        out[j] = Value::decode(data_.at(index).load()->bytes);
+      });
+    } else {
+      do_scan(indices, m, [&](std::size_t j, std::uint32_t index) {
+        out[j] = data_.at(index).load();
+      });
     }
+  } catch (...) {
+    out.clear();
+    throw;
   }
 }
 
@@ -449,6 +285,5 @@ void SeqlockSnapshotT<Value>::scan_blobs(
 
 template class SeqlockSnapshotT<psnap::value::DirectU64>;
 template class SeqlockSnapshotT<psnap::value::IndirectBlob>;
-template class SeqlockSnapshotT<psnap::value::VersionedU64>;
 
 }  // namespace psnap::baseline

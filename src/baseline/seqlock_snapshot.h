@@ -14,17 +14,8 @@
 // builds the node and exchange()s it in inside the writer section; a
 // reader dereferences under an EBR pin (held across the retry loop).
 // Cost of the indirection: one extra acquire dereference per read, one
-// pool acquire per update; step counts are unchanged.
-//
-// Versioned plane (VersionedU64; primitives/version_chain.h): the plane
-// that cures the seqlock's reader pathology.  Cells publish version-chain
-// heads; writers still serialize through the global writer section (which
-// is what makes an exchange-based chain append sound), but READERS no
-// longer touch the seqlock at all -- a scan grabs a camera epoch and
-// walks its chains, so a stalled or preempted writer never makes a single
-// reader retry, the exact failure mode the collect-based seqlock scan is
-// starvation-prone to.  max_attempts_per_scan becomes irrelevant to scans
-// (they are wait-free given the writer-serialized chains).
+// pool acquire per update; step counts are unchanged.  The two planes are
+// u64 and blob; bench_value_plane measures the blob plane's indirection.
 #pragma once
 
 #include <type_traits>
@@ -37,7 +28,6 @@
 #include "primitives/primitives.h"
 #include "primitives/value_cell.h"
 #include "primitives/value_plane.h"
-#include "primitives/version_chain.h"
 #include "reclaim/ebr.h"
 #include "reclaim/pool.h"
 
@@ -56,13 +46,7 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
 
   std::uint32_t num_components() const override { return size_.load(); }
   std::string_view name() const override {
-    if constexpr (Value::kVersioned) {
-      return "seqlock-versioned";
-    } else if constexpr (Value::kIndirect) {
-      return "seqlock-blob";
-    } else {
-      return "seqlock";
-    }
+    return Value::kIndirect ? "seqlock-blob" : "seqlock";
   }
   bool is_wait_free() const override { return false; }
   bool is_local() const override { return true; }
@@ -81,15 +65,10 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   void scan_blobs(std::span<const std::uint32_t> indices,
                   std::vector<psnap::value::Blob>& out,
                   core::ScanContext& ctx) override;
-  std::uint64_t scan_versioned(std::span<const std::uint32_t> indices,
-                               std::vector<std::uint64_t>& out,
-                               core::ScanContext& ctx) override;
-  // Batched updates: every plane is kAtomic here, because the global
+  // Batched updates: both planes are kAtomic here, because the global
   // writer section is a natural multi-component critical section -- all k
-  // writes land inside one odd/even window, so a collect-plane scan either
-  // retries past the whole batch or sees none of it.  The versioned plane
-  // additionally shares one stamp through a descriptor (readers bypass the
-  // seqlock, so the window alone would not protect them).
+  // writes land inside one odd/even window, so a scan either retries past
+  // the whole batch or sees none of it.
   void update_batch(std::span<const core::BatchEntry> entries) override;
   void update_batch_blob(
       std::span<const core::BlobBatchEntry> entries) override;
@@ -98,7 +77,6 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   }
   using core::PartialSnapshot::scan;
   using core::PartialSnapshot::scan_blobs;
-  using core::PartialSnapshot::scan_versioned;
 
  private:
   using Cell = primitives::ValueCell<Value, primitives::Instrumented>;
@@ -109,38 +87,11 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
     reclaim::Pool<primitives::BlobNode> pool;
     reclaim::EbrDomain ebr;
   };
-  // Versioned batch descriptor.  Unlike fig3's (cas_psnap.h), no install
-  // engine is needed: the writer section already serializes the k chain
-  // appends, so a helper that reaches an unresolved member through
-  // ensure_stamped only has to WAIT for the owner's installs (the
-  // `installed` flag, set before the owner leaves the section) and then
-  // fix the one shared stamp.  The spin is blocking, but so is the
-  // seqlock itself -- this baseline never claimed lock-freedom.
-  struct SeqBatchDesc final : primitives::BatchControl {
-    primitives::VersionCamera<primitives::Instrumented>* camera = nullptr;
-    std::atomic<bool> installed{false};
-    void resolve() const override {
-      while (!installed.load(std::memory_order_acquire)) {
-      }
-      std::uint64_t expected = primitives::kUnstamped;
-      version.compare_exchange_strong(expected, camera->now(),
-                                      std::memory_order_acq_rel,
-                                      std::memory_order_acquire);
-    }
-  };
-
-  // Reclamation + camera state of the versioned plane (version_chain.h).
-  struct VersionedPlane {
-    reclaim::Pool<primitives::VersionNodeU64> pool;
-    reclaim::Pool<SeqBatchDesc> batch_pool;
-    reclaim::EbrDomain ebr;
-    primitives::VersionCamera<primitives::Instrumented> camera;
-  };
   struct NoPlane {};
 
   // Builds components [first, first + count) for the constructor and
   // add_components: the raw word on the u64 plane, an initial node on the
-  // others.
+  // blob plane.
   void build_components(std::uint32_t first, std::uint32_t count,
                         const core::InitialVector& initial);
 
@@ -148,29 +99,23 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
   void do_update(std::uint32_t i, Fill&& fill);
   template <class EntryT, class Fill>
   void do_update_batch(std::span<const EntryT> entries, Fill&& fill);
-  // Runs the versioned retry loop; `collect` re-reads the components into
+  // Runs the seqlock retry loop; `collect` re-reads the components into
   // the caller's buffers on each attempt (overwriting in place).
   template <class Collect>
   void do_scan(std::span<const std::uint32_t> indices, std::uint32_t m,
                Collect&& collect);
-  // The versioned plane's scan body (seqlock-free; see the header
-  // comment); returns the epoch.
-  std::uint64_t do_scan_versioned(std::span<const std::uint32_t> indices,
-                                  std::vector<std::uint64_t>& out);
 
   core::GrowableSize size_;
   std::uint64_t initial_value_;
   std::uint64_t max_attempts_;
   primitives::CasObject<std::uint64_t> version_;
   core::ComponentStorage<Cell> data_;
-  [[no_unique_address]] std::conditional_t<
-      Value::kVersioned, VersionedPlane,
-      std::conditional_t<Value::kIndirect, BlobPlane, NoPlane>>
+  [[no_unique_address]] std::conditional_t<Value::kIndirect, BlobPlane,
+                                           NoPlane>
       plane_;
 };
 
 using SeqlockSnapshot = SeqlockSnapshotT<psnap::value::DirectU64>;
 using SeqlockSnapshotBlob = SeqlockSnapshotT<psnap::value::IndirectBlob>;
-using SeqlockSnapshotVersioned = SeqlockSnapshotT<psnap::value::VersionedU64>;
 
 }  // namespace psnap::baseline

@@ -11,10 +11,11 @@
 // Implementations in this library:
 //   core::RegisterPartialSnapshot  -- Figure 1 (registers only)
 //   core::CasPartialSnapshot       -- Figure 3 (CAS + F&I; local scans)
-//   baseline::FullSnapshot         -- complete-scan extraction baseline
-//   baseline::DoubleCollectSnapshot-- lock-free, no helping (not wait-free)
-//   baseline::LockSnapshot         -- global mutex reference
-//   baseline::SeqlockSnapshot      -- global seqlock reference
+//   baseline::FullSnapshot         -- complete-scan extraction baseline (u64)
+//   baseline::DoubleCollectSnapshot-- lock-free, no helping (u64)
+//   baseline::LockSnapshot         -- global mutex reference (u64)
+//   baseline::SeqlockSnapshot      -- global seqlock reference (u64, blob)
+// Only Figure 3 has the versioned plane.
 #pragma once
 
 #include <cstddef>

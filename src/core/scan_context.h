@@ -82,19 +82,17 @@ struct ScanContext {
   // Update path: getSet result and the union of announced index sets.
   std::vector<std::uint32_t> scanners;
   std::vector<std::uint32_t> union_args;
-  // Value scratch for implementations whose views are plain value arrays
-  // (full-snapshot extraction, seqlock collect buffer).
+  // Value scratch for the full-snapshot baseline's complete view.
   std::vector<std::uint64_t> values;
   // The embedded scan's result view (condition (1) builds it here;
   // condition (2) copies the borrowed view into it).
   View view;
-  // Blob-plane twins of `view`/`values` (primitives/value_plane.h): a
-  // context serves either plane, so the one tls_scan_context() covers
-  // direct and indirect objects alike.  Blob entries retain their byte
-  // buffers' capacity across operations, keeping the indirect steady
-  // state allocation-free too.
+  // Blob-plane twin of `view` (primitives/value_plane.h): a context
+  // serves either plane, so the one tls_scan_context() covers direct and
+  // indirect objects alike.  Blob entries retain their byte buffers'
+  // capacity across operations, keeping the indirect steady state
+  // allocation-free too.
   BlobView blob_view;
-  std::vector<value::Blob> blob_values;
   // Collect buffers and condition-(2) tables live here.
   ScanArena arena;
 
@@ -102,8 +100,8 @@ struct ScanContext {
   void begin() { arena.reset(); }
 };
 
-// Plane-generic access to the context's view/values scratch, keyed by the
-// value plane's payload type (std::uint64_t or value::Blob).
+// Plane-generic access to the context's view scratch, keyed by the value
+// plane's payload type (std::uint64_t or value::Blob).
 template <class V>
 ViewT<V>& view_for(ScanContext& ctx);
 template <>
@@ -111,18 +109,6 @@ inline View& view_for<std::uint64_t>(ScanContext& ctx) { return ctx.view; }
 template <>
 inline BlobView& view_for<value::Blob>(ScanContext& ctx) {
   return ctx.blob_view;
-}
-
-template <class V>
-std::vector<V>& values_for(ScanContext& ctx);
-template <>
-inline std::vector<std::uint64_t>& values_for<std::uint64_t>(
-    ScanContext& ctx) {
-  return ctx.values;
-}
-template <>
-inline std::vector<value::Blob>& values_for<value::Blob>(ScanContext& ctx) {
-  return ctx.blob_values;
 }
 
 // The context used by the convenience PartialSnapshot::scan overload and

@@ -2,14 +2,13 @@
 // through the batch entry points (update(i,v) becomes a k=1
 // update_batch).
 //
-// Purpose: the registry's batch-routed entries (fig3_cas_batch,
-// full_snapshot_versioned_batch).  Each registry::variants() cell of such
-// an entry puts the batch protocol -- the shared announcement record, the
-// descriptor install/resolve engine, the pooled batch descriptors -- on
-// the exact paths every registry-driven suite already drives
-// (linearizability, validity, growth, churn, crash, allocation), on every
-// plane the entry lists, with zero per-suite wiring.  Scans and plane
-// accessors forward untouched.
+// Purpose: the registry's batch-routed entry, fig3_cas_batch.  Each
+// registry::variants() cell of it puts the batch protocol -- the shared
+// announcement record, the descriptor install/resolve engine, the pooled
+// batch descriptors -- on the exact paths every registry-driven suite
+// already drives (linearizability, validity, growth, churn, crash,
+// allocation), on every plane the entry lists, with zero per-suite
+// wiring.  Scans and plane accessors forward untouched.
 //
 // Wait-freedom is a constructor argument rather than forwarded: on the
 // versioned plane the batch engine CAS-retries until every member is

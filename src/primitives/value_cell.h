@@ -1,8 +1,8 @@
 // ValueCell: the atomic component cell of a value plane.
 //
 // Implementations whose components already hold record pointers (fig1,
-// fig3, the full-snapshot and double-collect baselines) embed the payload
-// in their records and need nothing from this header.  Implementations
+// fig3) embed the payload in their records and need nothing from this
+// header.  Implementations
 // whose components were RAW WORDS -- the seqlock baseline stores values
 // directly in registers -- wrap each cell in a ValueCell instead:
 //
@@ -27,7 +27,6 @@
 #include "exec/exec.h"
 #include "primitives/primitives.h"
 #include "primitives/value_plane.h"
-#include "primitives/version_chain.h"
 
 namespace psnap::primitives {
 
@@ -82,38 +81,6 @@ class ValueCell<value::IndirectBlob, Policy> {
 
  private:
   Register<const BlobNode*, Policy> reg_;
-};
-
-// The versioned plane's cell (version_chain.h): the register publishes
-// the HEAD of the component's version chain.  Same lifecycle contract as
-// the blob cell -- load under an EBR pin, exchange a fully-built node in,
-// retire displaced nodes through a reclaim::Pool<VersionNodeU64> -- plus
-// the chain walk readers run via primitives::chain_read.
-template <class Policy>
-class ValueCell<value::VersionedU64, Policy> {
- public:
-  // Construction-phase installation of the chain's initial node (stamped
-  // kInitialVersion by the caller; owned by the cell's owner).
-  void init(const VersionNodeU64* node, std::uint64_t label = exec::kNoLabel) {
-    reg_.init(node, label);
-  }
-
-  // One register step; dereference only under an EBR pin.
-  const VersionNodeU64* load() const { return reg_.load(); }
-
-  // Publishes a fully-built node (prev already pointing at the current
-  // head); returns the replaced head.  One register step.  Callers must
-  // serialize publications per cell (the seqlock's writer section does) --
-  // an exchange-based chain append cannot resolve racing predecessors.
-  const VersionNodeU64* exchange(const VersionNodeU64* node) {
-    return reg_.exchange(node);
-  }
-
-  // Non-step read for destructors (quiescent only).
-  const VersionNodeU64* peek() const { return reg_.peek(); }
-
- private:
-  Register<const VersionNodeU64*, Policy> reg_;
 };
 
 }  // namespace psnap::primitives

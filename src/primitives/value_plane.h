@@ -16,8 +16,8 @@
 //
 //   * IndirectBlob -- the payload is an owned, variable-size byte buffer
 //     living behind the indirection each algorithm already has:
-//       - fig1/fig3/full-snapshot/double-collect publish immutable heap
-//         records through an atomic pointer; the blob is embedded in the
+//       - fig1/fig3 publish immutable heap records through an atomic
+//         pointer; the blob is embedded in the
 //         record, so it rides the existing pool + EBR lifecycle (pooled
 //         records keep the blob vector's capacity across lives -- steady
 //         state updates stay allocation-free, and a crash-unwound update
@@ -27,8 +27,8 @@
 //         primitives::ValueCell pointers to standalone pooled BlobNodes
 //         (value_cell.h) -- the "CAS'd pointer to an immutable payload
 //         record" construction, one extra acquire dereference per read and
-//         one pool acquire per update;
-//       - the lock baseline keeps blobs in its mutex-guarded vector.
+//         one pool acquire per update.
+//     The full-snapshot, double-collect and lock baselines are u64-only.
 //
 // Every implementation still speaks the logical-u64 interface
 // (PartialSnapshot::update/scan) on BOTH planes -- on the blob plane a
@@ -79,7 +79,8 @@ struct DirectU64 {
 // node at or below it -- with no collects, no helping round, and no
 // seqlock retries; see PartialSnapshot::scan_versioned.  The plane policy
 // itself is payload-only (bit-identical to DirectU64); the chain fields
-// live in the implementations' records/cells, keyed off kVersioned.
+// live in Figure 3's records (core::VersionedRecordT), keyed off
+// kVersioned.
 struct VersionedU64 {
   using ValueType = std::uint64_t;
   static constexpr bool kIndirect = false;

@@ -79,9 +79,8 @@ inline constexpr std::uint64_t kUnstamped = ~std::uint64_t{0};
 class BatchControl {
  public:
   // Ensures every entry of the batch is installed and `version` is fixed.
-  // Implementations differ in HOW (lock-free install helping for the
-  // CAS-cell algorithms, a bounded wait on the writer section for the
-  // seqlock baseline), but after resolve() returns, version != kUnstamped.
+  // Figure 3 resolves through batch_install_and_resolve below (lock-free
+  // install helping); after resolve() returns, version != kUnstamped.
   virtual void resolve() const = 0;
 
   // The shared stamp; kUnstamped until resolve() fixes it.
@@ -94,20 +93,6 @@ class BatchControl {
 // Stamp carried by pre-installed initial nodes; the camera starts at 1, so
 // an initial node is older than every epoch ever handed out.
 inline constexpr std::uint64_t kInitialVersion = 0;
-
-// The standalone version node for cells that had no record to embed the
-// chain in (the seqlock baseline's raw-word cells; see value_cell.h).
-// Record-publishing implementations embed the same two fields in their
-// records instead (core::VersionedRecordT).  `version` is mutable because
-// stamping is metadata fixing on an otherwise-immutable published node.
-struct VersionNodeU64 {
-  std::uint64_t value = 0;
-  mutable std::atomic<std::uint64_t> version{kUnstamped};
-  std::atomic<const VersionNodeU64*> prev{nullptr};
-  // Non-null while the node is an unresolved batch member (see
-  // BatchControl); singleton publications clear it before publishing.
-  std::atomic<const BatchControl*> batch{nullptr};
-};
 
 // The camera: a fetch&increment object whose value is the next epoch to be
 // handed out.  new_epoch() atomically claims the current value (one F&I
@@ -130,8 +115,8 @@ class VersionCamera {
 // ([[no_unique_address]] member via std::conditional_t).
 struct NoCamera {};
 
-// --- chain accessors (one step each; Node is any type with the
-// VersionNodeU64 field shape) ---
+// --- chain accessors (one step each; Node is any record with atomic
+// `version`, `prev` and `batch` fields, e.g. core::VersionedRecordT) ---
 
 template <class Policy, class Node>
 std::uint64_t version_of(const Node& node) {
@@ -256,9 +241,7 @@ class BatchSlots {
 };
 
 // Installs every pending entry of a batch (owner and helpers run the same
-// loop), then fixes the shared stamp.  Shared by the CAS-cell algorithms
-// (fig3, full_snapshot); the seqlock baseline has its own single-writer
-// variant.
+// loop), then fixes the shared stamp.
 //
 //   * entries are sorted ascending by component index and installed in
 //     that order, and a slot's flag flips only after every lower slot's

@@ -35,7 +35,9 @@
 //
 // Requirements, enforced loudly: the spec must rebuild on the frame's
 // value plane (a frame written from a blob object does not restore into a
-// u64 spec -- std::invalid_argument).
+// u64 spec -- std::invalid_argument), and the frame's max_threads must lie
+// in 1..exec::kMaxPidCapacity (the registry throws std::invalid_argument;
+// a forged header cannot abort the process).
 #pragma once
 
 #include <memory>

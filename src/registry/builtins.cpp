@@ -167,23 +167,6 @@ std::unique_ptr<core::PartialSnapshot> make_fig3(core::InitialVector m,
   return std::make_unique<core::CasPartialSnapshot>(m, n, impl, initial);
 }
 
-std::unique_ptr<core::PartialSnapshot> make_full(core::InitialVector m,
-                                                 std::uint32_t n,
-                                                 const Options& options) {
-  std::uint64_t initial = options.get_uint("initial", 0);
-  exec::PidBound bound = pid_bound(options, n);
-  const std::string plane = value_plane(options);
-  if (plane == "versioned") {
-    return std::make_unique<baseline::FullSnapshotVersioned>(m, n, initial,
-                                                             bound);
-  }
-  if (plane == "blob") {
-    return std::make_unique<baseline::FullSnapshotBlob>(m, n, initial,
-                                                        bound);
-  }
-  return std::make_unique<baseline::FullSnapshot>(m, n, initial, bound);
-}
-
 }  // namespace
 
 void register_builtin_snapshots(SnapshotRegistry& registry) {
@@ -297,14 +280,17 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
   registry.add(SnapshotInfo{
       .name = "full_snapshot",
       .description = "complete-scan extraction baseline (Afek et al.): "
-                     "every operation costs Omega(m); value=versioned "
-                     "rescues scans (lock-free CAS-retry updates)",
+                     "every operation costs Omega(m)",
       .options_help = "initial=<u64>,adaptive=<bool>",
       .counts_steps = true,
       .sim_safe = true,
-      .values = "u64,blob,versioned",
       .supports_batch = true,
-      .make = make_full,
+      .make =
+          [](core::InitialVector m, std::uint32_t n, const Options& options) {
+            std::uint64_t initial = options.get_uint("initial", 0);
+            return std::make_unique<baseline::FullSnapshot>(
+                m, n, initial, pid_bound(options, n));
+          },
   });
   registry.add(SnapshotInfo{
       .name = "double_collect",
@@ -313,17 +299,11 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .options_help = "max_attempts=<u64>,initial=<u64>",
       .counts_steps = true,
       .sim_safe = true,
-      .values = "u64,blob",
       .supports_batch = true,
       .make =
-          [](core::InitialVector m, std::uint32_t n,
-             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
+          [](core::InitialVector m, std::uint32_t n, const Options& options) {
             std::uint64_t cap = options.get_uint("max_attempts", 0);
             std::uint64_t initial = options.get_uint("initial", 0);
-            if (value_plane(options) == "blob") {
-              return std::make_unique<baseline::DoubleCollectSnapshotBlob>(
-                  m, n, cap, initial);
-            }
             return std::make_unique<baseline::DoubleCollectSnapshot>(
                 m, n, cap, initial);
           },
@@ -335,40 +315,30 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .options_help = "initial=<u64>",
       .counts_steps = false,
       .sim_safe = false,
-      .values = "u64,blob",
       .supports_batch = true,
       .make =
           [](core::InitialVector m, std::uint32_t /*n*/,
-             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            std::uint64_t initial = options.get_uint("initial", 0);
-            if (value_plane(options) == "blob") {
-              return std::make_unique<baseline::LockSnapshotBlob>(m, initial);
-            }
-            return std::make_unique<baseline::LockSnapshot>(m, initial);
+             const Options& options) {
+            return std::make_unique<baseline::LockSnapshot>(
+                m, options.get_uint("initial", 0));
           },
   });
   registry.add(SnapshotInfo{
       .name = "seqlock",
       .description = "global-seqlock reference: invisible readers, one "
                      "global conflict domain (max_attempts>0 throws "
-                     "StarvationError); value=versioned scans walk version "
-                     "chains and never retry",
+                     "StarvationError)",
       .options_help = "max_attempts=<u64>,initial=<u64>",
       .counts_steps = true,
       .sim_safe = false,
-      .values = "u64,blob,versioned",
+      .values = "u64,blob",
       .supports_batch = true,
       .make =
           [](core::InitialVector m, std::uint32_t /*n*/,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t cap = options.get_uint("max_attempts", 0);
             std::uint64_t initial = options.get_uint("initial", 0);
-            const std::string plane = value_plane(options);
-            if (plane == "versioned") {
-              return std::make_unique<baseline::SeqlockSnapshotVersioned>(
-                  m, cap, initial);
-            }
-            if (plane == "blob") {
+            if (value_plane(options) == "blob") {
               return std::make_unique<baseline::SeqlockSnapshotBlob>(
                   m, cap, initial);
             }
@@ -399,25 +369,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
             const bool versioned = value_plane(options) == "versioned";
             return std::make_unique<ingest::BatchRouted>(
                 make_fig3(m, n, options), /*wait_free=*/!versioned);
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "full_snapshot_versioned_batch",
-      .description = "the versioned complete-scan baseline with "
-                     "batch-routed updates (lock-free descriptor engine "
-                     "over the full-view records)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "versioned",
-      .supports_batch = true,
-      .make =
-          [](core::InitialVector m, std::uint32_t n, const Options& options) {
-            return std::make_unique<ingest::BatchRouted>(
-                std::make_unique<baseline::FullSnapshotVersioned>(
-                    m, n, options.get_uint("initial", 0),
-                    pid_bound(options, n)),
-                /*wait_free=*/false);
           },
   });
 }

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "common/assert.h"
+#include "exec/capacity.h"
 
 namespace psnap::registry {
 
@@ -66,6 +67,22 @@ std::uint32_t get_u32_option(const Options& options, std::string_view key,
                                 "' exceeds the 32-bit range");
   }
   return static_cast<std::uint32_t>(value);
+}
+
+// The universal max_threads bound, resolved from the argument or the
+// option: every implementation sizes its pid-indexed state to at most
+// exec::kMaxPidCapacity, so a bound outside 1..kMaxPidCapacity (a CLI
+// spec, or a checkpoint frame's header) fails here instead of aborting
+// inside a constructor.
+std::uint32_t resolve_max_threads(const Options& options,
+                                  std::uint32_t max_threads) {
+  max_threads = get_u32_option(options, "max_threads", max_threads);
+  if (max_threads == 0 || max_threads > exec::kMaxPidCapacity) {
+    throw std::invalid_argument(
+        "max_threads expects 1.." + std::to_string(exec::kMaxPidCapacity) +
+        ", got " + std::to_string(max_threads));
+  }
+  return max_threads;
 }
 
 std::string unknown_name_message(std::string_view kind,
@@ -266,7 +283,12 @@ std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
           std::to_string(initial_m.count()) + " components");
     }
   }
-  max_threads = get_u32_option(options, "max_threads", max_threads);
+  if (initial_m.count() == 0) {
+    throw std::invalid_argument("spec '" + std::string(spec) +
+                                "' builds an object with no components "
+                                "(m0 expects at least 1)");
+  }
+  max_threads = resolve_max_threads(options, max_threads);
   // The value plane is validated centrally against the entry's supported
   // list, so an unsupported combo fails with the catalogue (which names
   // every entry's planes) instead of deep inside a factory.
@@ -386,7 +408,7 @@ std::unique_ptr<activeset::ActiveSet> ActiveSetRegistry::make(
                              active_set_catalogue()));
   }
   Options options = Options::parse(opt_spec);
-  max_threads = get_u32_option(options, "max_threads", max_threads);
+  max_threads = resolve_max_threads(options, max_threads);
   auto active_set = info->make(max_threads, options);
   options.check_consumed();
   return active_set;

@@ -222,9 +222,10 @@ class SnapshotRegistry {
   // Throws std::invalid_argument for unknown names (with a "did you mean"
   // suggestion and the full catalogue), unknown options, an unsupported
   // value plane (again with the full catalogue, which lists each entry's
-  // planes), an m0= above a payload vector's count, or blob payloads for
-  // a plane other than value=blob; std::length_error for a count above
-  // core::kMaxComponents.
+  // planes), an m0= above a payload vector's count, a component count of
+  // 0, a max_threads outside 1..exec::kMaxPidCapacity, or blob payloads
+  // for a plane other than value=blob; std::length_error for a count
+  // above core::kMaxComponents.
   std::unique_ptr<core::PartialSnapshot> make(std::string_view spec,
                                               core::InitialVector initial_m,
                                               std::uint32_t max_threads)
@@ -272,7 +273,9 @@ class ActiveSetRegistry {
   std::vector<const ActiveSetInfo*> all() const;
   const ActiveSetInfo* find(std::string_view name) const;
   // Accepts the universal option max_threads=<u32> (overrides the
-  // argument); unknown names throw with a "did you mean" suggestion.
+  // argument); unknown names throw with a "did you mean" suggestion, and
+  // a max_threads outside 1..exec::kMaxPidCapacity throws
+  // std::invalid_argument.
   std::unique_ptr<activeset::ActiveSet> make(std::string_view spec,
                                              std::uint32_t max_threads)
       const;

@@ -92,8 +92,8 @@ TEST(ValueAllocTest, SteadyStateBlobUpdatesAreAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
        {"fig1_register:value=blob", "fig3_cas:value=blob",
-        "full_snapshot:value=blob", "fig1_register_fast:value=blob",
-        "fig3_cas_fast:value=blob", "fig3_write_ablation:value=blob"}) {
+        "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
+        "fig3_write_ablation:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     ASSERT_EQ(snap->value_plane(), "blob") << spec;
     warm_up(*snap);
@@ -134,8 +134,7 @@ TEST(ValueAllocTest, SteadyStateU64UpdatesOnBlobPlaneAreAllocationFree) {
 TEST(ValueAllocTest, SteadyStateBlobScansAreAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig1_register:value=blob", "fig3_cas:value=blob",
-        "full_snapshot:value=blob"}) {
+       {"fig1_register:value=blob", "fig3_cas:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     warm_up(*snap);
     std::vector<value::Blob> out;
@@ -207,8 +206,7 @@ TEST(ValueAllocHelpingTest,
 TEST(ValueAllocTestExtras, GrowthKeepsSteadyStateBlobUpdatesAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
-       {"fig1_register:value=blob", "fig3_cas:value=blob",
-        "full_snapshot:value=blob"}) {
+       {"fig1_register:value=blob", "fig3_cas:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     warm_up(*snap);
     std::uint32_t first = snap->add_components(16);

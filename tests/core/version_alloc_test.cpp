@@ -41,13 +41,11 @@ constexpr std::uint32_t kN = 4;
 
 const std::vector<std::uint32_t> kIdx{3, 9, 17, 40};
 
-// Every versioned construction route: value=versioned specs, both
-// runtimes, all three host algorithms.
+// Every versioned construction route: value=versioned specs on Figure 3
+// (the one algorithm with the versioned plane), both runtimes.
 const char* const kVersionedSpecs[] = {
     "fig3_cas:value=versioned",
     "fig3_cas_fast:value=versioned",
-    "full_snapshot:value=versioned",
-    "seqlock:value=versioned",
     // The hazard-pointer reclamation plane: same chain lifecycle, pools
     // fed by hazard scans instead of grace periods.
     "fig3_cas:value=versioned,reclaim=hp",

@@ -13,6 +13,7 @@
 #include <numeric>
 #include <vector>
 
+#include "exec/capacity.h"
 #include "exec/exec.h"
 #include "exec/thread_registry.h"
 #include "persist/checkpoint.h"
@@ -69,7 +70,7 @@ TEST(Restore, RoundTripAcrossSpecs) {
       "fig1_register", "fig3_cas",        "fig3_cas:value=blob",
       "fig3_cas:value=versioned",         "fig3_cas:coalesce=false",
       "full_snapshot", "double_collect",  "seqlock",
-      "seqlock:value=versioned",          "lock",
+      "seqlock:value=blob",               "lock",
   };
   exec::ThreadHandle pid;
   for (const char* spec : specs) {
@@ -224,6 +225,23 @@ TEST(Restore, PayloadCountMismatchRejected) {
   frame.max_threads = 2;
   frame.values = {1, 2};
   EXPECT_THROW(restore(frame), std::invalid_argument);
+}
+
+// A frame's header is input from disk: a max_threads no implementation
+// can hold must fail as a bad frame, not abort the restoring process.
+TEST(Restore, FrameWithTooManyThreadsRejected) {
+  exec::ThreadHandle pid;
+  const std::string spec = "fig3_cas";
+  auto snap = registry::make_snapshot(spec, 3, 4);
+  snap->update(1, 9);
+  CheckpointData frame =
+      disk_round_trip(*snap, spec, 3, exec::kMaxPidCapacity + 1);
+  ASSERT_TRUE(frame.is_full());
+  ASSERT_EQ(frame.max_threads, exec::kMaxPidCapacity + 1);
+  EXPECT_THROW(restore(frame), std::invalid_argument);
+  // The same frame at the capacity itself restores.
+  frame.max_threads = exec::kMaxPidCapacity;
+  EXPECT_EQ(restore(frame)->scan_all(), (std::vector<std::uint64_t>{0, 9, 0}));
 }
 
 // ---- Crash during add_components (satellite) ----

@@ -16,6 +16,7 @@
 #include "core/cas_psnap.h"
 #include "core/partial_snapshot.h"
 #include "core/register_psnap.h"
+#include "exec/capacity.h"
 #include "exec/exec.h"
 #include "primitives/value_plane.h"
 #include "tests/support/registry_params.h"
@@ -32,10 +33,13 @@ TEST(SnapshotRegistry, CataloguesTheExpectedBuiltins) {
   for (const char* name :
        {"fig1_register", "fig1_register_fast", "fig3_cas", "fig3_cas_fast",
         "fig3_write_ablation", "full_snapshot", "double_collect", "lock",
-        "seqlock", "fig3_cas_batch", "full_snapshot_versioned_batch"}) {
+        "seqlock", "fig3_cas_batch"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
   EXPECT_EQ(registry.find("no_such_impl"), nullptr);
+  // The versioned complete-scan baseline and its batch-routed entry are
+  // gone: only Figure 3 has the versioned plane.
+  EXPECT_EQ(registry.find("full_snapshot_versioned_batch"), nullptr);
 }
 
 // The per-plane entries the catalogue used to register by hand, each a
@@ -65,13 +69,6 @@ constexpr FormerTwin kFormerTwins[] = {
     {"fig3_cas_versioned_hp", "fig3_cas_versioned_hp",
      "fig3-cas-versioned-hp", "versioned", "hp", true, false, true,
      core::BatchAtomicity::kAmortized},
-    {"full_snapshot_blob", "full_snapshot_blob", "full-snapshot-blob", "blob",
-     "ebr", true, true, false, core::BatchAtomicity::kAmortized},
-    {"full_snapshot_versioned", "full_snapshot_versioned",
-     "full-snapshot-versioned", "versioned", "ebr", true, false, true,
-     core::BatchAtomicity::kAtomic},
-    {"seqlock_versioned", "seqlock_versioned", "seqlock-versioned",
-     "versioned", "ebr", false, false, true, core::BatchAtomicity::kAtomic},
     {"fig3_cas_versioned_batch", "fig3_cas_batch_versioned",
      "fig3-cas-versioned+batch", "versioned", "ebr", true, false, true,
      core::BatchAtomicity::kAtomic},
@@ -286,6 +283,43 @@ TEST(SnapshotRegistry, UniversalSpecOptionsOverrideShapeArguments) {
   EXPECT_EQ(as->max_processes(), 5u);
 }
 
+// A thread bound or component count no implementation can hold fails as
+// a bad spec on every entry, whether it comes from the argument or the
+// option, instead of aborting inside a constructor (or, for the lock
+// baseline, on the first update).
+TEST(SnapshotRegistry, OutOfRangeShapeOptionsThrowOnEveryEntry) {
+  const std::string too_many = std::to_string(exec::kMaxPidCapacity + 1);
+  for (const SnapshotInfo* info : SnapshotRegistry::instance().all()) {
+    const std::string& name = info->name;
+    EXPECT_THROW(make_snapshot(name + ":max_threads=" + too_many, 4, 2),
+                 std::invalid_argument)
+        << name;
+    EXPECT_THROW(make_snapshot(name + ":max_threads=0", 4, 2),
+                 std::invalid_argument)
+        << name;
+    EXPECT_THROW(make_snapshot(name, 4, exec::kMaxPidCapacity + 1),
+                 std::invalid_argument)
+        << name;
+    EXPECT_THROW(make_snapshot(name, 4, 0), std::invalid_argument) << name;
+    EXPECT_THROW(make_snapshot(name + ":m0=0", 4, 2), std::invalid_argument)
+        << name;
+    EXPECT_THROW(make_snapshot(name, 0, 2), std::invalid_argument) << name;
+    // The bounds themselves build.
+    EXPECT_NO_THROW(make_snapshot(
+        name + ":m0=1,max_threads=" + std::to_string(exec::kMaxPidCapacity),
+        4, 2))
+        << name;
+  }
+  for (const ActiveSetInfo* info : ActiveSetRegistry::instance().all()) {
+    const std::string& name = info->name;
+    EXPECT_THROW(make_active_set(name + ":max_threads=" + too_many, 2),
+                 std::invalid_argument)
+        << name;
+    EXPECT_THROW(make_active_set(name, 0), std::invalid_argument) << name;
+    EXPECT_NO_THROW(make_active_set(name, exec::kMaxPidCapacity)) << name;
+  }
+}
+
 TEST(SnapshotRegistry, EveryImplementationGrowsThroughAddComponents) {
   exec::ScopedPid pid(0);
   for (const SnapshotVariant& variant : variants()) {
@@ -350,8 +384,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsThePlaneOnEveryBuiltin) {
   };
   for (const char* spec :
        {"fig1_register:value=blob", "fig3_cas:value=blob",
-        "full_snapshot:value=blob", "double_collect:value=blob",
-        "lock:value=blob", "seqlock:value=blob",
+        "seqlock:value=blob",
         "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
         "fig3_write_ablation:value=blob", "fig3_cas_batch:value=blob"}) {
     auto snap = make_snapshot(spec, 4, 2);
@@ -381,8 +414,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsTheVersionedPlane) {
   exec::ScopedPid pid(0);
   for (const char* spec :
        {"fig3_cas:value=versioned", "fig3_cas_fast:value=versioned",
-        "full_snapshot:value=versioned", "seqlock:value=versioned",
-        "fig3_cas_batch:value=versioned", "full_snapshot_versioned_batch"}) {
+        "fig3_cas_batch:value=versioned"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->value_plane(), "versioned") << spec;
     // The u64 interface routes through the version chains, so every
@@ -402,24 +434,37 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsTheVersionedPlane) {
   }
 }
 
+// The plane-specific entry points a cell does not implement fall through
+// to the PartialSnapshot defaults, which throw std::logic_error -- on
+// every cell of the catalogue, so an implementation that stops overriding
+// (or wrongly starts) is caught.
 TEST(SnapshotRegistry, NonVersionedPlanesRejectScanVersioned) {
   exec::ScopedPid pid(0);
-  for (const char* spec : {"fig3_cas", "fig3_cas:value=blob", "seqlock"}) {
-    auto snap = make_snapshot(spec, 4, 2);
+  for (const SnapshotVariant& variant : variants()) {
+    if (variant.value == "versioned") continue;
+    auto snap = test::make_snapshot(variant, 4, 2);
     std::vector<std::uint64_t> out;
     const std::vector<std::uint32_t> idx{0};
-    EXPECT_THROW(snap->scan_versioned(idx, out), std::logic_error) << spec;
+    EXPECT_THROW(snap->scan_versioned(idx, out), std::logic_error)
+        << variant.spec;
   }
 }
 
 TEST(SnapshotRegistry, U64PlaneRejectsBlobOperations) {
   exec::ScopedPid pid(0);
-  auto snap = make_snapshot("fig3_cas", 4, 2);
-  EXPECT_EQ(snap->value_plane(), "u64");
-  EXPECT_THROW(snap->update_blob(0, {}), std::logic_error);
-  std::vector<value::Blob> blobs;
-  const std::vector<std::uint32_t> idx{0};
-  EXPECT_THROW(snap->scan_blobs(idx, blobs), std::logic_error);
+  for (const SnapshotVariant& variant : variants()) {
+    if (variant.value == "blob") continue;
+    auto snap = test::make_snapshot(variant, 4, 2);
+    EXPECT_NE(snap->value_plane(), "blob") << variant.spec;
+    EXPECT_THROW(snap->update_blob(0, {}), std::logic_error) << variant.spec;
+    std::vector<value::Blob> blobs;
+    const std::vector<std::uint32_t> idx{0};
+    EXPECT_THROW(snap->scan_blobs(idx, blobs), std::logic_error)
+        << variant.spec;
+    const std::vector<core::BlobBatchEntry> batch{{0, {}}};
+    EXPECT_THROW(snap->update_batch_blob(batch), std::logic_error)
+        << variant.spec;
+  }
 }
 
 TEST(SnapshotRegistry, UnsupportedValuePlaneFailsWithTheFullCatalogue) {
@@ -456,15 +501,48 @@ TEST(SnapshotRegistry, UnsupportedValuePlaneFailsWithTheFullCatalogue) {
     EXPECT_NE(message.find("supported: u64,blob"), std::string::npos)
         << message;
   }
-  // ...and an entry listing only the versioned plane accepts nothing else.
+  // The baselines keep only the planes a claim reads: the cells they
+  // dropped are refused, not silently rebuilt on another plane.
+  const struct {
+    const char* spec;
+    const char* plane;
+    const char* supported;
+  } kDropped[] = {
+      {"full_snapshot:value=versioned", "versioned", "u64"},
+      {"seqlock:value=versioned", "versioned", "u64,blob"},
+      {"full_snapshot:value=blob", "blob", "u64"},
+      {"double_collect:value=blob", "blob", "u64"},
+      {"lock:value=blob", "blob", "u64"},
+  };
+  for (const auto& dropped : kDropped) {
+    try {
+      make_snapshot(dropped.spec, 4, 2);
+      ADD_FAILURE() << dropped.spec << ": expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      std::string message = e.what();
+      EXPECT_NE(message.find(std::string("does not support value=") +
+                             dropped.plane),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find(std::string("(supported: ") + dropped.supported +
+                             ")"),
+                std::string::npos)
+          << message;
+      EXPECT_NE(message.find("known implementations"), std::string::npos)
+          << message;
+    }
+  }
+  // The versioned baseline's batch-routed entry is gone: an unknown name.
   try {
-    make_snapshot("full_snapshot_versioned_batch:value=u64", 4, 2);
+    make_snapshot("full_snapshot_versioned_batch", 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     std::string message = e.what();
-    EXPECT_NE(message.find("does not support value=u64"), std::string::npos)
+    EXPECT_NE(message.find("unknown snapshot implementation "
+                           "'full_snapshot_versioned_batch'"),
+              std::string::npos)
         << message;
-    EXPECT_NE(message.find("supported: versioned"), std::string::npos)
+    EXPECT_NE(message.find("known implementations"), std::string::npos)
         << message;
   }
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -51,9 +52,34 @@ TEST(FuzzCoverage, EverySimSafeVariantAndKnobComboIsEnumerated) {
     EXPECT_TRUE(expected.count(spec))
         << "fuzz target not derived from the registry: " << spec;
   }
-  // The seed registries alone yield dozens of combos; a collapsed
-  // enumeration (e.g. only default planes) cannot reach this floor.
-  EXPECT_GE(actual.size(), 40u);
+  // registry::variants() could itself collapse (e.g. to default planes
+  // only) and the two-way match above would still hold, so count the
+  // cells again from the entries' own plane lists, and require every
+  // plane kind to be fuzzed somewhere.
+  std::size_t cells = 0;
+  for (const registry::SnapshotInfo* info :
+       registry::SnapshotRegistry::instance().all()) {
+    if (!info->sim_safe) continue;
+    const std::size_t values =
+        std::count(info->values.begin(), info->values.end(), ',') + 1;
+    const std::size_t reclaims =
+        std::count(info->reclaims.begin(), info->reclaims.end(), ',') + 1;
+    cells += values * reclaims * (info->supports_batch ? 2 : 1);
+  }
+  for (const registry::ActiveSetInfo* info :
+       registry::ActiveSetRegistry::instance().all()) {
+    if (info->sim_safe) ++cells;
+  }
+  EXPECT_EQ(actual.size(), cells);
+  for (const char* plane :
+       {"value=u64", "value=blob", "value=versioned", "reclaim=ebr",
+        "reclaim=hp", "batch="}) {
+    EXPECT_TRUE(std::any_of(actual.begin(), actual.end(),
+                            [plane](const std::string& target) {
+                              return target.find(plane) != std::string::npos;
+                            }))
+        << "no fuzz target on " << plane;
+  }
 }
 
 TEST(FuzzCoverage, NoTwoTargetsBuildTheSameConfiguration) {
