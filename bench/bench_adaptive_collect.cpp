@@ -233,8 +233,7 @@ std::vector<SnapVariant> scan_variants(std::uint32_t m) {
       {"fig3-cas-fast",
        [m](exec::ThreadRegistry& r) {
          core::CasPartialSnapshotT<Release>::Options options;
-         options.bound = exec::PidBound::watermark_of(r);
-         options.active_set.bound = options.bound;
+         options.active_set.bound = exec::PidBound::watermark_of(r);
          return std::make_unique<core::CasPartialSnapshotT<Release>>(
              m, kMaxThreads, options);
        }},

@@ -70,12 +70,11 @@ using namespace psnap;
 
 namespace {
 
-// Specs to compare: either every registered implementation, or the comma-
-// separated --impls list (each entry a registry spec, so ablation options
-// like "fig3_cas:cas=false" work from the command line).  Specs themselves
-// use commas between options ("fig3_cas:shards=4,affinity=segment"), so a
-// token only STARTS a new spec when it looks like a name -- contains a ':'
-// or no '=' at all; bare key=value tokens continue the previous spec.
+// Specs to compare: every registered implementation, or the --impls list
+// of registry specs.  A spec's own options are comma-separated too
+// ("fig3_cas:shards=4,affinity=segment"), so a token STARTS a spec only
+// when it looks like a name -- contains a ':' or no '=' at all; bare
+// key=value tokens continue the previous spec.
 std::vector<std::string> impl_specs(const std::string& impls_flag) {
   std::vector<std::string> specs;
   if (impls_flag.empty()) {

@@ -32,10 +32,6 @@ void FaiCasActiveSetT<Policy>::join() {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
   std::uint64_t l = h_.fetch_increment();  // 1-based slot index
-  if (options_.max_joins != 0) {
-    PSNAP_ASSERT_MSG(l <= options_.max_joins,
-                     "bounded FaiCasActiveSet exceeded its join budget");
-  }
   i_.at(l - 1).store(kIdBase + pid);
   my_slot_.at(pid).value = l;
 }

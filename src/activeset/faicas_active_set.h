@@ -75,15 +75,12 @@ namespace psnap::activeset {
 // hand them to either runtime's constructor.
 struct FaiCasOptions {
   // Coalesce adjacent intervals when publishing (Section 4.1's rule).
-  // Disabled only by the ABL-1 ablation bench.
+  // Disabled only by the ABL-1 ablation (spec option coalesce=false).
   bool coalesce = true;
-  // Publish the vacated-interval list at all.  Disabled only by the
-  // ablation bench, to measure how getSet cost degrades without C.
+  // Publish the vacated-interval list at all.  Disabled only by the ABL-1
+  // ablation (publish=false), to measure how getSet cost degrades
+  // without C.
   bool publish_skip_list = true;
-  // If nonzero, the a-priori bound on joins in this execution: the slot
-  // array is conceptually bounded and exceeding the bound is a usage
-  // error (asserted).
-  std::uint64_t max_joins = 0;
   // The per-pid walk bound (exec/pid_bound.h).  Figure 2's I[] walk is
   // slot-indexed and already population-adaptive through the published
   // skip list (bounded by live joiners plus not-yet-skip-listed vacated

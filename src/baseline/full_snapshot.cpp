@@ -64,9 +64,20 @@ std::vector<std::uint64_t>& FullSnapshot::embedded_full_scan(
   std::span<const FullRecord*> cur = ctx.arena.take<const FullRecord*>(m);
   bool have_prev = false;
 
+  // Wait-freedom bound.  Every collect after the first that neither
+  // returns nor borrows differs from its predecessor, so it shows a
+  // change-record: a record at a location that the previous collect saw
+  // holding another.  A record is published once and, the scan being
+  // pinned, never recycled into a new one, so no change-record shows twice.
+  // Each is noted, and with no borrow yet the noted records belong to at
+  // most one operation per pid.  An update_batch publishes its k records
+  // under one counter, so that one operation can show up as k changes:
+  // up to m of them here, one per location.  Hence at most n * m
+  // differing collects between the first collect and the last.
+  const std::uint64_t collect_bound = std::uint64_t{n_} * m + 2;
   while (true) {
     ++stats.collects;
-    PSNAP_ASSERT_MSG(stats.collects <= 2ull * n_ + 3,
+    PSNAP_ASSERT_MSG(stats.collects <= collect_bound,
                      "full-snapshot embedded scan exceeded its collect bound");
     const FullRecord* borrow = nullptr;
     for (std::uint32_t j = 0; j < m; ++j) {

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 
 #include "common/assert.h"
-#include "core/moved_twice.h"
 #include "core/op_stats.h"
 #include "exec/exec.h"
 
@@ -21,8 +19,7 @@ namespace {
 // under hp, where an address can be recycled into a fresh publication
 // between collects -- a tag read from a protected record stays meaningful
 // after the protection moves on.  Arena storage zero-fills this, which is
-// exactly its empty state.  The write-ablation mode's per-pid table is
-// core::MovedTwiceTable.
+// exactly its empty state.
 struct PerLocation {
   std::uint64_t ctrs[3];
   std::uint32_t pids[3];
@@ -70,12 +67,8 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
-  // The registry rejects these spellings before construction; the asserts
-  // are the backstop for direct construction.
-  PSNAP_ASSERT_MSG(!(options.use_hp && !options.use_cas),
-                   "reclaim=hp requires CAS publication: the write "
-                   "ablation's moved-twice borrow may return a record no "
-                   "hazard protects");
+  // The registry rejects this spelling before construction; the assert is
+  // the backstop for direct construction.
   PSNAP_ASSERT_MSG(!(Value::kVersioned && options.reclaim_shards > 1),
                    "the versioned plane requires shards == 1 (batch "
                    "helping dereferences records on arbitrary components; "
@@ -102,7 +95,7 @@ CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
   }
   // Any pid that ever announced is below the bound (its acquisition
   // raised the watermark first; destruction is quiescent).
-  const std::uint32_t pids = options_.bound.get(n_);
+  const std::uint32_t pids = options_.active_set.bound.get(n_);
   for (std::uint32_t p = 0; p < pids; ++p) {
     if (const auto* reg = s_.try_at(p)) delete (*reg)->peek();
   }
@@ -151,10 +144,8 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     return view;
   }
 
-  // Condition-(2) bookkeeping.
-  //
-  // CAS mode (the paper's Figure 3): per *location*, the distinct records
-  // seen there in first-seen order; the third one's view is borrowed.
+  // Condition-(2) bookkeeping: per *location*, the distinct records seen
+  // there in first-seen order; the third one's view is borrowed.
   // Three distinct values in one location are necessarily two changes over
   // time (a location shows one value per collect), so the second and third
   // were installed during this scan, and -- because updates publish with
@@ -164,18 +155,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
   // location, and the borrow dereferences a pointer obtained by an acquire
   // load from that location, so the borrowed record's view is fully
   // visible; no cross-location ordering is consumed here.
-  //
-  // Write mode (ABL-3 ablation, plain-overwrite updates): the CAS argument
-  // is unavailable, so we fall back to Figure 1's moved-twice per-process
-  // rule, population-adaptively sized like Figure 1's (core/moved_twice.h).
-  // The table only exists in that mode; CAS-mode scans pay nothing for it.
-  std::span<PerLocation> seen_loc;
-  std::optional<MovedTwiceTable<Rec>> seen_pid;
-  if (options_.use_cas) {
-    seen_loc = ctx.arena.take<PerLocation>(args.size());
-  } else {
-    seen_pid.emplace(ctx.arena, options_.bound.get(n_), n_);
-  }
+  std::span<PerLocation> seen_loc = ctx.arena.take<PerLocation>(args.size());
 
   // Paper: "let (v, view, c, id) be the third value seen in that
   // location".  Unlike Figure 1 this is by observation order, not by
@@ -191,18 +171,15 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     ++s.count;
     return s.count == 3;
   };
-  auto note_move = [&seen_pid](const Rec* rec) {
-    return seen_pid->note_move(rec);
-  };
 
-  // Double-buffered collect state: record pointers plus their tags.  The
-  // change-detection and double-collect-exit comparisons use the TAGS --
-  // under hp a prev-collect pointer may already dangle (and its address may
-  // even have been recycled into a fresh publication), while tags read from
-  // protected records stay meaningful forever.  The pointers are only
-  // dereferenced where protection is live: cur[j] inside the collect that
-  // loaded it (EBR: the whole function is pinned).
-  std::span<const Rec*> prev = ctx.arena.take<const Rec*>(args.size());
+  // Collect state: the record pointers of the current collect, and the
+  // tags of the current and previous ones.  The double-collect exit
+  // compares TAGS -- under hp a previous collect's pointer may already
+  // dangle (and its address may even have been recycled into a fresh
+  // publication), while tags read from protected records stay meaningful
+  // forever.  The pointers are only dereferenced where protection is live:
+  // cur[j] inside the collect that loaded it (EBR: the whole function is
+  // pinned).
   std::span<const Rec*> cur = ctx.arena.take<const Rec*>(args.size());
   std::span<std::uint64_t> prev_ctr = ctx.arena.take<std::uint64_t>(args.size());
   std::span<std::uint64_t> cur_ctr = ctx.arena.take<std::uint64_t>(args.size());
@@ -210,8 +187,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
   std::span<std::uint32_t> cur_pid = ctx.arena.take<std::uint32_t>(args.size());
   bool have_prev = false;
 
-  const std::uint64_t collect_bound =
-      options_.use_cas ? 2ull * args.size() + 3 : 2ull * n_ + 3;
+  const std::uint64_t collect_bound = 2ull * args.size() + 3;
   const bool validates = plane_.validates_each_read();
 
   while (true) {
@@ -219,7 +195,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     // Theorem 3's wait-freedom argument: every pair of differing
     // consecutive collects means some location changed, and a location can
     // change at most twice before its third distinct value fires
-    // condition (2); hence at most 2r+1 collects in CAS mode.
+    // condition (2); hence at most 2r+1 collects.
     PSNAP_ASSERT_MSG(stats.collects <= collect_bound,
                      "figure-3 embedded scan exceeded its collect bound");
     if (validates) view.resize(args.size());
@@ -262,21 +238,14 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
           view[j].index = args[j];
           Value::copy(rec->value, view[j].value);
         }
-        if (options_.use_cas) {
-          if (note_loc(j, cur_pid[j], cur_ctr[j])) borrow = rec;
-        } else if (have_prev && (cur_pid[j] != prev_pid[j] ||
-                                 cur_ctr[j] != prev_ctr[j])) {
-          borrow = note_move(rec);
-        }
-        if (borrow != nullptr) {
+        if (note_loc(j, cur_pid[j], cur_ctr[j])) {
+          borrow = rec;
           stats.borrowed = true;
           // Copy (capacity-reusing, down to the blob plane's per-entry byte
           // buffers) rather than reference, and IMMEDIATELY: under EBR the
           // borrowed record is only guaranteed live while this operation
           // stays pinned; under hp it is only safe while the hazard that
-          // just validated it still stands.  (A write-ablation borrow -- a
-          // record remembered from an earlier collect -- is EBR-only: hp
-          // rejects use_cas=false at construction.)
+          // just validated it still stands.
           // (Versioned records carry no view: that plane never collects.)
           if constexpr (!Value::kVersioned) view = borrow->view;
         }
@@ -296,7 +265,6 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
       }
       return view;
     }
-    std::swap(prev, cur);
     std::swap(prev_pid, cur_pid);
     std::swap(prev_ctr, cur_ctr);
     have_prev = true;
@@ -335,27 +303,14 @@ auto CasPartialSnapshotT<Policy, Value>::help(Op& op, ScanContext& ctx)
 template <class Policy, class Value>
 bool CasPartialSnapshotT<Policy, Value>::publish(
     std::uint32_t i, const Rec* old, typename reclaim::Pool<Rec>::Handle& rec) {
-  if (options_.use_cas) {
-    // Release mode: the CAS is acq_rel -- release so the record built
-    // before it is visible to any acquire load of R[i] that sees it,
-    // acquire so the displaced record may be handed to reclamation.
-    if (r_.at(i)->compare_and_swap(old, rec.get()) != old) {
-      // Linearized immediately before the update that beat us; our record
-      // was never published, so it returns straight to the pool.
-      tls_op_stats().cas_failed = true;
-      return false;
-    }
-  } else {
-    // ABL-3 ablation: publish with a plain overwrite, as Figure 1 does.
-    // A CasObject has no store operation, so emulate the register write
-    // with a CAS retry loop; this path exists only to measure what the
-    // paper's switch to CAS buys (Section 4's second modification).
-    // EBR-only (hp rejects use_cas=false), so `old` needs no hazard.
-    while (true) {
-      const Rec* prev = r_.at(i)->compare_and_swap(old, rec.get());
-      if (prev == old) break;
-      old = prev;
-    }
+  // Release mode: the CAS is acq_rel -- release so the record built before
+  // it is visible to any acquire load of R[i] that sees it, acquire so the
+  // displaced record may be handed to reclamation.
+  if (r_.at(i)->compare_and_swap(old, rec.get()) != old) {
+    // Linearized immediately before the update that beat us; our record
+    // was never published, so it returns straight to the pool.
+    tls_op_stats().cas_failed = true;
+    return false;
   }
   rec.release();
   plane_.recycle(record_pool_, old, i);
@@ -684,11 +639,8 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
 
     // Phase 3: one pooled record and one publication per entry.  Every
     // record of the batch carries the SAME counter -- the counter is an
-    // operation sequence number, and the moved-twice table (write-ablation
-    // mode and the full-snapshot baseline) counts moves per operation, so
-    // a batch's k publications must read as one move.  Record identity
-    // (the CAS compare, condition (2)'s per-location values) is pointer
-    // identity under EBR, which same-tag records do not perturb.
+    // operation sequence number.  The records sit on distinct components,
+    // so condition (2)'s per-location tags still tell them apart.
     const std::uint64_t batch_counter = counter_.at(pid).value + 1;
     ++counter_.at(pid).value;
     for (std::uint32_t j = 0; j < count; ++j) {

@@ -81,12 +81,10 @@
 // plane_.validates_each_read(), read once per operation: the collect's
 // block size (1 under hp, copying each entry while its hazard stands), the
 // versioned scan's depth-2 restart walk, the per-entry batch fallback, and
-// the failed versioned update's re-protected stamp fix.  The two
-// restrictions, both enforced at construction: hp requires use_cas (the
-// write-ablation's moved-twice borrow may return a record nothing
-// protects), and the versioned plane requires reclaim_shards == 1 (batch
-// helping crosses components, hence shards; hp is the versioned plane's
-// tail-latency answer instead).
+// the failed versioned update's re-protected stamp fix.  One restriction,
+// enforced at construction: the versioned plane requires reclaim_shards ==
+// 1 (batch helping crosses components, hence shards; hp is the versioned
+// plane's tail-latency answer instead).
 // Dynamic runtime: components live in grow-only segmented storage
 // (add_components() never invalidates a concurrent reader's pointers,
 // num_components() is a monotone count) and per-pid state keys off
@@ -115,20 +113,12 @@ namespace psnap::core {
 // a standalone type so registry factories can build one Options and hand
 // it to whichever plane the spec selected.
 struct CasSnapshotOptions {
-  // Options forwarded to the embedded Figure 2 active set.
+  // Options forwarded to the embedded Figure 2 active set.  Its per-pid
+  // walk bound (exec/pid_bound.h) also bounds the destructor's
+  // announcement sweep.
   activeset::FaiCasOptions active_set;
-  // ABL-3 ablation: publish updates with a plain overwrite (register
-  // semantics) instead of CAS.  Correctness is preserved by falling back
-  // to the Figure 1 condition (2) (three values by one process), but
-  // scans lose their O(r^2) locality bound -- the bench shows collects
-  // growing with update contention.
-  bool use_cas = true;
-  // Per-pid walk bound (exec/pid_bound.h): sizes the write-ablation
-  // mode's moved-twice table and bounds the destructor's announcement
-  // sweep.  The registry factories mirror it into active_set.bound.
-  exec::PidBound bound;
   // Reclaim through hazard pointers instead of EBR (registry option
-  // reclaim=hp).  Requires use_cas; forces reclaim_shards == 1.
+  // reclaim=hp).  Forces reclaim_shards == 1.
   bool use_hp = false;
   // EBR shard count (registry option shards=<k>): independent reclamation
   // domains keyed by component segment.  1 = the classic global domain.
@@ -157,7 +147,6 @@ class CasPartialSnapshotT final : public PartialSnapshot {
 
   std::uint32_t num_components() const override { return size_.load(); }
   std::string_view name() const override {
-    if (!options_.use_cas) return "fig3-write(ablation)";
     if constexpr (Value::kVersioned) {
       if (options_.use_hp) {
         return Policy::kCountsSteps ? "fig3-cas-versioned-hp"
@@ -329,9 +318,9 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // getSet, the union of the announced index sets, and one embedded scan
   // over that union.
   const ViewV& help(Op& op, ScanContext& ctx);
-  // Publishes `rec` over `old` on component i -- fig3's try-once CAS, or
-  // the write ablation's overwrite -- and retires the record it displaced.
-  // Returns whether `rec` went live; if not, it unwinds to the pool.
+  // Publishes `rec` over `old` on component i with fig3's try-once CAS and
+  // retires the record it displaced.  Returns whether `rec` went live; if
+  // not, it unwinds to the pool.
   bool publish(std::uint32_t i, const Rec* old,
                typename reclaim::Pool<Rec>::Handle& rec);
 

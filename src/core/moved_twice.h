@@ -1,7 +1,7 @@
 // Population-adaptive table for the condition-(2) "moved twice" helping
-// rule (Figure 1, the full-snapshot baseline, and Figure 3's
-// write-ablation mode all share it; see the multi-writer soundness
-// discussion in register_psnap.cpp).
+// rule, shared by Figure 1 and the full-snapshot baseline (see the
+// multi-writer soundness discussion in register_psnap.cpp).  Figure 3
+// publishes by CAS and borrows per location instead (core/cas_psnap.cpp).
 //
 // The table has one slot per pid that publishes during the scan.  The seed
 // implementation arena-took max_processes slots -- an O(max_threads)
@@ -50,13 +50,15 @@ class MovedTwiceTable {
   // update began after the earlier move's write, hence after this scan
   // began.
   //
-  // A move is an OPERATION, keyed by (pid, counter), not a record: the
-  // records of one update_batch share a counter because they share one
-  // embedded scan, and counting them as separate moves would let a scan
-  // borrow a view whose collect predates it (two "moves" from a single
-  // batch prove nothing about when that batch's scan began).  For
-  // singleton updates -- one record per operation -- the counter key
-  // degenerates to the historical record identity.
+  // A move is an OPERATION, keyed by (pid, counter), not a record: a
+  // batch is one move with k records.  Its records share a counter
+  // because they share one embedded scan, and counting them as separate
+  // moves would let a scan borrow a view whose collect predates it (two
+  // "moves" from a single batch prove nothing about when that batch's
+  // scan began).  So one move can show up as k changes, and a caller's
+  // collect bound must allow for that (full_snapshot.cpp).  For singleton
+  // updates -- one record per operation -- the counter key degenerates to
+  // the historical record identity.
   const Rec* note_move(const Rec* rec) {
     PSNAP_ASSERT(!rec->is_initial());  // initial records are never published
     Slot& s = slot(rec->pid);

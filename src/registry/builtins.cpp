@@ -1,7 +1,8 @@
 // Built-in implementation catalogue.
 //
-// Adding an implementation (or an ablation) is ONE add() call here; every
-// registry-driven test, bench, and example picks it up automatically.
+// Adding an implementation is ONE add() call here; every registry-driven
+// test, bench, and example picks it up automatically.  An ablation is an
+// option of its entry, not an entry of its own.
 //
 // Planes are options, not entries: an entry lists the value planes
 // (value=u64|blob|versioned, primitives/value_plane.h) and reclamation
@@ -46,7 +47,6 @@ activeset::FaiCasActiveSet::Options faicas_options(const Options& options,
   activeset::FaiCasActiveSet::Options out;
   out.coalesce = options.get_bool("coalesce", true);
   out.publish_skip_list = options.get_bool("publish", true);
-  out.max_joins = options.get_uint("max_joins", 0);
   out.bound = pid_bound(options, n);
   return out;
 }
@@ -74,10 +74,6 @@ void apply_reclaim_options(core::CasSnapshotOptions& impl,
         std::to_string(shards));
   }
   impl.reclaim_shards = static_cast<std::uint32_t>(shards);
-  if (impl.use_hp && !impl.use_cas) {
-    throw std::invalid_argument(
-        "reclaim=hp requires the CAS publication path (cas=true)");
-  }
   if (impl.use_hp && impl.reclaim_shards > 1) {
     throw std::invalid_argument(
         "shards>1 is an EBR-plane knob; hazard pointers already confine "
@@ -150,9 +146,7 @@ std::unique_ptr<core::PartialSnapshot> make_fig3(core::InitialVector m,
                                                  std::uint32_t n,
                                                  const Options& options) {
   core::CasPartialSnapshot::Options impl;
-  impl.use_cas = options.get_bool("cas", true);
   impl.active_set = faicas_options(options, n);
-  impl.bound = impl.active_set.bound;
   const std::string plane = value_plane(options);
   apply_reclaim_options(impl, options, plane == "versioned");
   std::uint64_t initial = options.get_uint("initial", 0);
@@ -207,8 +201,8 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .description = "Figure 3: local partial scans from CAS + F&I "
                      "(Theorem 3, the paper's headline algorithm)",
       .options_help =
-          "cas=<bool>,coalesce=<bool>,publish=<bool>,max_joins=<u64>,"
-          "initial=<u64>,adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
+          "coalesce=<bool>,publish=<bool>,initial=<u64>,adaptive=<bool>,"
+          "reclaim=<ebr|hp>,shards=<u32>",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
@@ -222,8 +216,8 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "publication, no step accounting or sim hooks "
                      "(counts_steps=false; wall-clock benches only)",
       .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,initial=<u64>,"
-          "adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
+          "coalesce=<bool>,publish=<bool>,initial=<u64>,adaptive=<bool>,"
+          "reclaim=<ebr|hp>,shards=<u32>",
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob,versioned",
@@ -234,7 +228,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             core::CasPartialSnapshotFast::Options impl;
             impl.active_set = faicas_options(options, n);
-            impl.bound = impl.active_set.bound;
             const std::string plane = value_plane(options);
             apply_reclaim_options(impl, options, plane == "versioned");
             std::uint64_t initial = options.get_uint("initial", 0);
@@ -248,33 +241,6 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
             }
             return std::make_unique<core::CasPartialSnapshotFast>(m, n, impl,
                                                                   initial);
-          },
-  });
-  registry.add(SnapshotInfo{
-      .name = "fig3_write_ablation",
-      .description = "ABL-3: Figure 3 publishing updates with plain "
-                     "overwrites instead of CAS (loses the 2r+1 bound)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
-      .counts_steps = true,
-      .sim_safe = true,
-      .values = "u64,blob",
-      .supports_batch = true,
-      .make =
-          [](core::InitialVector m, std::uint32_t n,
-             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            // No faicas options exposed here historically; keep the bound
-            // wiring identical to before.
-            core::CasPartialSnapshot::Options impl;
-            impl.use_cas = false;
-            impl.bound = pid_bound(options, n);
-            impl.active_set.bound = impl.bound;
-            std::uint64_t initial = options.get_uint("initial", 0);
-            if (value_plane(options) == "blob") {
-              return std::make_unique<core::CasPartialSnapshotBlob>(m, n, impl,
-                                                                    initial);
-            }
-            return std::make_unique<core::CasPartialSnapshot>(m, n, impl,
-                                                              initial);
           },
   });
   registry.add(SnapshotInfo{
@@ -357,8 +323,8 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "path at k=1; lock-free on the versioned plane, whose "
                      "descriptor install engine CAS-retries)",
       .options_help =
-          "cas=<bool>,coalesce=<bool>,publish=<bool>,max_joins=<u64>,"
-          "initial=<u64>,adaptive=<bool>,reclaim=<ebr|hp>,shards=<u32>",
+          "coalesce=<bool>,publish=<bool>,initial=<u64>,adaptive=<bool>,"
+          "reclaim=<ebr|hp>,shards=<u32>",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
@@ -437,11 +403,14 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
       .name = "faicas",
       .description = "Figure 2: F&I slot allocation + CAS-published skip "
                      "list (Theorem 2)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,adaptive=<bool>",
+      .options_help = "coalesce=<bool>,publish=<bool>,adaptive=<bool>",
       .is_wait_free = true,
       .counts_steps = true,
       .sim_safe = true,
+      // ABL-1: without interval coalescing the published list grows with
+      // vacated runs; without the published skip list getSet's cost grows
+      // with total joins.
+      .ablations = {"coalesce=false", "publish=false"},
       .make =
           [](std::uint32_t n, const Options& options) {
             return std::make_unique<activeset::FaiCasActiveSet>(
@@ -452,8 +421,7 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
       .name = "faicas_fast",
       .description = "Figure 2 in the Release runtime (no step accounting; "
                      "wall-clock benches only)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,max_joins=<u64>,adaptive=<bool>",
+      .options_help = "coalesce=<bool>,publish=<bool>,adaptive=<bool>",
       .is_wait_free = true,
       .counts_steps = false,
       .sim_safe = false,
@@ -462,36 +430,6 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
             return std::make_unique<
                 activeset::FaiCasActiveSetT<primitives::Release>>(
                 n, faicas_options(options, n));
-          },
-  });
-  registry.add(ActiveSetInfo{
-      .name = "faicas_nocoalesce",
-      .description = "ABL-1: Figure 2 without interval coalescing "
-                     "(published list grows with vacated runs)",
-      .options_help = "",
-      .is_wait_free = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .make =
-          [](std::uint32_t n, const Options& /*options*/) {
-            activeset::FaiCasActiveSet::Options impl;
-            impl.coalesce = false;
-            return std::make_unique<activeset::FaiCasActiveSet>(n, impl);
-          },
-  });
-  registry.add(ActiveSetInfo{
-      .name = "faicas_nopublish",
-      .description = "ABL-1: Figure 2 without the published skip list "
-                     "(getSet cost grows with total joins)",
-      .options_help = "",
-      .is_wait_free = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .make =
-          [](std::uint32_t n, const Options& /*options*/) {
-            activeset::FaiCasActiveSet::Options impl;
-            impl.publish_skip_list = false;
-            return std::make_unique<activeset::FaiCasActiveSet>(n, impl);
           },
   });
   registry.add(ActiveSetInfo{

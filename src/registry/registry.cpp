@@ -508,6 +508,29 @@ std::vector<SnapshotVariant> variants() {
   return out;
 }
 
+std::vector<ActiveSetVariant> active_set_variants() {
+  std::vector<ActiveSetVariant> out;
+  for (const ActiveSetInfo* info : ActiveSetRegistry::instance().all()) {
+    auto add = [&](const std::string& ablation) {
+      ActiveSetVariant v;
+      v.entry = info->name;
+      v.spec = v.entry;
+      v.name = v.entry;
+      if (!ablation.empty()) {
+        v.spec += ":" + ablation;
+        std::string suffix = ablation;
+        std::replace(suffix.begin(), suffix.end(), '=', '_');
+        v.name += "_" + suffix;
+      }
+      v.sim_safe = info->sim_safe;
+      out.push_back(std::move(v));
+    };
+    add("");
+    for (const std::string& ablation : info->ablations) add(ablation);
+  }
+  return out;
+}
+
 std::string closest_snapshot_name(std::string_view name) {
   return closest_name(name, SnapshotRegistry::instance().all());
 }

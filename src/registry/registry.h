@@ -13,12 +13,13 @@
 //     is_wait_free / is_local read from a built instance) -- so consumers
 //     filter ("only wait-free variants for the crash sweeps", "only
 //     sim-safe variants under the deterministic scheduler") instead of
-//     hand-curating lists;
+//     hand-curating lists; active_set_variants() does the same for the
+//     active sets and their ablations;
 //
-//   * construction from CLI strings: make_snapshot("fig3_cas:cas=false",
+//   * construction from CLI strings: make_snapshot("fig3_cas:reclaim=hp",
 //     m, n) parses per-implementation options from a spec of the form
 //     "name" or "name:key=value,key=value", so bench and example binaries
-//     expose --impl flags that reach every registered ablation;
+//     expose --impl flags that reach every option and ablation;
 //
 //   * one-line registration: a new implementation is a single add() call
 //     in register_builtins() -- every consumer picks it up automatically,
@@ -262,8 +263,28 @@ struct ActiveSetInfo {
   bool is_wait_free = false;
   bool counts_steps = true;
   bool sim_safe = true;
+  // Option spellings ("coalesce=false") that active_set_variants() lists
+  // as cells of their own beside the entry's default configuration.
+  std::vector<std::string> ablations = {};
   ActiveSetFactory make;
 };
+
+// One buildable cell of the active-set catalogue: an entry in its default
+// configuration or with one of its `ablations`.
+struct ActiveSetVariant {
+  // "entry" or "entry:<ablation>"; make_active_set(spec, n) builds it.
+  std::string spec;
+  // Identifier-safe gtest parameter name: the entry name, plus
+  // "_<key>_<value>" for an ablation (faicas_coalesce_false).
+  std::string name;
+  std::string entry;
+  // The entry's flag.
+  bool sim_safe = true;
+};
+
+// Every registered active-set entry followed by its ablations, in
+// registration order.
+std::vector<ActiveSetVariant> active_set_variants();
 
 class ActiveSetRegistry {
  public:

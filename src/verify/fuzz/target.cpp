@@ -42,12 +42,12 @@ std::vector<FuzzTarget> enumerate_snapshot_targets() {
 
 std::vector<FuzzTarget> enumerate_active_set_targets() {
   std::vector<FuzzTarget> targets;
-  for (const registry::ActiveSetInfo* info :
-       registry::ActiveSetRegistry::instance().all()) {
-    if (!info->sim_safe) continue;
+  for (const registry::ActiveSetVariant& variant :
+       registry::active_set_variants()) {
+    if (!variant.sim_safe) continue;
     FuzzTarget target;
     target.kind = FuzzTarget::Kind::kActiveSet;
-    target.spec = info->name;
+    target.spec = variant.spec;
     targets.push_back(std::move(target));
   }
   return targets;

@@ -15,10 +15,10 @@ namespace psnap::activeset {
 namespace {
 
 class ActiveSetContractTest
-    : public ::testing::TestWithParam<const registry::ActiveSetInfo*> {
+    : public ::testing::TestWithParam<registry::ActiveSetVariant> {
  protected:
   std::unique_ptr<ActiveSet> make(std::uint32_t n) {
-    return test::make_active_set(*GetParam(), n);
+    return test::make_active_set(GetParam(), n);
   }
 };
 

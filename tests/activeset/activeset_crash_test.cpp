@@ -32,19 +32,19 @@ using verify::History;
 using verify::RecordingActiveSet;
 
 // Crash sweeps run every registered sim-safe active set.
-std::vector<const registry::ActiveSetInfo*> crash_impls() {
+std::vector<registry::ActiveSetVariant> crash_impls() {
   return test::active_set_impls(
-      [](const registry::ActiveSetInfo& info) { return info.sim_safe; });
+      [](const registry::ActiveSetVariant& v) { return v.sim_safe; });
 }
 
 class ActiveSetCrashTest
-    : public ::testing::TestWithParam<const registry::ActiveSetInfo*> {};
+    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
 
 // Sweep the churner's crash point across its whole operation sequence;
 // the observer must always finish and its getSets must stay valid.
 TEST_P(ActiveSetCrashTest, ChurnerCrashSweep) {
   for (std::uint64_t crash_step = 1; crash_step <= 10; ++crash_step) {
-    auto as = test::make_active_set(*GetParam(), 2);
+    auto as = test::make_active_set(GetParam(), 2);
     History history;
     RecordingActiveSet recorded(*as, history);
     bool observer_finished = false;
@@ -67,9 +67,9 @@ TEST_P(ActiveSetCrashTest, ChurnerCrashSweep) {
     sched.run();
 
     ASSERT_TRUE(observer_finished)
-        << GetParam()->name << " crash at step " << crash_step;
+        << GetParam().name << " crash at step " << crash_step;
     auto outcome = check_active_set_validity(history.operations());
-    ASSERT_TRUE(outcome.ok) << GetParam()->name << " crash at step "
+    ASSERT_TRUE(outcome.ok) << GetParam().name << " crash at step "
                             << crash_step << ": " << outcome.diagnosis
                             << "\n"
                             << history.to_string();
@@ -80,7 +80,7 @@ TEST_P(ActiveSetCrashTest, ChurnerCrashSweep) {
 // processes remain valid.
 TEST_P(ActiveSetCrashTest, ObserverCrashMidGetSet) {
   for (std::uint64_t crash_step = 1; crash_step <= 6; ++crash_step) {
-    auto as = test::make_active_set(*GetParam(), 3);
+    auto as = test::make_active_set(GetParam(), 3);
     History history;
     RecordingActiveSet recorded(*as, history);
     bool second_observer_ok = false;

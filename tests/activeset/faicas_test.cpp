@@ -183,30 +183,6 @@ TEST(FaiCas, CoalescedListStaysShort) {
   EXPECT_LE(as.published_intervals(), 2u);
 }
 
-TEST(FaiCas, BoundedVariantAcceptsWithinBudget) {
-  FaiCasActiveSet::Options options;
-  options.max_joins = 10;
-  FaiCasActiveSet as(2, options);
-  exec::ScopedPid pid(0);
-  for (int i = 0; i < 10; ++i) {
-    as.join();
-    as.leave();
-  }
-  EXPECT_EQ(as.slots_used(), 10u);
-}
-
-TEST(FaiCasDeathTest, BoundedVariantRejectsOverBudget) {
-  FaiCasActiveSet::Options options;
-  options.max_joins = 3;
-  FaiCasActiveSet as(2, options);
-  exec::ScopedPid pid(0);
-  for (int i = 0; i < 3; ++i) {
-    as.join();
-    as.leave();
-  }
-  EXPECT_DEATH(as.join(), "join budget");
-}
-
 TEST(FaiCasDeathTest, LeaveWithoutJoinAborts) {
   FaiCasActiveSet as(2);
   exec::ScopedPid pid(0);

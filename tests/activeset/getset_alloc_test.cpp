@@ -48,12 +48,12 @@ std::uint64_t allocations_during_getsets(ActiveSet& as,
 }
 
 class GetSetAllocTest
-    : public ::testing::TestWithParam<const registry::ActiveSetInfo*> {};
+    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
 
 TEST_P(GetSetAllocTest, StableMembershipCollectsAreAllocationFree) {
   // Three members spread across the pid range, installed before the
   // measurement; the observer then collects repeatedly.
-  auto as = test::make_active_set(*GetParam(), kN);
+  auto as = test::make_active_set(GetParam(), kN);
   for (std::uint32_t p : {1u, 3u, 6u}) {
     exec::ScopedPid pid(p);
     as->join();
@@ -66,7 +66,7 @@ TEST_P(GetSetAllocTest, StableMembershipCollectsAreAllocationFree) {
 }
 
 TEST_P(GetSetAllocTest, OutputCapacityIsReservedOnceAndNeverShrunk) {
-  auto as = test::make_active_set(*GetParam(), kN);
+  auto as = test::make_active_set(GetParam(), kN);
   {
     exec::ScopedPid pid(5);
     as->join();
@@ -95,10 +95,10 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, GetSetAllocTest,
 // periods, longer than this one.  The mutex oracle allocates set nodes
 // per join.)
 class GetSetChurnAllocTest
-    : public ::testing::TestWithParam<const registry::ActiveSetInfo*> {};
+    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
 
 TEST_P(GetSetChurnAllocTest, ChurningCollectsAreAllocationFree) {
-  auto as = test::make_active_set(*GetParam(), kN);
+  auto as = test::make_active_set(GetParam(), kN);
   std::vector<std::uint32_t> out;
   // Warm everything the churn loop touches: every pid's flag slot (the
   // first join may install a per-pid segment), the observer's capacity.
@@ -141,9 +141,9 @@ TEST_P(GetSetChurnAllocTest, ChurningCollectsAreAllocationFree) {
 INSTANTIATE_TEST_SUITE_P(
     FlagPerPidImplementations, GetSetChurnAllocTest,
     ::testing::ValuesIn(test::active_set_impls(
-        [](const registry::ActiveSetInfo& info) {
-          return info.name.rfind("register", 0) == 0 ||
-                 info.name.rfind("bitmap", 0) == 0;
+        [](const registry::ActiveSetVariant& v) {
+          return v.entry.rfind("register", 0) == 0 ||
+                 v.entry.rfind("bitmap", 0) == 0;
         })),
     test::active_set_param_name);
 

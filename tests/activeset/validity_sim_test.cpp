@@ -24,13 +24,13 @@ using verify::History;
 using verify::RecordingActiveSet;
 
 class ActiveSetValiditySimTest
-    : public ::testing::TestWithParam<const registry::ActiveSetInfo*> {};
+    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
 
 // Scenario A: two churners and one observer running getSets.
 TEST_P(ActiveSetValiditySimTest, ChurnersAndObserverAllSchedules) {
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto as = test::make_active_set(*GetParam(), 3);
+        auto as = test::make_active_set(GetParam(), 3);
         History history;
         RecordingActiveSet recorded(*as, history);
 
@@ -69,7 +69,7 @@ TEST_P(ActiveSetValiditySimTest, ChurnersAndObserverAllSchedules) {
 TEST_P(ActiveSetValiditySimTest, RejoinDuringGetSetAllSchedules) {
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto as = test::make_active_set(*GetParam(), 2);
+        auto as = test::make_active_set(GetParam(), 2);
         History history;
         RecordingActiveSet recorded(*as, history);
 
@@ -101,7 +101,7 @@ TEST_P(ActiveSetValiditySimTest, RejoinDuringGetSetAllSchedules) {
 TEST_P(ActiveSetValiditySimTest, RandomSchedulesLargerScenario) {
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto as = test::make_active_set(*GetParam(), 4);
+        auto as = test::make_active_set(GetParam(), 4);
         History history;
         RecordingActiveSet recorded(*as, history);
 
@@ -134,15 +134,15 @@ TEST_P(ActiveSetValiditySimTest, RandomSchedulesLargerScenario) {
 INSTANTIATE_TEST_SUITE_P(
     AllImplementations, ActiveSetValiditySimTest,
     ::testing::ValuesIn(test::active_set_impls(
-        [](const registry::ActiveSetInfo& info) { return info.sim_safe; })),
+        [](const registry::ActiveSetVariant& v) { return v.sim_safe; })),
     test::active_set_param_name);
 
 // Native-thread churn with validity checking via the recorded history.
 class ActiveSetValidityNativeTest
-    : public ::testing::TestWithParam<const registry::ActiveSetInfo*> {};
+    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
 
 TEST_P(ActiveSetValidityNativeTest, NativeChurnValidity) {
-  auto as = test::make_active_set(*GetParam(), 6);
+  auto as = test::make_active_set(GetParam(), 6);
   History history;
   RecordingActiveSet recorded(*as, history);
   constexpr int kChurners = 4;

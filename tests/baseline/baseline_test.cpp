@@ -1,8 +1,9 @@
 // Baseline-specific behaviours: starvation caps, seqlock writer mutual
-// exclusion, full-snapshot helping.
+// exclusion, full-snapshot helping and its collect bound under batches.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <numeric>
 #include <thread>
 
 #include "baseline/double_collect.h"
@@ -13,6 +14,9 @@
 #include "runtime/explore.h"
 #include "runtime/sim_scheduler.h"
 #include "exec/exec.h"
+#include "verify/fuzz/oracles.h"
+#include "verify/lin_checker.h"
+#include "verify/recording.h"
 
 namespace psnap::baseline {
 namespace {
@@ -171,6 +175,69 @@ TEST(FullSnapshot, HelpingBorrowsUnderAdversarialSchedule) {
       },
       /*runs=*/100);
   EXPECT_GT(borrowed.load(), 0u);
+}
+
+TEST(FullSnapshot, BatchPublishedBetweenCollectsStaysInsideTheBound) {
+  // One writer's update_batch publishes kM records under one counter, and
+  // the schedule lands each publication between two of the scanner's
+  // collects.  Every collect then differs from the one before, yet all
+  // the changes belong to one operation, so no borrow fires: the scan
+  // takes about kM + 2 collects, more than 2n+3 for n = 2.  The collect
+  // bound must admit that, and the history must linearize.
+  constexpr std::uint32_t kM = 12;
+  constexpr std::uint32_t kN = 2;
+  std::vector<core::BatchEntry> batch;
+  for (std::uint32_t i = 0; i < kM; ++i) batch.push_back({i, 100 + i});
+
+  // The writer's steps run alone: its embedded scan, then one exchange
+  // per entry.
+  std::uint64_t writer_steps = 0;
+  {
+    FullSnapshot solo(kM, kN);
+    exec::ScopedPid pid(1);
+    const std::uint64_t before = exec::ctx().steps.total;
+    solo.update_batch(batch);
+    writer_steps = exec::ctx().steps.total - before;
+  }
+  ASSERT_GT(writer_steps, kM);
+  // Ranks while both run: 0 = the scanner (pid 0), 1 = the writer.  The
+  // writer finishes its embedded scan, then publishes once per kM scanner
+  // steps, one collect's worth.
+  runtime::SimScheduler::Options options;
+  options.script.assign(writer_steps - kM, 1);
+  for (std::uint32_t k = 0; k < kM; ++k) {
+    options.script.insert(options.script.end(), kM, 0);
+    options.script.push_back(1);
+  }
+
+  FullSnapshot snap(kM, kN);
+  verify::History history;
+  verify::RecordingSnapshot recorded(snap, history);
+  std::uint64_t collects = 0;
+  bool borrowed = true;
+  runtime::SimScheduler sched(options);
+  sched.add_process([&] {
+    std::vector<std::uint32_t> all(kM);
+    std::iota(all.begin(), all.end(), 0u);
+    std::vector<std::uint64_t> out;
+    recorded.scan(all, out);
+    collects = core::tls_op_stats().collects;
+    borrowed = core::tls_op_stats().borrowed;
+  });
+  sched.add_process([&] { recorded.update_batch(batch); });
+  sched.run();
+
+  EXPECT_GT(collects, 2 * kN + 3);
+  EXPECT_FALSE(borrowed);
+  verify::LinCheckOptions lin;
+  lin.num_components = kM;
+  auto outcome = verify::check_snapshot_linearizable(
+      verify::fuzz::expand_batches_for_lin(history.operations(),
+                                           snap.batch_atomicity()),
+      lin);
+  EXPECT_EQ(outcome.result, verify::LinResult::kLinearizable)
+      << outcome.diagnosis << "\n"
+      << history.to_string();
 }
 
 TEST(Lock, SequentiallyCorrectUnderConcurrency) {

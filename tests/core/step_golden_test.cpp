@@ -4,10 +4,10 @@
 // is exact: under the deterministic scheduler a seeded schedule replays
 // byte-for-byte, so the steps each operation takes are a fixed function of
 // the code.  This suite runs one fixed op plan under three fixed
-// SimScheduler seeds for every sim-safe Figure 3 variant (fig3_cas,
-// fig3_cas_batch and fig3_write_ablation over their value x reclaim
-// planes, plus fig3_cas at two EBR shards) and compares every operation's
-// step total with the table below.
+// SimScheduler seeds for every sim-safe Figure 3 variant (fig3_cas and
+// fig3_cas_batch over their value x reclaim planes, plus fig3_cas at two
+// EBR shards) and compares every operation's step total with the table
+// below.
 //
 // A change that claims to move no step (a reclamation or layout refactor,
 // a cache-miss optimisation) must leave the table as it is.  A change that
@@ -114,8 +114,7 @@ std::vector<std::pair<std::string, std::string>> cells() {
   std::vector<std::pair<std::string, std::string>> out;
   for (const registry::SnapshotVariant& v : test::snapshot_impls()) {
     if (v.sim_safe &&
-        (v.entry == "fig3_cas" || v.entry == "fig3_cas_batch" ||
-         v.entry == "fig3_write_ablation")) {
+        (v.entry == "fig3_cas" || v.entry == "fig3_cas_batch")) {
       out.emplace_back(v.name, v.spec);
     }
   }
@@ -149,12 +148,6 @@ constexpr Golden kGolden[] = {
     {"fig3_cas_versioned_hp", 1, "6 5 17 9 6 3 / 6 8 5 6 6 6 / 12 6 5 6 6 5"},
     {"fig3_cas_versioned_hp", 2, "6 8 12 9 6 3 / 4 6 5 6 6 8 / 12 6 14 6 6 5"},
     {"fig3_cas_versioned_hp", 3, "6 8 17 9 6 3 / 6 6 8 6 6 6 / 12 6 6 6 6 5"},
-    {"fig3_write_ablation", 1, "24 8 7 12 7 6 / 4 14 8 6 10 6 / 12 12 8 6 6 8"},
-    {"fig3_write_ablation", 2, "14 8 11 12 7 6 / 14 7 8 16 16 7 / 12 6 8 6 4 10"},
-    {"fig3_write_ablation", 3, "15 8 10 12 12 6 / 4 14 8 13 6 4 / 12 6 8 10 4 8"},
-    {"fig3_write_ablation_blob", 1, "24 8 7 12 7 6 / 4 14 8 6 10 6 / 12 12 8 6 6 8"},
-    {"fig3_write_ablation_blob", 2, "14 8 11 12 7 6 / 14 7 8 16 16 7 / 12 6 8 6 4 10"},
-    {"fig3_write_ablation_blob", 3, "15 8 10 12 12 6 / 4 14 8 13 6 4 / 12 6 8 10 4 8"},
     {"fig3_cas_batch", 1, "22 8 8 12 7 6 / 4 14 8 6 10 6 / 12 12 8 6 6 8"},
     {"fig3_cas_batch", 2, "14 8 10 12 7 6 / 14 6 8 15 16 7 / 12 6 8 6 4 8"},
     {"fig3_cas_batch", 3, "14 8 6 12 7 6 / 4 14 8 13 6 4 / 12 6 8 6 4 8"},

@@ -92,8 +92,7 @@ TEST(ValueAllocTest, SteadyStateBlobUpdatesAreAllocationFree) {
   exec::ScopedPid pid(0);
   for (const char* spec :
        {"fig1_register:value=blob", "fig3_cas:value=blob",
-        "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
-        "fig3_write_ablation:value=blob"}) {
+        "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob"}) {
     auto snap = registry::make_snapshot(spec, kM, kN);
     ASSERT_EQ(snap->value_plane(), "blob") << spec;
     warm_up(*snap);

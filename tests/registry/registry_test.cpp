@@ -32,14 +32,16 @@ TEST(SnapshotRegistry, CataloguesTheExpectedBuiltins) {
   auto& registry = SnapshotRegistry::instance();
   for (const char* name :
        {"fig1_register", "fig1_register_fast", "fig3_cas", "fig3_cas_fast",
-        "fig3_write_ablation", "full_snapshot", "double_collect", "lock",
-        "seqlock", "fig3_cas_batch"}) {
+        "full_snapshot", "double_collect", "lock", "seqlock",
+        "fig3_cas_batch"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
   EXPECT_EQ(registry.find("no_such_impl"), nullptr);
   // The versioned complete-scan baseline and its batch-routed entry are
   // gone: only Figure 3 has the versioned plane.
   EXPECT_EQ(registry.find("full_snapshot_versioned_batch"), nullptr);
+  // Figure 3 publishes only by CAS: the write-published fork is gone.
+  EXPECT_EQ(registry.find("fig3_write_ablation"), nullptr);
 }
 
 // The per-plane entries the catalogue used to register by hand, each a
@@ -142,10 +144,29 @@ TEST(ActiveSetRegistry, CataloguesTheExpectedBuiltins) {
   auto& registry = ActiveSetRegistry::instance();
   for (const char* name :
        {"register", "register_fast", "bitmap", "bitmap_fast", "faicas",
-        "faicas_fast", "faicas_nocoalesce", "faicas_nopublish", "lock"}) {
+        "faicas_fast", "lock"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
-  EXPECT_GE(registry.all().size(), 9u);
+  EXPECT_GE(registry.all().size(), 7u);
+  // Figure 2's ablations are options of faicas, not entries.
+  EXPECT_EQ(registry.find("faicas_nocoalesce"), nullptr);
+  EXPECT_EQ(registry.find("faicas_nopublish"), nullptr);
+}
+
+TEST(ActiveSetRegistry, VariantsListEachEntryThenItsAblations) {
+  std::vector<std::string> specs;
+  for (const ActiveSetVariant& variant : active_set_variants()) {
+    specs.push_back(variant.spec);
+    EXPECT_NE(make_active_set(variant.spec, 2), nullptr) << variant.spec;
+  }
+  EXPECT_EQ(specs, (std::vector<std::string>{
+                       "register", "register_fast", "bitmap", "bitmap_fast",
+                       "faicas", "faicas:coalesce=false",
+                       "faicas:publish=false", "faicas_fast", "lock"}));
+  std::vector<ActiveSetVariant> all = active_set_variants();
+  EXPECT_EQ(all[5].name, "faicas_coalesce_false");
+  EXPECT_EQ(all[5].entry, "faicas");
+  EXPECT_TRUE(all[5].sim_safe);
 }
 
 TEST(ActiveSetRegistry, AdaptiveOptionReachesEveryBoundedImplementation) {
@@ -273,6 +294,41 @@ TEST(SnapshotRegistry, UnknownNameSuggestsTheClosestImplementation) {
   EXPECT_EQ(closest_snapshot_name("fig3"), "fig3_cas");
 }
 
+// Figure 3 publishes only by CAS, and Figure 2's join count is unbounded:
+// the options and entries that used to select otherwise are bad specs.
+TEST(SnapshotRegistry, RetiredSpellingsAreRejected) {
+  for (const char* spec :
+       {"fig3_cas:cas=false", "fig3_cas_batch:cas=false",
+        "fig3_cas:max_joins=3"}) {
+    try {
+      make_snapshot(spec, 4, 2);
+      FAIL() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown option"),
+                std::string::npos)
+          << spec << ": " << e.what();
+    }
+  }
+  EXPECT_THROW(make_active_set("faicas:max_joins=3", 2),
+               std::invalid_argument);
+  auto expect_unknown_name = [](auto make, const char* spec) {
+    try {
+      make(spec);
+      FAIL() << "expected std::invalid_argument for " << spec;
+    } catch (const std::invalid_argument& e) {
+      std::string message = e.what();
+      EXPECT_NE(message.find("unknown"), std::string::npos) << message;
+      EXPECT_NE(message.find("known implementations"), std::string::npos)
+          << "catalogue missing from: " << message;
+    }
+  };
+  expect_unknown_name([](const char* s) { make_snapshot(s, 4, 2); },
+                      "fig3_write_ablation");
+  for (const char* spec : {"faicas_nocoalesce", "faicas_nopublish"}) {
+    expect_unknown_name([](const char* s) { make_active_set(s, 2); }, spec);
+  }
+}
+
 TEST(SnapshotRegistry, UniversalSpecOptionsOverrideShapeArguments) {
   exec::ScopedPid pid(0);
   auto snap = make_snapshot("fig3_cas:m0=8,max_threads=3", 4, 2);
@@ -341,10 +397,10 @@ TEST(SnapshotRegistry, EveryImplementationGrowsThroughAddComponents) {
 TEST(SnapshotRegistry, SpecOptionsReachTheImplementation) {
   exec::ScopedPid pid(0);
   {
-    auto snap = make_snapshot("fig3_cas:cas=false", 4, 2);
+    auto snap = make_snapshot("fig3_cas:reclaim=hp", 4, 2);
     auto* cas = dynamic_cast<core::CasPartialSnapshot*>(snap.get());
     ASSERT_NE(cas, nullptr);
-    EXPECT_EQ(snap->name(), "fig3-write(ablation)");
+    EXPECT_EQ(snap->name(), "fig3-cas-hp");
   }
   {
     auto snap = make_snapshot("fig1_register:initial=7", 4, 2);
@@ -386,7 +442,7 @@ TEST(SnapshotRegistry, ValuePlaneOptionSelectsThePlaneOnEveryBuiltin) {
        {"fig1_register:value=blob", "fig3_cas:value=blob",
         "seqlock:value=blob",
         "fig1_register_fast:value=blob", "fig3_cas_fast:value=blob",
-        "fig3_write_ablation:value=blob", "fig3_cas_batch:value=blob"}) {
+        "fig3_cas_batch:value=blob"}) {
     auto snap = make_snapshot(spec, 4, 2);
     EXPECT_EQ(snap->value_plane(), "blob") << spec;
     // The logical-u64 interface round-trips through 8-byte payloads, so
@@ -627,13 +683,11 @@ TEST(SnapshotRegistry, UnsupportedReclaimPlaneFailsWithTheFullCatalogue) {
         << message;
   }
   // Combination rules fail loudly at construction, not deep in a workload:
-  // shards out of range, hp with the write ablation, hp with sharding,
-  // sharding on the versioned plane.
+  // shards out of range, hp with sharding, sharding on the versioned
+  // plane.
   EXPECT_THROW(make_snapshot("fig3_cas:shards=0", 4, 2),
                std::invalid_argument);
   EXPECT_THROW(make_snapshot("fig3_cas:shards=17", 4, 2),
-               std::invalid_argument);
-  EXPECT_THROW(make_snapshot("fig3_cas:cas=false,reclaim=hp", 4, 2),
                std::invalid_argument);
   EXPECT_THROW(make_snapshot("fig3_cas:reclaim=hp,shards=2", 4, 2),
                std::invalid_argument);

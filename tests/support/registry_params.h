@@ -20,13 +20,17 @@ namespace psnap::registry {
 inline void PrintTo(const SnapshotVariant& variant, std::ostream* os) {
   *os << variant.spec;
 }
+inline void PrintTo(const ActiveSetVariant& variant, std::ostream* os) {
+  *os << variant.spec;
+}
 
 }  // namespace psnap::registry
 
 namespace psnap::test {
 
 using SnapshotFilter = std::function<bool(const registry::SnapshotVariant&)>;
-using ActiveSetFilter = std::function<bool(const registry::ActiveSetInfo&)>;
+using ActiveSetFilter =
+    std::function<bool(const registry::ActiveSetVariant&)>;
 
 // Every registry variant (entry x value plane x reclamation plane) the
 // filter accepts.
@@ -39,12 +43,13 @@ inline std::vector<registry::SnapshotVariant> snapshot_impls(
   return out;
 }
 
-inline std::vector<const registry::ActiveSetInfo*> active_set_impls(
+// Every active-set variant (entry, then each of its ablations) the filter
+// accepts.
+inline std::vector<registry::ActiveSetVariant> active_set_impls(
     const ActiveSetFilter& filter = nullptr) {
-  std::vector<const registry::ActiveSetInfo*> out;
-  for (const registry::ActiveSetInfo* info :
-       registry::ActiveSetRegistry::instance().all()) {
-    if (!filter || filter(*info)) out.push_back(info);
+  std::vector<registry::ActiveSetVariant> out;
+  for (registry::ActiveSetVariant& variant : registry::active_set_variants()) {
+    if (!filter || filter(variant)) out.push_back(std::move(variant));
   }
   return out;
 }
@@ -56,8 +61,8 @@ inline std::unique_ptr<core::PartialSnapshot> make_snapshot(
 }
 
 inline std::unique_ptr<activeset::ActiveSet> make_active_set(
-    const registry::ActiveSetInfo& info, std::uint32_t n) {
-  return info.make(n, registry::Options{});
+    const registry::ActiveSetVariant& variant, std::uint32_t n) {
+  return registry::make_active_set(variant.spec, n);
 }
 
 // gtest parameter-name generators (variant and registry names are
@@ -68,8 +73,8 @@ inline std::string snapshot_param_name(
 }
 
 inline std::string active_set_param_name(
-    const ::testing::TestParamInfo<const registry::ActiveSetInfo*>& info) {
-  return info.param->name;
+    const ::testing::TestParamInfo<registry::ActiveSetVariant>& info) {
+  return info.param.name;
 }
 
 }  // namespace psnap::test

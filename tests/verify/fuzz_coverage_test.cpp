@@ -1,8 +1,9 @@
 // Coverage assertion for the fuzz target enumeration (verify/fuzz/target.h):
 // every sim-safe registry variant -- each entry on each value and
 // reclamation plane it lists -- with a coalescing ingest target for every
-// batch-capable one, appears exactly once, and no two targets build the
-// same configuration.  The expected set is recomputed here straight from
+// batch-capable one, and every sim-safe active set with each of its
+// ablations, appears exactly once, and no two targets build the same
+// configuration.  The expected set is recomputed here straight from
 // the registries -- no hand-curated impl tables -- so registering a new
 // implementation without fuzz coverage fails this test, not code review.
 #include "verify/fuzz/target.h"
@@ -33,10 +34,10 @@ TEST(FuzzCoverage, EverySimSafeVariantAndKnobComboIsEnumerated) {
       expected.insert("snap " + variant.spec + kIngest);
     }
   }
-  for (const registry::ActiveSetInfo* info :
-       registry::ActiveSetRegistry::instance().all()) {
-    if (!info->sim_safe) continue;
-    expected.insert("aset " + std::string(info->name));
+  for (const registry::ActiveSetVariant& variant :
+       registry::active_set_variants()) {
+    if (!variant.sim_safe) continue;
+    expected.insert("aset " + variant.spec);
   }
 
   std::set<std::string> actual;
@@ -68,7 +69,7 @@ TEST(FuzzCoverage, EverySimSafeVariantAndKnobComboIsEnumerated) {
   }
   for (const registry::ActiveSetInfo* info :
        registry::ActiveSetRegistry::instance().all()) {
-    if (info->sim_safe) ++cells;
+    if (info->sim_safe) cells += 1 + info->ablations.size();
   }
   EXPECT_EQ(actual.size(), cells);
   for (const char* plane :
