@@ -7,8 +7,9 @@
 // not the object's size; this bench applies it to the thread dimension.
 // Before PidBound (exec/pid_bound.h) every per-pid walk cost
 // O(max_threads); with the watermark bound it costs O(live).  Each
-// adaptive row is paired with its full-range (`adaptive=false`) twin --
-// the seed behavior -- so the win is measured, not asserted:
+// adaptive row is paired with its full-range twin, built directly with
+// PidBound::fixed(max_threads) -- the seed behavior -- so the win is
+// measured, not asserted:
 //
 //   ADPg: active-set getSet latency vs live population (2/8/32/128).
 //         The adaptive rows should be flat-in-capacity and scale with
@@ -222,13 +223,12 @@ std::vector<SnapVariant> scan_variants(std::uint32_t m) {
       {"fig1-register-fast",
        [m](exec::ThreadRegistry& r) {
          return std::make_unique<core::RegisterPartialSnapshotT<Release>>(
-             m, kMaxThreads, nullptr, 0, exec::PidBound::watermark_of(r));
+             m, kMaxThreads, exec::PidBound::watermark_of(r));
        }},
       {"fig1-register-fast full-range",
        [m](exec::ThreadRegistry&) {
          return std::make_unique<core::RegisterPartialSnapshotT<Release>>(
-             m, kMaxThreads, nullptr, 0,
-             exec::PidBound::fixed(kMaxThreads));
+             m, kMaxThreads, exec::PidBound::fixed(kMaxThreads));
        }},
       {"fig3-cas-fast",
        [m](exec::ThreadRegistry& r) {

@@ -184,8 +184,7 @@ ResidencyRow parked_residency(const core::CasSnapshotOptions& options,
   constexpr std::uint32_t kResidencySegments = 4;
   const std::uint32_t m =
       kResidencySegments * core::kComponentSegmentSize;
-  core::CasPartialSnapshot snap(m, /*max_threads=*/4, options,
-                                /*initial=*/0);
+  core::CasPartialSnapshot snap(m, /*max_threads=*/4, options);
 
   std::unique_ptr<core::CasPartialSnapshot::ParkedReader> parked;
   {

@@ -1,7 +1,8 @@
 // Experiment T1 -- Theorem 1 (Figure 1, partial snapshot from registers):
 //   "processes perform O((Cu + 1) * r + A) steps per scan and
 //    O(Cu * Cs * rmax + A) steps per update", where A is the active-set
-//    term (O(n) for our register active set; see DESIGN.md substitutions).
+//    term (O(live pids) for our register active set under the watermark
+//    bound; see activeset/register_active_set.h).
 //
 // Regenerated tables:
 //   T1a: scan steps vs r at fixed contention -- linear in r.

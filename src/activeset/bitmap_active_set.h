@@ -11,9 +11,9 @@
 //   getSet: read ceil(bound/64) words and iterate their set bits
 //           (O(live/64) steps with the adaptive PidBound)
 //
-// -- a collect whose step count is 1/64th of the register walk's, usable
-// as Figure 1's active set (`fig1_register:as=bitmap`) exactly like the
-// register substitution.  Words are cacheline-padded so join/leave RMWs by
+// -- a collect whose step count is 1/64th of the register walk's, meeting
+// the same specification as the register substitution Figure 1 owns.
+// Words are cacheline-padded so join/leave RMWs by
 // pids in different 64-pid blocks never false-share; pids within a block
 // do share their word, which is the price of the packed collect (the
 // paper's model charges per base object, and 64 flags per readable base

@@ -1,7 +1,7 @@
 // Register-only active set.
 //
 // This stands in for the adaptive collect of Afek, Stupp and Touitou [3]
-// that the paper plugs into Figure 1 (see DESIGN.md, substitutions): one
+// that the paper plugs into Figure 1 (each Figure 1 object owns one): one
 // single-writer flag register per process, and a getSet that collects
 // them.  join/leave are one register write (O(1)); getSet walks the dense
 // pid prefix [0, PidBound) -- O(live population) with the default adaptive
@@ -14,15 +14,15 @@
 // the benches report that term separately.
 //
 // Templated over the primitives' runtime policy (see primitives.h):
-// Instrumented for the theorem benches and sim tests, Release for the
-// `fig1_register_fast` registry entry.  Release-mode soundness, both
-// directions of the handshake: (a) an update whose getSet reads
-// flag[p] == 1 synchronizes-with p's release join store and therefore
-// sees p's earlier announcement; (b) a scanner fences (seq_cst) between
-// its join and its collects, and getSet reads the flags with load_sync,
-// so an update whose getSet walk runs after that fence cannot miss the
-// scanner -- the Dekker half that acquire/release alone would lose (see
-// the protocol-fence discussion in primitives.h).
+// Instrumented for the theorem benches and sim tests, Release inside the
+// `fig1_register_fast` registry entry (no active-set entry builds it).
+// Release-mode soundness, both directions of the handshake: (a) an update
+// whose getSet reads flag[p] == 1 synchronizes-with p's release join
+// store and therefore sees p's earlier announcement; (b) a scanner fences
+// (seq_cst) between its join and its collects, and getSet reads the flags
+// with load_sync, so an update whose getSet walk runs after that fence
+// cannot miss the scanner -- the Dekker half that acquire/release alone
+// would lose (see the protocol-fence discussion in primitives.h).
 #pragma once
 
 #include <memory>

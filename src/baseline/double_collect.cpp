@@ -11,10 +11,9 @@ namespace psnap::baseline {
 
 DoubleCollectSnapshot::DoubleCollectSnapshot(
     core::InitialVector initial, std::uint32_t max_processes,
-    std::uint64_t max_collects_per_scan, std::uint64_t initial_value)
+    std::uint64_t max_collects_per_scan)
     : size_(initial.count()),
       n_(max_processes),
-      initial_value_(initial_value),
       max_collects_(max_collects_per_scan) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
@@ -35,7 +34,7 @@ void DoubleCollectSnapshot::build_components(
       first, count,
       [&](Slot& slot, std::uint64_t i) {
         auto* rec = new SimpleRecord();
-        initial.fill<value::DirectU64>(i, initial_value_, rec->value);
+        initial.fill<value::DirectU64>(i, rec->value);
         rec->counter = i;
         slot.init(rec, /*label=*/i);
       },

@@ -42,8 +42,7 @@ class DoubleCollectSnapshot final : public core::PartialSnapshot {
   // max_collects_per_scan == 0 means retry forever.
   DoubleCollectSnapshot(core::InitialVector initial,
                         std::uint32_t max_processes,
-                        std::uint64_t max_collects_per_scan = 0,
-                        std::uint64_t initial_value = 0);
+                        std::uint64_t max_collects_per_scan = 0);
   ~DoubleCollectSnapshot() override;
 
   std::uint32_t num_components() const override { return size_.load(); }
@@ -82,7 +81,6 @@ class DoubleCollectSnapshot final : public core::PartialSnapshot {
 
   core::GrowableSize size_;
   std::uint32_t n_;
-  std::uint64_t initial_value_;
   std::uint64_t max_collects_;
   core::ComponentStorage<primitives::Register<const SimpleRecord*>> r_;
   reclaim::EbrDomain ebr_;

@@ -6,16 +6,13 @@
 #include "core/moved_twice.h"
 #include "core/op_stats.h"
 #include "exec/exec.h"
+#include "exec/pid_bound.h"
 
 namespace psnap::baseline {
 
 FullSnapshot::FullSnapshot(core::InitialVector initial,
-                           std::uint32_t max_processes,
-                           std::uint64_t initial_value, exec::PidBound bound)
-    : size_(initial.count()),
-      n_(max_processes),
-      bound_(bound),
-      initial_value_(initial_value) {
+                           std::uint32_t max_processes)
+    : size_(initial.count()), n_(max_processes) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
@@ -33,7 +30,7 @@ void FullSnapshot::build_components(std::uint32_t first, std::uint32_t count,
       first, count,
       [&](Slot& slot, std::uint64_t i) {
         auto* rec = new FullRecord();
-        initial.fill<value::DirectU64>(i, initial_value_, rec->value);
+        initial.fill<value::DirectU64>(i, rec->value);
         rec->counter = i;
         slot.init(rec, /*label=*/i);
       },
@@ -58,7 +55,8 @@ std::vector<std::uint64_t>& FullSnapshot::embedded_full_scan(
   // argument applies here verbatim.  Population-adaptively sized, like
   // the local algorithms' tables (core/moved_twice.h): even the Omega(m)
   // baseline need not pay O(max_threads) bookkeeping per collect.
-  core::MovedTwiceTable<FullRecord> seen(ctx.arena, bound_.get(n_), n_);
+  core::MovedTwiceTable<FullRecord> seen(ctx.arena, exec::PidBound{}.get(n_),
+                                         n_);
 
   std::span<const FullRecord*> prev = ctx.arena.take<const FullRecord*>(m);
   std::span<const FullRecord*> cur = ctx.arena.take<const FullRecord*>(m);

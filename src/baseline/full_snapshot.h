@@ -19,7 +19,6 @@
 #include "core/partial_snapshot.h"
 #include "core/record.h"  // kInitPid
 #include "core/scan_context.h"
-#include "exec/pid_bound.h"
 #include "primitives/primitives.h"
 #include "reclaim/ebr.h"
 #include "reclaim/pool.h"
@@ -28,11 +27,7 @@ namespace psnap::baseline {
 
 class FullSnapshot final : public core::PartialSnapshot {
  public:
-  // `bound` sizes the helping rule's moved-twice table (the one per-pid
-  // cost here; scans are Omega(m) by design, that is the baseline's
-  // point).
-  FullSnapshot(core::InitialVector initial, std::uint32_t max_processes,
-               std::uint64_t initial_value = 0, exec::PidBound bound = {});
+  FullSnapshot(core::InitialVector initial, std::uint32_t max_processes);
   ~FullSnapshot() override;
 
   std::uint32_t num_components() const override { return size_.load(); }
@@ -87,8 +82,6 @@ class FullSnapshot final : public core::PartialSnapshot {
 
   core::GrowableSize size_;
   std::uint32_t n_;
-  exec::PidBound bound_;
-  std::uint64_t initial_value_;
   // Pool before ebr_: ~EbrDomain flushes retired records into it.  Pooled
   // records keep their full_view capacity, so steady-state updates are
   // allocation-free even though every record carries all m values.

@@ -10,7 +10,7 @@ std::uint32_t LockSnapshot::append(std::uint32_t count,
   core::require_component_room(first, count);
   data_.resize(first + count);
   for (std::uint32_t k = 0; k < count; ++k) {
-    initial.fill<value::DirectU64>(k, initial_value_, data_[first + k]);
+    initial.fill<value::DirectU64>(k, data_[first + k]);
   }
   count_.store(first + count, std::memory_order_release);
   return first;

@@ -18,8 +18,7 @@ namespace psnap::baseline {
 
 class LockSnapshot final : public core::PartialSnapshot {
  public:
-  LockSnapshot(core::InitialVector initial, std::uint64_t initial_value = 0)
-      : count_(0), initial_value_(initial_value) {
+  explicit LockSnapshot(core::InitialVector initial) : count_(0) {
     append(initial.count(), initial);
   }
 
@@ -47,17 +46,15 @@ class LockSnapshot final : public core::PartialSnapshot {
   using core::PartialSnapshot::scan;
 
  private:
-  // Appends `count` components, each from `initial` or at the initial
-  // value, under the core::kMaxComponents limit (std::length_error,
-  // nothing appended); returns the first new index.  The constructor's
-  // and add_components' one body.  Callers hold mu_ once the object is
-  // shared.
+  // Appends `count` components, each from `initial` or at 0, under the
+  // core::kMaxComponents limit (std::length_error, nothing appended);
+  // returns the first new index.  The constructor's and add_components'
+  // one body.  Callers hold mu_ once the object is shared.
   std::uint32_t append(std::uint32_t count,
                        const core::InitialVector& initial);
 
   std::mutex mu_;
   std::atomic<std::uint32_t> count_;
-  std::uint64_t initial_value_;
   std::vector<std::uint64_t> data_;
 };
 

@@ -16,11 +16,11 @@ void SeqlockSnapshotT<Value>::build_components(
       [&](Cell& cell, std::uint64_t i) {
         if constexpr (Value::kIndirect) {
           auto* node = new primitives::BlobNode();
-          initial.fill<Value>(i, initial_value_, node->bytes);
+          initial.fill<Value>(i, node->bytes);
           cell.init(node, /*label=*/i);
         } else {
           std::uint64_t v = 0;
-          initial.fill<Value>(i, initial_value_, v);
+          initial.fill<Value>(i, v);
           cell.init(v, /*label=*/i);
         }
       },
@@ -33,11 +33,8 @@ void SeqlockSnapshotT<Value>::build_components(
 
 template <class Value>
 SeqlockSnapshotT<Value>::SeqlockSnapshotT(core::InitialVector initial,
-                                          std::uint64_t max_attempts_per_scan,
-                                          std::uint64_t initial_value)
-    : size_(initial.count()),
-      initial_value_(initial_value),
-      max_attempts_(max_attempts_per_scan) {
+                                          std::uint64_t max_attempts_per_scan)
+    : size_(initial.count()), max_attempts_(max_attempts_per_scan) {
   PSNAP_ASSERT(initial.count() > 0);
   build_components(0, initial.count(), initial);
 }

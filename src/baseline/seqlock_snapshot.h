@@ -40,8 +40,7 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
 
   // max_attempts_per_scan == 0 means retry forever.
   SeqlockSnapshotT(core::InitialVector initial,
-                   std::uint64_t max_attempts_per_scan = 0,
-                   std::uint64_t initial_value = 0);
+                   std::uint64_t max_attempts_per_scan = 0);
   ~SeqlockSnapshotT() override;
 
   std::uint32_t num_components() const override { return size_.load(); }
@@ -106,7 +105,6 @@ class SeqlockSnapshotT final : public core::PartialSnapshot {
                Collect&& collect);
 
   core::GrowableSize size_;
-  std::uint64_t initial_value_;
   std::uint64_t max_attempts_;
   primitives::CasObject<std::uint64_t> version_;
   core::ComponentStorage<Cell> data_;

@@ -5,10 +5,6 @@
 
 namespace psnap {
 
-namespace detail {
-thread_local std::uint64_t tls_assert_evaluations = 0;
-}  // namespace detail
-
 void assert_fail(const char* expr, const char* file, int line,
                  const std::string& msg) {
   std::fprintf(stderr, "psnap invariant violated: %s\n  at %s:%d\n", expr,

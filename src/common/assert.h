@@ -8,7 +8,6 @@
 // so they do not perturb step counts.
 #pragma once
 
-#include <cstdint>
 #include <string>
 
 namespace psnap {
@@ -18,17 +17,10 @@ namespace psnap {
 [[noreturn]] void assert_fail(const char* expr, const char* file, int line,
                               const std::string& msg);
 
-namespace detail {
-// Number of assertion evaluations (for tests that want to prove the checks
-// are really on).  Not atomic: only read in single-threaded test code.
-extern thread_local std::uint64_t tls_assert_evaluations;
-}  // namespace detail
-
 }  // namespace psnap
 
 #define PSNAP_ASSERT(expr)                                              \
   do {                                                                  \
-    ++::psnap::detail::tls_assert_evaluations;                          \
     if (!(expr)) [[unlikely]] {                                         \
       ::psnap::assert_fail(#expr, __FILE__, __LINE__, std::string{});   \
     }                                                                   \
@@ -36,7 +28,6 @@ extern thread_local std::uint64_t tls_assert_evaluations;
 
 #define PSNAP_ASSERT_MSG(expr, msg)                                     \
   do {                                                                  \
-    ++::psnap::detail::tls_assert_evaluations;                          \
     if (!(expr)) [[unlikely]] {                                         \
       ::psnap::assert_fail(#expr, __FILE__, __LINE__, (msg));           \
     }                                                                   \

@@ -52,11 +52,9 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
 
 template <class Policy, class Value>
 CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
-    InitialVector initial, std::uint32_t max_processes, Options options,
-    std::uint64_t initial_value)
+    InitialVector initial, std::uint32_t max_processes, Options options)
     : size_(initial.count()),
       n_(max_processes),
-      initial_value_(initial_value),
       options_(options),
       record_pool_(options.use_hp ? 1 : options.reclaim_shards),
       as_(std::make_unique<activeset::FaiCasActiveSetT<Policy>>(
@@ -124,8 +122,8 @@ CasPartialSnapshotT<Policy, Value>::~CasPartialSnapshotT() {
 template <class Policy, class Value>
 std::uint32_t CasPartialSnapshotT<Policy, Value>::add_components(
     std::uint32_t count) {
-  // The constructor's build, at the initial value; nobody can read a new
-  // slot until grow_components publishes the count.
+  // The constructor's build, at 0; nobody can read a new slot until
+  // grow_components publishes the count.
   return grow_components(size_, count,
                          [this](std::uint32_t first, std::uint32_t k) {
                            build_components(first, k, {});

@@ -142,7 +142,7 @@ class CasPartialSnapshotT final : public PartialSnapshot {
 
   CasPartialSnapshotT(InitialVector initial, std::uint32_t max_processes);
   CasPartialSnapshotT(InitialVector initial, std::uint32_t max_processes,
-                      Options options, std::uint64_t initial_value = 0);
+                      Options options);
   ~CasPartialSnapshotT() override;
 
   std::uint32_t num_components() const override { return size_.load(); }
@@ -288,8 +288,8 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // heads (core/record.h) -- for the constructor and add_components.
   void build_components(std::uint32_t first, std::uint32_t count,
                         const InitialVector& initial) {
-    build_initial_records<Value>(initial_records_, r_, first, count, initial,
-                                 initial_value_);
+    build_initial_records<Value>(initial_records_, r_, first, count,
+                                 initial);
   }
 
   // The versioned plane's batch descriptor (primitives::BatchControl):
@@ -355,7 +355,6 @@ class CasPartialSnapshotT final : public PartialSnapshot {
   // Published component count (monotone; see core/growth.h).
   GrowableSize size_;
   std::uint32_t n_;
-  std::uint64_t initial_value_;
   Options options_;
   // Declaration order is teardown order, reversed: plane_ is destroyed
   // first and flushes its retired nodes into the pools; the pools then

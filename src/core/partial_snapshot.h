@@ -34,15 +34,15 @@ struct ScanContext;
 
 // The vector an object is constructed from (Section 2.1's initial
 // vector): count() components, each starting at its payload from the
-// given u64 or blob span, or at the object's initial value when no span
-// is given.  This is the only way to give an object an initial state;
-// recovery::restore() builds from a checkpoint frame this way.  The
-// payloads are written once, as construction builds each component: no
-// operation runs, no pid is needed, and on the versioned plane they carry
-// stamp 0, so every epoch sees them.  Implicit from a count, so a
-// constructor or make_snapshot() call that passes m still reads the same.
-// The spans are borrowed: they must outlive the construction, not the
-// object.  Blob payloads need the blob plane.
+// given u64 or blob span, or at 0 when no span is given.  This is the
+// only way to give an object an initial state; recovery::restore() builds
+// from a checkpoint frame this way.  The payloads are written once, as
+// construction builds each component: no operation runs, no pid is
+// needed, and on the versioned plane they carry stamp 0, so every epoch
+// sees them.  Implicit from a count, so a constructor or make_snapshot()
+// call that passes m still reads the same.  The spans are borrowed: they
+// must outlive the construction, not the object.  Blob payloads need the
+// blob plane.
 class InitialVector {
  public:
   InitialVector(std::uint32_t count = 0) : count_(count) {}  // NOLINT
@@ -56,16 +56,15 @@ class InitialVector {
   bool has_blobs() const { return !blobs_.empty(); }
 
   // Writes component i's starting payload, on plane Value, into `out`:
-  // the one given, or `fallback` (the object's initial value) if none was.
+  // the one given, or 0 if none was.
   template <class Value>
-  void fill(std::uint64_t i, std::uint64_t fallback,
-            typename Value::ValueType& out) const {
+  void fill(std::uint64_t i, typename Value::ValueType& out) const {
     if constexpr (Value::kIndirect) {
       if (i < blobs_.size()) return Value::copy(blobs_[i], out);
     } else {
       PSNAP_ASSERT_MSG(blobs_.empty(), "blob payloads need the blob plane");
     }
-    Value::encode(i < values_.size() ? values_[i] : fallback, out);
+    Value::encode(i < values_.size() ? values_[i] : 0, out);
   }
 
  private:

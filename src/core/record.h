@@ -202,14 +202,14 @@ using RecordFor =
 
 // Builds component `index`'s initial record in place in `rec`, a freshly
 // constructed slot of the owner's initial-record storage: its payload from
-// `initial` (or `fallback`), the sentinel pid, the component index as the
-// counter, which keeps every record tag unique, and storage_owned set.  On
-// the versioned plane the initial record roots its chain: version 0 (older
-// than every epoch), no predecessor.
+// `initial`, the sentinel pid, the component index as the counter, which
+// keeps every record tag unique, and storage_owned set.  On the versioned
+// plane the initial record roots its chain: version 0 (older than every
+// epoch), no predecessor.
 template <class Value>
 void init_initial_record(RecordFor<Value>& rec, const InitialVector& initial,
-                         std::uint64_t fallback, std::uint64_t index) {
-  initial.fill<Value>(index, fallback, rec.value);
+                         std::uint64_t index) {
+  initial.fill<Value>(index, rec.value);
   rec.counter = index;
   rec.pid = kInitPid;
   rec.storage_owned = true;
@@ -227,14 +227,13 @@ void init_initial_record(RecordFor<Value>& rec, const InitialVector& initial,
 // reserved block, so both leave the same storage.
 template <class Value, class Records, class Heads>
 void build_initial_records(Records& records, Heads& heads, std::uint32_t first,
-                           std::uint32_t count, const InitialVector& initial,
-                           std::uint64_t fallback) {
+                           std::uint32_t count, const InitialVector& initial) {
   const std::uint64_t end = std::uint64_t{first} + count;
   for (std::uint64_t lo = first; lo < end;) {
     const std::uint64_t hi = std::min<std::uint64_t>(
         end, (lo / kComponentSegmentSize + 1) * kComponentSegmentSize);
     records.build(lo, hi - lo, [&](auto& slot, std::uint64_t i) {
-      init_initial_record<Value>(*slot, initial, fallback, i);
+      init_initial_record<Value>(*slot, initial, i);
     });
     auto* recs = &records.at(lo);
     heads.build(lo, hi - lo, [&](auto& head, std::uint64_t i) {

@@ -1,9 +1,7 @@
 #include "core/register_psnap.h"
 
 #include <algorithm>
-#include <memory>
 
-#include "activeset/register_active_set.h"
 #include "common/assert.h"
 #include "core/moved_twice.h"
 #include "core/op_stats.h"
@@ -13,21 +11,14 @@ namespace psnap::core {
 
 template <class Policy, class Value>
 RegisterPartialSnapshotT<Policy, Value>::RegisterPartialSnapshotT(
-    InitialVector initial, std::uint32_t max_processes,
-    std::unique_ptr<activeset::ActiveSet> active_set,
-    std::uint64_t initial_value, exec::PidBound bound)
+    InitialVector initial, std::uint32_t max_processes, exec::PidBound bound)
     : size_(initial.count()),
       n_(max_processes),
       bound_(bound),
-      initial_value_(initial_value),
-      as_(active_set
-              ? std::move(active_set)
-              : std::make_unique<activeset::RegisterActiveSetT<Policy>>(
-                    max_processes, bound)) {
+      as_(max_processes, bound) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
   PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
                    "max_processes exceeds the pid-slot capacity");
-  PSNAP_ASSERT(as_->max_processes() >= n_);
   build_components(0, initial.count(), initial);
 }
 
@@ -48,8 +39,8 @@ RegisterPartialSnapshotT<Policy, Value>::~RegisterPartialSnapshotT() {
 template <class Policy, class Value>
 std::uint32_t RegisterPartialSnapshotT<Policy, Value>::add_components(
     std::uint32_t count) {
-  // The constructor's build, at the initial value; nobody can read a new
-  // slot until grow_components publishes the count.
+  // The constructor's build, at 0; nobody can read a new slot until
+  // grow_components publishes the count.
   return grow_components(size_, count,
                          [this](std::uint32_t first, std::uint32_t k) {
                            build_components(first, k, {});
@@ -155,7 +146,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
 
   // Gather the components needed by announced scanners; the embedded scan
   // reads exactly those (the whole point of *partial* helping).
-  as_->get_set(ctx.scanners);
+  as_.get_set(ctx.scanners);
   tls_op_stats().getset_size = ctx.scanners.size();
 
   ctx.union_args.clear();
@@ -247,7 +238,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
       announce_pool_.recycle(ebr_, const_cast<IndexSet*>(old_announce));
     }
   }
-  as_->join();
+  as_.join();
   // Scanner end of the announce/join-vs-getSet handshake (see
   // primitives.h): the announcement exchange and the join store must
   // drain before our collect loads run, or a concurrent update's getSet
@@ -255,7 +246,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
   // would break the condition-(2) borrow coverage argument.
   primitives::protocol_fence<Policy>();
   const ViewV& view = embedded_scan(ctx.canonical, ctx);
-  as_->leave();
+  as_.leave();
 
   extract_view(view, indices, emit);
 }

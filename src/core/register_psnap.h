@@ -50,10 +50,9 @@
 // max_processes only an upper bound on concurrently live pids.
 #pragma once
 
-#include <memory>
 #include <vector>
 
-#include "activeset/active_set.h"
+#include "activeset/register_active_set.h"
 #include "common/padding.h"
 #include "core/growth.h"
 #include "core/partial_snapshot.h"
@@ -75,19 +74,13 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   using Rec = RecordT<ValueType>;
   using ViewV = ViewT<ValueType>;
 
-  // active_set defaults to the register-only implementation in the same
-  // runtime policy (the paper's Figure 1 uses a register-based active
-  // set); injectable so benches can pair Figure 1 with the Figure 2 active
-  // set too.
-  // `bound` is the per-pid walk bound (exec/pid_bound.h): it reaches the
-  // default-constructed active set's collect and sizes the condition-(2)
-  // helping table, so both cost O(live pids) under the default adaptive
-  // provider.  An injected active_set carries its own bound.
+  // Figure 1 owns the register-only active set in the same runtime
+  // policy, as the paper's Figure 1 does.  `bound` is the per-pid walk
+  // bound (exec/pid_bound.h): it bounds that active set's collect and
+  // sizes the condition-(2) helping table, so both cost O(live pids) under
+  // the default watermark bound.
   RegisterPartialSnapshotT(InitialVector initial,
                            std::uint32_t max_processes,
-                           std::unique_ptr<activeset::ActiveSet> active_set =
-                               nullptr,
-                           std::uint64_t initial_value = 0,
                            exec::PidBound bound = {});
   ~RegisterPartialSnapshotT() override;
 
@@ -103,8 +96,9 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   bool is_wait_free() const override { return true; }
   // Scans are contention-local but the helping machinery makes update cost
   // depend on scanner announcements, not on m; scan steps never depend on
-  // m either.  (The active-set term of the default register active set is
-  // O(n); see DESIGN.md substitutions.)
+  // m either.  (The active-set term is the register active set's collect:
+  // O(live pids) under the watermark bound; activeset/register_active_set.h
+  // explains the substitution.)
   bool is_local() const override { return true; }
   std::string_view value_plane() const override { return Value::kName; }
 
@@ -119,7 +113,7 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   using PartialSnapshot::scan;
   using PartialSnapshot::scan_blobs;
 
-  activeset::ActiveSet& active_set() { return *as_; }
+  activeset::RegisterActiveSetT<Policy>& active_set() { return as_; }
 
   // Pool observability for the allocation tests.
   const reclaim::Pool<Rec>& record_pool() const { return record_pool_; }
@@ -142,8 +136,8 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // heads (core/record.h) -- for the constructor and add_components.
   void build_components(std::uint32_t first, std::uint32_t count,
                         const InitialVector& initial) {
-    build_initial_records<Value>(initial_records_, r_, first, count, initial,
-                                 initial_value_);
+    build_initial_records<Value>(initial_records_, r_, first, count,
+                                 initial);
   }
   // The one scan body; `emit(k, value)` receives indices[k]'s value in the
   // final view (u64 decoding or blob copies).
@@ -158,7 +152,6 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   // mid-scan regrowth when a fresh pid publishes; see seen_tracker in
   // register_psnap.cpp) and bounds the destructor's announcement sweep.
   exec::PidBound bound_;
-  std::uint64_t initial_value_;
   // Declaration order is teardown order, reversed: ebr_ is destroyed first
   // and flushes its retired nodes into the pools; the pools then dispose
   // of their free lists; the initial-record storage goes last, because
@@ -182,7 +175,7 @@ class RegisterPartialSnapshotT final : public PartialSnapshot {
   PerPidStorage<
       CachelinePadded<primitives::Register<const IndexSet*, Policy>>>
       a_;
-  std::unique_ptr<activeset::ActiveSet> as_;
+  activeset::RegisterActiveSetT<Policy> as_;
   reclaim::EbrDomain ebr_;
   // Per-process publication counters (only the owner writes; reads by the
   // owner only), giving unique (pid, counter) record tags.  Counters are

@@ -18,9 +18,10 @@
 //     the watermark IS the tight walk bound.  exec::ScopedPid raises the
 //     same watermark for manually assigned pids (sim scheduler, pinned-pid
 //     tests), so the bound is sound for every way a pid can enter use;
-//   * fixed(n): the full-range walk the seed library performed -- kept for
-//     A/B comparison (bench_adaptive_collect measures adaptive against it)
-//     and for callers that manage pids outside any registry.
+//   * fixed(n): the full-range walk the seed library performed -- kept as
+//     the A/B reference that bench_adaptive_collect and
+//     adaptive_bound_test construct directly (no registry spec selects
+//     it), and for callers that manage pids outside any registry.
 //
 // Soundness of the adaptive bound (why a walk to the watermark never
 // misses a member): a pid enters use only through ThreadRegistry::
@@ -56,7 +57,7 @@ namespace psnap::exec {
 
 class PidBound {
  public:
-  // Adaptive bound over the process-wide registry: the default for every
+  // Adaptive bound over the process-wide registry: the bound of every
   // implementation constructed through src/registry.
   PidBound() : registry_(&ThreadRegistry::process_wide()) {}
 

@@ -21,7 +21,7 @@ class MutantChassis : public core::PartialSnapshot {
       : slots_(initial.count() + kGrowSlack) {
     for (std::uint32_t i = 0; i < slots_.size(); ++i) {
       std::uint64_t v = 0;
-      initial.fill<value::DirectU64>(i, 0, v);
+      initial.fill<value::DirectU64>(i, v);
       slots_[i].init(v, i);
     }
     size_.init(initial.count());

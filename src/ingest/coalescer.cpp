@@ -1,28 +1,12 @@
 #include "ingest/coalescer.h"
 
-#include <chrono>
-
 #include "common/assert.h"
 
 namespace psnap::ingest {
 
-namespace {
-
-std::uint64_t steady_now_us() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
-}  // namespace
-
 Coalescer::Coalescer(core::PartialSnapshot& snapshot, Options options)
-    : snapshot_(snapshot), options_(std::move(options)) {
+    : snapshot_(snapshot), options_(options) {
   PSNAP_ASSERT_MSG(options_.batch > 0, "batch=0 has no flush threshold");
-  if (options_.coalesce_window_us > 0 && !options_.now_us) {
-    options_.now_us = steady_now_us;
-  }
   pending_.reserve(options_.batch);
 }
 
@@ -51,26 +35,11 @@ void Coalescer::write(std::uint32_t index, std::uint64_t value) {
     }
   }
   if (!merged) pending_.push_back({index, value});
-  if (options_.coalesce_window_us > 0 && pending_.size() == 1 && !merged) {
-    window_start_us_ = options_.now_us();
-  }
   if (pending_.size() >= options_.batch ||
       (options_.coalesce_window > 0 &&
-       raw_in_window_ >= options_.coalesce_window) ||
-      deadline_expired()) {
+       raw_in_window_ >= options_.coalesce_window)) {
     flush();
   }
-}
-
-bool Coalescer::deadline_expired() const {
-  return options_.coalesce_window_us > 0 && !pending_.empty() &&
-         options_.now_us() - window_start_us_ >= options_.coalesce_window_us;
-}
-
-bool Coalescer::poll() {
-  if (!deadline_expired()) return false;
-  flush();
-  return true;
 }
 
 void Coalescer::flush() {

@@ -22,7 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/partial_snapshot.h"
@@ -40,17 +39,6 @@ class Coalescer {
     // writes merge last-wins.  0 disables coalescing: every write is a
     // distinct pending entry.
     std::uint32_t coalesce_window = 0;
-    // Time bound on buffered staleness: flush once the OLDEST pending
-    // write has been buffered for this many microseconds, checked on
-    // every write() and on poll().  0 disables the deadline (the
-    // count-based thresholds above still apply).  A sparse write stream
-    // with a count-only window can hold a write hostage indefinitely;
-    // the deadline caps that at a wall-clock bound.
-    std::uint64_t coalesce_window_us = 0;
-    // Clock used for the deadline, in microseconds on any monotonic
-    // scale.  Defaults to the steady clock; tests inject a fake to make
-    // deadline flushes deterministic.
-    std::function<std::uint64_t()> now_us;
   };
 
   struct Stats {
@@ -81,23 +69,14 @@ class Coalescer {
   // and what "batch of one" means).  No-op when nothing is pending.
   void flush();
 
-  // Flushes if the coalesce_window_us deadline has expired; otherwise a
-  // no-op.  Call between writes when the stream can go quiet -- write()
-  // checks the deadline itself, but only a poll can flush a tail the
-  // stream never follows up.  Returns true when it flushed.
-  bool poll();
-
   std::size_t pending() const { return pending_.size(); }
   const Stats& stats() const { return stats_; }
 
  private:
-  bool deadline_expired() const;
-
   core::PartialSnapshot& snapshot_;
   Options options_;
   std::vector<core::BatchEntry> pending_;
   std::uint32_t raw_in_window_ = 0;
-  std::uint64_t window_start_us_ = 0;  // stamp of the oldest pending write
   Stats stats_;
 };
 

@@ -10,7 +10,6 @@
 // expands every entry over both lists.  Registry-driven suites iterate
 // those variants, so every plane an entry lists is linearizability-,
 // crash-, growth- and allocation-tested.
-#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -24,7 +23,6 @@
 #include "baseline/seqlock_snapshot.h"
 #include "core/cas_psnap.h"
 #include "core/register_psnap.h"
-#include "exec/pid_bound.h"
 #include "ingest/batch_routed.h"
 #include "reclaim/plane.h"
 #include "registry/registry.h"
@@ -33,21 +31,12 @@ namespace psnap::registry {
 
 namespace {
 
-// The universal per-pid walk bound (exec/pid_bound.h): adaptive
-// (watermark-bounded, the default) unless the spec says adaptive=false,
-// which pins the full-range walk of the given capacity -- the A/B knob
-// bench_adaptive_collect measures the win against.
-exec::PidBound pid_bound(const Options& options, std::uint32_t n) {
-  return options.get_bool("adaptive", true) ? exec::PidBound{}
-                                            : exec::PidBound::fixed(n);
-}
-
-activeset::FaiCasActiveSet::Options faicas_options(const Options& options,
-                                                   std::uint32_t n) {
+// Figure 2's ablations (activeset/faicas_active_set.h): options of the
+// faicas entry only.  Every snapshot owns the default configuration.
+activeset::FaiCasActiveSet::Options faicas_options(const Options& options) {
   activeset::FaiCasActiveSet::Options out;
   out.coalesce = options.get_bool("coalesce", true);
   out.publish_skip_list = options.get_bool("publish", true);
-  out.bound = pid_bound(options, n);
   return out;
 }
 
@@ -88,77 +77,36 @@ void apply_reclaim_options(core::CasSnapshotOptions& impl,
   }
 }
 
-// Resolves the fig1 nested active-set spec ("as=name;k=v...") and the
-// adaptive= forwarding, shared by the direct and blob planes.
-std::unique_ptr<activeset::ActiveSet> fig1_active_set(const Options& options,
-                                                     std::uint32_t n) {
-  // Nested active-set options use ';' so they survive the outer comma
-  // split: "fig1_register:as=faicas;coalesce=false".  The first ';' plays
-  // the nested spec's ':' (name/options separator), the rest its commas.
-  std::string as_spec = options.get_string("as", "");
-  if (std::size_t semi = as_spec.find(';'); semi != std::string::npos) {
-    as_spec[semi] = ':';
-    std::replace(as_spec.begin() + semi, as_spec.end(), ';', ',');
-  }
-  if (as_spec.empty()) return nullptr;
-  // The outer adaptive= choice reaches the injected active set too (its
-  // collect is the dominant per-pid walk the option A/Bs); an explicit
-  // nested adaptive= wins.  The nested check matches the exact option KEY
-  // at an option boundary, so future options merely containing the word
-  // stay inert.
-  auto nested_sets_adaptive = [&as_spec] {
-    std::size_t colon = as_spec.find(':');
-    std::size_t pos = colon == std::string::npos ? as_spec.size() : colon + 1;
-    while (pos < as_spec.size()) {
-      std::size_t comma = as_spec.find(',', pos);
-      std::size_t end = comma == std::string::npos ? as_spec.size() : comma;
-      std::string_view item(as_spec.data() + pos, end - pos);
-      if (item.substr(0, item.find('=')) == "adaptive") {
-        return true;
-      }
-      pos = comma == std::string::npos ? as_spec.size() : comma + 1;
-    }
-    return false;
-  };
-  std::string adaptive = options.get_string("adaptive", "");
-  if (!adaptive.empty() && !nested_sets_adaptive()) {
-    as_spec += as_spec.find(':') == std::string::npos ? ':' : ',';
-    as_spec += "adaptive=" + adaptive;
-  }
-  return make_active_set(as_spec, n);
-}
-
+// Figure 1 on the runtime Policy and the entry's value plane.
+template <class Policy>
 std::unique_ptr<core::PartialSnapshot> make_fig1(core::InitialVector m,
                                                  std::uint32_t n,
                                                  const Options& options) {
-  auto as = fig1_active_set(options, n);
-  std::uint64_t initial = options.get_uint("initial", 0);
-  exec::PidBound bound = pid_bound(options, n);
   if (value_plane(options) == "blob") {
-    return std::make_unique<core::RegisterPartialSnapshotBlob>(
-        m, n, std::move(as), initial, bound);
+    return std::make_unique<
+        core::RegisterPartialSnapshotT<Policy, value::IndirectBlob>>(m, n);
   }
-  return std::make_unique<core::RegisterPartialSnapshot>(m, n, std::move(as),
-                                                         initial, bound);
+  return std::make_unique<core::RegisterPartialSnapshotT<Policy>>(m, n);
 }
 
+// Figure 3 on the runtime Policy: the entry's value and reclamation
+// planes, and the default Figure 2 active set.
+template <class Policy>
 std::unique_ptr<core::PartialSnapshot> make_fig3(core::InitialVector m,
                                                  std::uint32_t n,
                                                  const Options& options) {
-  core::CasPartialSnapshot::Options impl;
-  impl.active_set = faicas_options(options, n);
+  core::CasSnapshotOptions impl;
   const std::string plane = value_plane(options);
   apply_reclaim_options(impl, options, plane == "versioned");
-  std::uint64_t initial = options.get_uint("initial", 0);
   if (plane == "versioned") {
-    return std::make_unique<core::CasPartialSnapshotVersioned>(m, n, impl,
-                                                               initial);
+    return std::make_unique<
+        core::CasPartialSnapshotT<Policy, value::VersionedU64>>(m, n, impl);
   }
   if (plane == "blob") {
-    return std::make_unique<core::CasPartialSnapshotBlob>(m, n, impl,
-                                                          initial);
+    return std::make_unique<
+        core::CasPartialSnapshotT<Policy, value::IndirectBlob>>(m, n, impl);
   }
-  return std::make_unique<core::CasPartialSnapshot>(m, n, impl, initial);
+  return std::make_unique<core::CasPartialSnapshotT<Policy>>(m, n, impl);
 }
 
 }  // namespace
@@ -168,125 +116,86 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .name = "fig1_register",
       .description =
           "Figure 1: wait-free partial snapshot from registers (Theorem 1)",
-      .options_help = "as=<name[;k=v...]>,initial=<u64>,adaptive=<bool>",
+      .options_help = "",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob",
-      .make = make_fig1,
+      .make = make_fig1<primitives::Instrumented>,
   });
   registry.add(SnapshotInfo{
       .name = "fig1_register_fast",
       .description = "Figure 1 in the Release runtime: acquire/release "
                      "publication, no step accounting or sim hooks "
                      "(counts_steps=false; wall-clock benches only)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
+      .options_help = "",
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob",
-      .make =
-          [](core::InitialVector m, std::uint32_t n,
-             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            std::uint64_t initial = options.get_uint("initial", 0);
-            exec::PidBound bound = pid_bound(options, n);
-            if (value_plane(options) == "blob") {
-              return std::make_unique<core::RegisterPartialSnapshotBlobFast>(
-                  m, n, nullptr, initial, bound);
-            }
-            return std::make_unique<core::RegisterPartialSnapshotFast>(
-                m, n, nullptr, initial, bound);
-          },
+      .make = make_fig1<primitives::Release>,
   });
   registry.add(SnapshotInfo{
       .name = "fig3_cas",
       .description = "Figure 3: local partial scans from CAS + F&I "
                      "(Theorem 3, the paper's headline algorithm)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,initial=<u64>,adaptive=<bool>,"
-          "reclaim=<ebr|hp>,shards=<u32>",
+      .options_help = "reclaim=<ebr|hp>,shards=<u32>",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
       .reclaims = "ebr,hp",
       .supports_batch = true,
-      .make = make_fig3,
+      .make = make_fig3<primitives::Instrumented>,
   });
   registry.add(SnapshotInfo{
       .name = "fig3_cas_fast",
       .description = "Figure 3 in the Release runtime: acquire/release "
                      "publication, no step accounting or sim hooks "
                      "(counts_steps=false; wall-clock benches only)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,initial=<u64>,adaptive=<bool>,"
-          "reclaim=<ebr|hp>,shards=<u32>",
+      .options_help = "reclaim=<ebr|hp>,shards=<u32>",
       .counts_steps = false,
       .sim_safe = false,
       .values = "u64,blob,versioned",
       .reclaims = "ebr,hp",
       .supports_batch = true,
-      .make =
-          [](core::InitialVector m, std::uint32_t n,
-             const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
-            core::CasPartialSnapshotFast::Options impl;
-            impl.active_set = faicas_options(options, n);
-            const std::string plane = value_plane(options);
-            apply_reclaim_options(impl, options, plane == "versioned");
-            std::uint64_t initial = options.get_uint("initial", 0);
-            if (plane == "versioned") {
-              return std::make_unique<core::CasPartialSnapshotVersionedFast>(
-                  m, n, impl, initial);
-            }
-            if (plane == "blob") {
-              return std::make_unique<core::CasPartialSnapshotBlobFast>(
-                  m, n, impl, initial);
-            }
-            return std::make_unique<core::CasPartialSnapshotFast>(m, n, impl,
-                                                                  initial);
-          },
+      .make = make_fig3<primitives::Release>,
   });
   registry.add(SnapshotInfo{
       .name = "full_snapshot",
       .description = "complete-scan extraction baseline (Afek et al.): "
                      "every operation costs Omega(m)",
-      .options_help = "initial=<u64>,adaptive=<bool>",
+      .options_help = "",
       .counts_steps = true,
       .sim_safe = true,
       .supports_batch = true,
       .make =
-          [](core::InitialVector m, std::uint32_t n, const Options& options) {
-            std::uint64_t initial = options.get_uint("initial", 0);
-            return std::make_unique<baseline::FullSnapshot>(
-                m, n, initial, pid_bound(options, n));
+          [](core::InitialVector m, std::uint32_t n, const Options&) {
+            return std::make_unique<baseline::FullSnapshot>(m, n);
           },
   });
   registry.add(SnapshotInfo{
       .name = "double_collect",
       .description = "lock-free double collect, no helping: scans can "
                      "starve (max_attempts>0 throws StarvationError)",
-      .options_help = "max_attempts=<u64>,initial=<u64>",
+      .options_help = "max_attempts=<u64>",
       .counts_steps = true,
       .sim_safe = true,
       .supports_batch = true,
       .make =
           [](core::InitialVector m, std::uint32_t n, const Options& options) {
-            std::uint64_t cap = options.get_uint("max_attempts", 0);
-            std::uint64_t initial = options.get_uint("initial", 0);
             return std::make_unique<baseline::DoubleCollectSnapshot>(
-                m, n, cap, initial);
+                m, n, options.get_uint("max_attempts", 0));
           },
   });
   registry.add(SnapshotInfo{
       .name = "lock",
       .description = "global-mutex reference (blocking; performs no "
                      "base-object steps in the paper's model)",
-      .options_help = "initial=<u64>",
+      .options_help = "",
       .counts_steps = false,
       .sim_safe = false,
       .supports_batch = true,
       .make =
-          [](core::InitialVector m, std::uint32_t /*n*/,
-             const Options& options) {
-            return std::make_unique<baseline::LockSnapshot>(
-                m, options.get_uint("initial", 0));
+          [](core::InitialVector m, std::uint32_t /*n*/, const Options&) {
+            return std::make_unique<baseline::LockSnapshot>(m);
           },
   });
   registry.add(SnapshotInfo{
@@ -294,7 +203,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
       .description = "global-seqlock reference: invisible readers, one "
                      "global conflict domain (max_attempts>0 throws "
                      "StarvationError)",
-      .options_help = "max_attempts=<u64>,initial=<u64>",
+      .options_help = "max_attempts=<u64>",
       .counts_steps = true,
       .sim_safe = false,
       .values = "u64,blob",
@@ -303,13 +212,10 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
           [](core::InitialVector m, std::uint32_t /*n*/,
              const Options& options) -> std::unique_ptr<core::PartialSnapshot> {
             std::uint64_t cap = options.get_uint("max_attempts", 0);
-            std::uint64_t initial = options.get_uint("initial", 0);
             if (value_plane(options) == "blob") {
-              return std::make_unique<baseline::SeqlockSnapshotBlob>(
-                  m, cap, initial);
+              return std::make_unique<baseline::SeqlockSnapshotBlob>(m, cap);
             }
-            return std::make_unique<baseline::SeqlockSnapshot>(m, cap,
-                                                               initial);
+            return std::make_unique<baseline::SeqlockSnapshot>(m, cap);
           },
   });
   // Batch-routed entries (ingest/batch_routed.h): every singleton update
@@ -322,9 +228,7 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
                      "entry points (drives the shared announcement/helping "
                      "path at k=1; lock-free on the versioned plane, whose "
                      "descriptor install engine CAS-retries)",
-      .options_help =
-          "coalesce=<bool>,publish=<bool>,initial=<u64>,adaptive=<bool>,"
-          "reclaim=<ebr|hp>,shards=<u32>",
+      .options_help = "reclaim=<ebr|hp>,shards=<u32>",
       .counts_steps = true,
       .sim_safe = true,
       .values = "u64,blob,versioned",
@@ -334,7 +238,8 @@ void register_builtin_snapshots(SnapshotRegistry& registry) {
           [](core::InitialVector m, std::uint32_t n, const Options& options) {
             const bool versioned = value_plane(options) == "versioned";
             return std::make_unique<ingest::BatchRouted>(
-                make_fig3(m, n, options), /*wait_free=*/!versioned);
+                make_fig3<primitives::Instrumented>(m, n, options),
+                /*wait_free=*/!versioned);
           },
   });
 }
@@ -345,65 +250,33 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
       .description = "one flag register per process; O(1) join/leave, "
                      "O(live) watermark-bounded getSet (Figure 1's "
                      "substitution)",
-      .options_help = "adaptive=<bool>",
+      .options_help = "",
       .is_wait_free = true,
       .counts_steps = true,
       .sim_safe = true,
       .make =
-          [](std::uint32_t n, const Options& options) {
-            return std::make_unique<activeset::RegisterActiveSet>(
-                n, pid_bound(options, n));
-          },
-  });
-  registry.add(ActiveSetInfo{
-      .name = "register_fast",
-      .description = "the register active set in the Release runtime (no "
-                     "step accounting; wall-clock benches only)",
-      .options_help = "adaptive=<bool>",
-      .is_wait_free = true,
-      .counts_steps = false,
-      .sim_safe = false,
-      .make =
-          [](std::uint32_t n, const Options& options) {
-            return std::make_unique<
-                activeset::RegisterActiveSetT<primitives::Release>>(
-                n, pid_bound(options, n));
+          [](std::uint32_t n, const Options&) {
+            return std::make_unique<activeset::RegisterActiveSet>(n);
           },
   });
   registry.add(ActiveSetInfo{
       .name = "bitmap",
       .description = "one membership bit per pid in padded words; O(1) "
                      "join/leave RMWs, O(live/64) getSet",
-      .options_help = "adaptive=<bool>",
+      .options_help = "",
       .is_wait_free = true,
       .counts_steps = true,
       .sim_safe = true,
       .make =
-          [](std::uint32_t n, const Options& options) {
-            return std::make_unique<activeset::BitmapActiveSet>(
-                n, pid_bound(options, n));
-          },
-  });
-  registry.add(ActiveSetInfo{
-      .name = "bitmap_fast",
-      .description = "the bitmap active set in the Release runtime (no "
-                     "step accounting; wall-clock benches only)",
-      .options_help = "adaptive=<bool>",
-      .is_wait_free = true,
-      .counts_steps = false,
-      .sim_safe = false,
-      .make =
-          [](std::uint32_t n, const Options& options) {
-            return std::make_unique<
-                activeset::BitmapActiveSetT<primitives::Release>>(
-                n, pid_bound(options, n));
+          [](std::uint32_t n, const Options&) {
+            return std::make_unique<activeset::BitmapActiveSet>(n);
           },
   });
   registry.add(ActiveSetInfo{
       .name = "faicas",
       .description = "Figure 2: F&I slot allocation + CAS-published skip "
                      "list (Theorem 2)",
-      .options_help = "coalesce=<bool>,publish=<bool>,adaptive=<bool>",
+      .options_help = "coalesce=<bool>,publish=<bool>",
       .is_wait_free = true,
       .counts_steps = true,
       .sim_safe = true,
@@ -414,22 +287,21 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
       .make =
           [](std::uint32_t n, const Options& options) {
             return std::make_unique<activeset::FaiCasActiveSet>(
-                n, faicas_options(options, n));
+                n, faicas_options(options));
           },
   });
   registry.add(ActiveSetInfo{
       .name = "faicas_fast",
       .description = "Figure 2 in the Release runtime (no step accounting; "
                      "wall-clock benches only)",
-      .options_help = "coalesce=<bool>,publish=<bool>,adaptive=<bool>",
+      .options_help = "",
       .is_wait_free = true,
       .counts_steps = false,
       .sim_safe = false,
       .make =
-          [](std::uint32_t n, const Options& options) {
+          [](std::uint32_t n, const Options&) {
             return std::make_unique<
-                activeset::FaiCasActiveSetT<primitives::Release>>(
-                n, faicas_options(options, n));
+                activeset::FaiCasActiveSetT<primitives::Release>>(n);
           },
   });
   registry.add(ActiveSetInfo{

@@ -324,8 +324,7 @@ std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
   // an IngestKnobs sink.  With a nullptr sink the knobs would silently
   // mean "singleton anyway" -- reject instead.
   const bool has_batch = options.contains("batch");
-  const bool has_window = options.contains("coalesce_window") ||
-                          options.contains("coalesce_window_us");
+  const bool has_window = options.contains("coalesce_window");
   const bool has_affinity = options.contains("affinity");
   if ((has_batch || has_window || has_affinity) && knobs == nullptr) {
     throw std::invalid_argument(
@@ -345,9 +344,6 @@ std::unique_ptr<core::PartialSnapshot> SnapshotRegistry::make(
     knobs->batch = get_u32_option(options, "batch", knobs->batch);
     knobs->coalesce_window =
         get_u32_option(options, "coalesce_window", knobs->coalesce_window);
-    knobs->coalesce_window_us = get_u32_option(
-        options, "coalesce_window_us",
-        static_cast<std::uint32_t>(knobs->coalesce_window_us));
     if (knobs->batch == 0) {
       throw std::invalid_argument(
           "option 'batch' expects a positive flush threshold (batch=1 "
@@ -570,10 +566,10 @@ std::string snapshot_catalogue() {
   out << "  (every spec also accepts m0=<u32>, max_threads=<u32>, "
          "value=<plane> from the listed {value=...} set, and "
          "reclaim=<plane> from the listed {reclaim=...} set; entries "
-         "marked (batch) additionally accept batch=<k>, "
-         "coalesce_window=<w>, and coalesce_window_us=<t> at batch-aware "
-         "entry points, which also honor affinity=none|segment for "
-         "shard-affine worker placement)\n";
+         "marked (batch) additionally accept batch=<k> and "
+         "coalesce_window=<w> at batch-aware entry points, which also "
+         "honor affinity=none|segment for shard-affine worker "
+         "placement)\n";
   return out.str();
 }
 

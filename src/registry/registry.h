@@ -183,10 +183,6 @@ struct IngestKnobs {
   // Merge same-component writes while fewer than this many raw writes
   // are pending; 0 disables coalescing (every write is kept).
   std::uint32_t coalesce_window = 0;
-  // Flush once the oldest pending write is this many microseconds old
-  // (the Coalescer's wall-clock staleness bound); 0 disables the
-  // deadline.
-  std::uint64_t coalesce_window_us = 0;
   // Worker placement (universal spec option affinity=none|segment):
   // "segment" asks the caller's thread harness to register workers with
   // segment-affine pids (exec::ThreadRegistry), aligning each writer's
@@ -195,7 +191,7 @@ struct IngestKnobs {
   std::string affinity = "none";
 
   bool batching_requested() const {
-    return batch > 1 || coalesce_window > 0 || coalesce_window_us > 0;
+    return batch > 1 || coalesce_window > 0;
   }
 };
 
@@ -233,11 +229,11 @@ class SnapshotRegistry {
       const;
 
   // As above, additionally consuming the universal ingest knobs
-  // batch=<u32>, coalesce_window=<u32>, and coalesce_window_us=<u32>
-  // into *knobs (see IngestKnobs).
+  // batch=<u32>, coalesce_window=<u32> and affinity=none|segment into
+  // *knobs (see IngestKnobs).
   // Throws std::invalid_argument when the spec requests batching on an
   // entry without supports_batch, when batch=0, or when knobs is nullptr
-  // but the spec contains either knob (the three-argument overload above
+  // but the spec sets any of them (the three-argument overload above
   // forwards nullptr, so batching specs fail loudly in callers that
   // would silently ignore them).
   std::unique_ptr<core::PartialSnapshot> make(std::string_view spec,

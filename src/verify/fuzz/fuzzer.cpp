@@ -171,7 +171,6 @@ CaseOutcome run_snapshot_case(const CaseSpec& spec, const FuzzPlan& plan,
   }
   LinCheckOptions lopt;
   lopt.num_components = final_m;
-  lopt.initial_value = 0;
   lopt.max_nodes = 4'000'000;
   LinCheckOutcome lin = check_snapshot_linearizable(lin_ops, lopt);
   if (lin.result == LinResult::kBudgetExceeded) {

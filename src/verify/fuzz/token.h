@@ -11,9 +11,8 @@
 // deterministic, so replaying the token regenerates the identical run,
 // re-fails, and re-shrinks to the identical minimal counterexample.
 //
-// '|' is the field separator because every other delimiter is taken by
-// specs ('::'-free names, ':' before options, ',' between options, '='
-// inside them, ';' inside nested as= sub-specs).
+// '|' is the field separator because the spec's delimiters are taken
+// (':' before options, ',' between options, '=' inside them).
 #pragma once
 
 #include <cstdint>

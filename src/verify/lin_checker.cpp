@@ -39,7 +39,7 @@ class Searcher {
   Searcher(const std::vector<Operation>& ops, const LinCheckOptions& options)
       : ops_(ops),
         options_(options),
-        state_(options.num_components, options.initial_value) {}
+        state_(options.num_components, 0) {}
 
   LinCheckOutcome run() {
     LinCheckOutcome outcome;

@@ -35,8 +35,7 @@ enum class LinResult : std::uint8_t {
 };
 
 struct LinCheckOptions {
-  std::uint32_t num_components = 0;   // m
-  std::uint64_t initial_value = 0;
+  std::uint32_t num_components = 0;  // m, each starting at 0
   std::uint64_t max_nodes = 5'000'000;
 };
 

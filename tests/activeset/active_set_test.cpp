@@ -15,10 +15,10 @@ namespace psnap::activeset {
 namespace {
 
 class ActiveSetContractTest
-    : public ::testing::TestWithParam<registry::ActiveSetVariant> {
+    : public ::testing::TestWithParam<test::ActiveSetCase> {
  protected:
   std::unique_ptr<ActiveSet> make(std::uint32_t n) {
-    return test::make_active_set(GetParam(), n);
+    return GetParam().make(n);
   }
 };
 
@@ -118,7 +118,7 @@ TEST_P(ActiveSetContractTest, ConcurrentChurnNeverReturnsGarbage) {
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, ActiveSetContractTest,
                          ::testing::ValuesIn(test::active_set_impls()),
-                         test::active_set_param_name);
+                         test::active_set_case_name);
 
 }  // namespace
 }  // namespace psnap::activeset

@@ -32,19 +32,19 @@ using verify::History;
 using verify::RecordingActiveSet;
 
 // Crash sweeps run every registered sim-safe active set.
-std::vector<registry::ActiveSetVariant> crash_impls() {
+std::vector<test::ActiveSetCase> crash_impls() {
   return test::active_set_impls(
-      [](const registry::ActiveSetVariant& v) { return v.sim_safe; });
+      [](const test::ActiveSetCase& v) { return v.sim_safe; });
 }
 
 class ActiveSetCrashTest
-    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
+    : public ::testing::TestWithParam<test::ActiveSetCase> {};
 
 // Sweep the churner's crash point across its whole operation sequence;
 // the observer must always finish and its getSets must stay valid.
 TEST_P(ActiveSetCrashTest, ChurnerCrashSweep) {
   for (std::uint64_t crash_step = 1; crash_step <= 10; ++crash_step) {
-    auto as = test::make_active_set(GetParam(), 2);
+    auto as = GetParam().make(2);
     History history;
     RecordingActiveSet recorded(*as, history);
     bool observer_finished = false;
@@ -80,7 +80,7 @@ TEST_P(ActiveSetCrashTest, ChurnerCrashSweep) {
 // processes remain valid.
 TEST_P(ActiveSetCrashTest, ObserverCrashMidGetSet) {
   for (std::uint64_t crash_step = 1; crash_step <= 6; ++crash_step) {
-    auto as = test::make_active_set(GetParam(), 3);
+    auto as = GetParam().make(3);
     History history;
     RecordingActiveSet recorded(*as, history);
     bool second_observer_ok = false;
@@ -111,7 +111,7 @@ TEST_P(ActiveSetCrashTest, ObserverCrashMidGetSet) {
 
 INSTANTIATE_TEST_SUITE_P(Impls, ActiveSetCrashTest,
                          ::testing::ValuesIn(crash_impls()),
-                         test::active_set_param_name);
+                         test::active_set_case_name);
 
 // Figure-2 specific: a join crashed between its fetch&increment and its
 // id write leaves a permanently-empty slot.  getSets must keep scanning

@@ -1,8 +1,9 @@
 // Population-adaptive walk bounds (exec/pid_bound.h): the PidBound
 // contract, the step-count semantics of watermark-bounded collects in the
-// Instrumented runtime, and the Figure 1 + bitmap pairing -- functionally,
-// across add_components growth and pid churn, and under the deterministic
-// scheduler.
+// Instrumented runtime, and Figure 1 on the full-range walk that
+// bench_adaptive_collect A/Bs against -- its active set walking Figure 1's
+// bound, functionally across add_components growth and pid churn, and
+// under the deterministic scheduler.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -11,10 +12,10 @@
 
 #include "activeset/bitmap_active_set.h"
 #include "activeset/register_active_set.h"
+#include "core/register_psnap.h"
 #include "exec/exec.h"
 #include "exec/pid_bound.h"
 #include "exec/thread_registry.h"
-#include "registry/registry.h"
 #include "runtime/explore.h"
 #include "runtime/sim_scheduler.h"
 #include "verify/lin_checker.h"
@@ -135,10 +136,32 @@ TEST(AdaptiveStepCountTest, BitmapMembersSpanningWordsAreCollectedSorted) {
   EXPECT_EQ(as.get_set(), (std::vector<std::uint32_t>{0, 63, 65}));
 }
 
-// Figure 1 running on the bitmap active set, constructed through the
-// nested registry spec: functional across growth and pid churn.
-TEST(Fig1BitmapPairingTest, ScanUpdateGrowthAndChurn) {
-  auto snap = registry::make_snapshot("fig1_register:as=bitmap", 8, 4);
+// Figure 1's bound reaches the register active set it owns: with the
+// full-range bound the update's getSet walks all n=64 slots, with a
+// watermark bound only the pids its registry has issued.
+TEST(Fig1WalkBoundTest, OwnActiveSetWalksFigure1sBound) {
+  exec::ScopedPid pid(0);
+  auto getset_steps = [](core::RegisterPartialSnapshot& snap) {
+    std::vector<std::uint32_t> out;
+    return steps_during([&] { snap.active_set().get_set(out); });
+  };
+  ThreadRegistry registry(64);
+  std::uint32_t a = registry.acquire();
+  std::uint32_t b = registry.acquire();
+  core::RegisterPartialSnapshot full(4, 64, PidBound::fixed(64));
+  core::RegisterPartialSnapshot adaptive(4, 64,
+                                         PidBound::watermark_of(registry));
+  EXPECT_EQ(getset_steps(full), 64u);
+  EXPECT_EQ(getset_steps(adaptive), 2u);
+  registry.release(a);
+  registry.release(b);
+}
+
+// Figure 1 on the full-range walk: functional across growth and pid
+// churn.
+TEST(Fig1WalkBoundTest, FullRangeScanUpdateGrowthAndChurn) {
+  auto snap = std::make_unique<core::RegisterPartialSnapshot>(
+      8, 4, PidBound::fixed(4));
   {
     exec::ScopedPid pid(0);
     for (std::uint32_t i = 0; i < 8; ++i) snap->update(i, 100 + i);
@@ -162,16 +185,16 @@ TEST(Fig1BitmapPairingTest, ScanUpdateGrowthAndChurn) {
   }
 }
 
-// The same pairing under the deterministic scheduler: updater-vs-scanner
+// The same object under the deterministic scheduler: updater-vs-scanner
 // linearizability across every DFS schedule, the helping path included
-// (the update's getSet walks the bitmap).
-TEST(Fig1BitmapPairingTest, UpdaterVsScannerDfsLinearizable) {
+// (the update's getSet walks every slot).
+TEST(Fig1WalkBoundTest, FullRangeUpdaterVsScannerDfsLinearizable) {
   constexpr std::uint32_t kM = 2;
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto snap = registry::make_snapshot("fig1_register:as=bitmap", kM, 2);
+        core::RegisterPartialSnapshot snap(kM, 2, PidBound::fixed(2));
         verify::History history;
-        verify::RecordingSnapshot recorded(*snap, history);
+        verify::RecordingSnapshot recorded(snap, history);
 
         runtime::SimScheduler::Options options;
         options.script = script;

@@ -48,12 +48,12 @@ std::uint64_t allocations_during_getsets(ActiveSet& as,
 }
 
 class GetSetAllocTest
-    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
+    : public ::testing::TestWithParam<test::ActiveSetCase> {};
 
 TEST_P(GetSetAllocTest, StableMembershipCollectsAreAllocationFree) {
   // Three members spread across the pid range, installed before the
   // measurement; the observer then collects repeatedly.
-  auto as = test::make_active_set(GetParam(), kN);
+  auto as = GetParam().make(kN);
   for (std::uint32_t p : {1u, 3u, 6u}) {
     exec::ScopedPid pid(p);
     as->join();
@@ -66,7 +66,7 @@ TEST_P(GetSetAllocTest, StableMembershipCollectsAreAllocationFree) {
 }
 
 TEST_P(GetSetAllocTest, OutputCapacityIsReservedOnceAndNeverShrunk) {
-  auto as = test::make_active_set(GetParam(), kN);
+  auto as = GetParam().make(kN);
   {
     exec::ScopedPid pid(5);
     as->join();
@@ -86,7 +86,7 @@ TEST_P(GetSetAllocTest, OutputCapacityIsReservedOnceAndNeverShrunk) {
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, GetSetAllocTest,
                          ::testing::ValuesIn(test::active_set_impls()),
-                         test::active_set_param_name);
+                         test::active_set_case_name);
 
 // Churn-phase allocation freedom for the flag-per-pid implementations:
 // join/leave write per-pid state in place, so even collects interleaved
@@ -95,10 +95,10 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, GetSetAllocTest,
 // periods, longer than this one.  The mutex oracle allocates set nodes
 // per join.)
 class GetSetChurnAllocTest
-    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
+    : public ::testing::TestWithParam<test::ActiveSetCase> {};
 
 TEST_P(GetSetChurnAllocTest, ChurningCollectsAreAllocationFree) {
-  auto as = test::make_active_set(GetParam(), kN);
+  auto as = GetParam().make(kN);
   std::vector<std::uint32_t> out;
   // Warm everything the churn loop touches: every pid's flag slot (the
   // first join may install a per-pid segment), the observer's capacity.
@@ -141,11 +141,10 @@ TEST_P(GetSetChurnAllocTest, ChurningCollectsAreAllocationFree) {
 INSTANTIATE_TEST_SUITE_P(
     FlagPerPidImplementations, GetSetChurnAllocTest,
     ::testing::ValuesIn(test::active_set_impls(
-        [](const registry::ActiveSetVariant& v) {
-          return v.entry.rfind("register", 0) == 0 ||
-                 v.entry.rfind("bitmap", 0) == 0;
+        [](const test::ActiveSetCase& v) {
+          return v.entry == "register" || v.entry == "bitmap";
         })),
-    test::active_set_param_name);
+    test::active_set_case_name);
 
 // Figure 2 under churn: every round vacates a slot and the getSet
 // publishes it, building the new list in a node recycled through the

@@ -24,13 +24,13 @@ using verify::History;
 using verify::RecordingActiveSet;
 
 class ActiveSetValiditySimTest
-    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
+    : public ::testing::TestWithParam<test::ActiveSetCase> {};
 
 // Scenario A: two churners and one observer running getSets.
 TEST_P(ActiveSetValiditySimTest, ChurnersAndObserverAllSchedules) {
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto as = test::make_active_set(GetParam(), 3);
+        auto as = GetParam().make(3);
         History history;
         RecordingActiveSet recorded(*as, history);
 
@@ -69,7 +69,7 @@ TEST_P(ActiveSetValiditySimTest, ChurnersAndObserverAllSchedules) {
 TEST_P(ActiveSetValiditySimTest, RejoinDuringGetSetAllSchedules) {
   auto stats = runtime::explore_dfs(
       [&](const std::vector<std::uint32_t>& script) {
-        auto as = test::make_active_set(GetParam(), 2);
+        auto as = GetParam().make(2);
         History history;
         RecordingActiveSet recorded(*as, history);
 
@@ -101,7 +101,7 @@ TEST_P(ActiveSetValiditySimTest, RejoinDuringGetSetAllSchedules) {
 TEST_P(ActiveSetValiditySimTest, RandomSchedulesLargerScenario) {
   runtime::explore_random(
       [&](std::uint64_t seed) {
-        auto as = test::make_active_set(GetParam(), 4);
+        auto as = GetParam().make(4);
         History history;
         RecordingActiveSet recorded(*as, history);
 
@@ -134,15 +134,15 @@ TEST_P(ActiveSetValiditySimTest, RandomSchedulesLargerScenario) {
 INSTANTIATE_TEST_SUITE_P(
     AllImplementations, ActiveSetValiditySimTest,
     ::testing::ValuesIn(test::active_set_impls(
-        [](const registry::ActiveSetVariant& v) { return v.sim_safe; })),
-    test::active_set_param_name);
+        [](const test::ActiveSetCase& v) { return v.sim_safe; })),
+    test::active_set_case_name);
 
 // Native-thread churn with validity checking via the recorded history.
 class ActiveSetValidityNativeTest
-    : public ::testing::TestWithParam<registry::ActiveSetVariant> {};
+    : public ::testing::TestWithParam<test::ActiveSetCase> {};
 
 TEST_P(ActiveSetValidityNativeTest, NativeChurnValidity) {
-  auto as = test::make_active_set(GetParam(), 6);
+  auto as = GetParam().make(6);
   History history;
   RecordingActiveSet recorded(*as, history);
   constexpr int kChurners = 4;
@@ -171,7 +171,7 @@ TEST_P(ActiveSetValidityNativeTest, NativeChurnValidity) {
 
 INSTANTIATE_TEST_SUITE_P(AllImplementations, ActiveSetValidityNativeTest,
                          ::testing::ValuesIn(test::active_set_impls()),
-                         test::active_set_param_name);
+                         test::active_set_case_name);
 
 }  // namespace
 }  // namespace psnap::activeset

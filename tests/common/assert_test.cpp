@@ -10,13 +10,6 @@ TEST(Assert, PassingAssertIsSilent) {
   PSNAP_ASSERT_MSG(true, "never shown");
 }
 
-TEST(Assert, EvaluationsAreCounted) {
-  std::uint64_t before = detail::tls_assert_evaluations;
-  PSNAP_ASSERT(true);
-  PSNAP_ASSERT(true);
-  EXPECT_EQ(detail::tls_assert_evaluations, before + 2);
-}
-
 TEST(AssertDeathTest, FailingAssertAborts) {
   EXPECT_DEATH(PSNAP_ASSERT(1 == 2), "invariant violated");
 }

@@ -76,7 +76,7 @@ TEST(ReclaimPlaneTest, ShardedEbrParkedScannerFreezesOnlyItsShard) {
   CasSnapshotOptions options;
   options.reclaim_shards = 2;
   const std::uint32_t m = 2 * kComponentSegmentSize;
-  CasPartialSnapshot snap(m, kN, options, 0);
+  CasPartialSnapshot snap(m, kN, options);
   auto parked = park(snap, {0});
   {
     exec::ScopedPid updater(0);
@@ -103,7 +103,7 @@ TEST(ReclaimPlaneTest, HpParkedScannerBlocksOnlyTheRecordsItProtects) {
   // matter how long the reader sleeps.
   CasSnapshotOptions options;
   options.use_hp = true;
-  CasPartialSnapshot snap(kM, kN, options, 0);
+  CasPartialSnapshot snap(kM, kN, options);
   auto parked = park(snap, {0, 1});
   {
     exec::ScopedPid updater(0);

@@ -138,7 +138,7 @@ TEST(UpdateAllocHelpingTest,
 TEST(UpdateAllocHelpingTest, CasSnapshotHpHelpingUpdatesAreAllocationFree) {
   CasSnapshotOptions options;
   options.use_hp = true;
-  CasPartialSnapshot snap(kM, kN, options, 0);
+  CasPartialSnapshot snap(kM, kN, options);
   run_helping_update_test(snap);
 }
 
@@ -146,7 +146,7 @@ TEST(UpdateAllocHelpingTest,
      CasSnapshotShardedHelpingUpdatesAreAllocationFree) {
   CasSnapshotOptions options;
   options.reclaim_shards = 4;
-  CasPartialSnapshot snap(kM, kN, options, 0);
+  CasPartialSnapshot snap(kM, kN, options);
   run_helping_update_test(snap);
 }
 

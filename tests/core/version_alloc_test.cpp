@@ -144,7 +144,7 @@ TEST(VersionChainTest, QuiescentScansAcrossReadBlocks) {
   for (const bool use_hp : {false, true}) {
     CasSnapshotOptions options;
     options.use_hp = use_hp;
-    CasPartialSnapshotVersioned snap(kM, kN, options, 0);
+    CasPartialSnapshotVersioned snap(kM, kN, options);
     for (std::uint32_t i = 0; i < kM; ++i) snap.update(i, 1000 + i);
     for (std::size_t r : kScanSizes) {
       // A permutation prefix of [0, kM): distinct, out of index order.
@@ -264,7 +264,7 @@ TEST(VersionChainTest, TrimmedNodesRecycleThroughThePoolUnderHp) {
   exec::ScopedPid pid(0);
   CasSnapshotOptions options;
   options.use_hp = true;
-  CasPartialSnapshotVersioned snap(kM, kN, options, 0);
+  CasPartialSnapshotVersioned snap(kM, kN, options);
   warm_up(snap);
   std::uint64_t reused_before = snap.record_pool().reused_count();
   for (int k = 0; k < 512; ++k) {

@@ -105,94 +105,6 @@ TEST(Coalescer, ExplicitAndDestructorFlushPublishTheTail) {
   EXPECT_EQ(snap->scan({2}), (std::vector<std::uint64_t>{3}));
 }
 
-TEST(Coalescer, DeadlineFlushesStaleWritesOnTheNextWrite) {
-  exec::ScopedPid pid(0);
-  auto snap = make_snap();
-  std::uint64_t fake_now = 1000;
-  Coalescer ingest(*snap, {.batch = 8,
-                           .coalesce_window = 0,
-                           .coalesce_window_us = 50,
-                           .now_us = [&] { return fake_now; }});
-
-  ingest.write(0, 10);  // window opens at t=1000
-  fake_now = 1040;
-  ingest.write(1, 11);  // 40us elapsed: still inside the window
-  EXPECT_EQ(ingest.pending(), 2u);
-  fake_now = 1050;
-  ingest.write(2, 12);  // 50us: the oldest pending write hit the deadline
-  EXPECT_EQ(ingest.pending(), 0u);
-  EXPECT_EQ(snap->scan({0, 1, 2}), (std::vector<std::uint64_t>{10, 11, 12}));
-  EXPECT_EQ(ingest.stats().flushes, 1u);
-}
-
-TEST(Coalescer, PollFlushesATailTheStreamNeverFollowsUp) {
-  exec::ScopedPid pid(0);
-  auto snap = make_snap();
-  std::uint64_t fake_now = 0;
-  Coalescer ingest(*snap, {.batch = 8,
-                           .coalesce_window = 0,
-                           .coalesce_window_us = 100,
-                           .now_us = [&] { return fake_now; }});
-
-  ingest.write(4, 44);
-  EXPECT_FALSE(ingest.poll());  // deadline not reached
-  EXPECT_EQ(ingest.pending(), 1u);
-  fake_now = 99;
-  EXPECT_FALSE(ingest.poll());
-  fake_now = 100;
-  EXPECT_TRUE(ingest.poll());
-  EXPECT_EQ(ingest.pending(), 0u);
-  EXPECT_EQ(snap->scan({4}), (std::vector<std::uint64_t>{44}));
-  // An empty batch never expires, no matter how far the clock advances.
-  fake_now = 1u << 20;
-  EXPECT_FALSE(ingest.poll());
-}
-
-TEST(Coalescer, DeadlineTracksTheOldestPendingWrite) {
-  exec::ScopedPid pid(0);
-  auto snap = make_snap();
-  std::uint64_t fake_now = 0;
-  Coalescer ingest(*snap, {.batch = 8,
-                           .coalesce_window = 4,
-                           .coalesce_window_us = 100,
-                           .now_us = [&] { return fake_now; }});
-
-  ingest.write(0, 1);  // window opens at t=0
-  fake_now = 90;
-  ingest.write(0, 2);  // merges; the window does NOT restart
-  EXPECT_EQ(ingest.pending(), 1u);
-  fake_now = 100;
-  EXPECT_TRUE(ingest.poll());  // 100us since the FIRST write to component 0
-  EXPECT_EQ(snap->scan({0}), (std::vector<std::uint64_t>{2}));
-
-  // After a flush the next write opens a fresh window.
-  ingest.write(1, 3);  // t=100
-  fake_now = 199;
-  EXPECT_FALSE(ingest.poll());
-  fake_now = 200;
-  EXPECT_TRUE(ingest.poll());
-  EXPECT_EQ(snap->scan({1}), (std::vector<std::uint64_t>{3}));
-}
-
-TEST(Coalescer, RegistryParsesTheMicrosecondWindowKnob) {
-  exec::ScopedPid pid(0);
-  registry::IngestKnobs knobs;
-  auto snap = registry::make_snapshot(
-      "fig3_cas:batch=4,coalesce_window_us=250", 8, 2, &knobs);
-  EXPECT_EQ(knobs.batch, 4u);
-  EXPECT_EQ(knobs.coalesce_window_us, 250u);
-  EXPECT_TRUE(knobs.batching_requested());
-  // The knob counts as a batching request, so entry points that cannot
-  // batch must reject it rather than silently running singleton.
-  EXPECT_THROW(registry::make_snapshot("fig3_cas:coalesce_window_us=250", 8,
-                                       2, nullptr),
-               std::invalid_argument);
-  // And batch-incapable implementations reject it with the catalogue.
-  EXPECT_THROW(registry::make_snapshot("fig1_register:coalesce_window_us=250",
-                                       8, 2, &knobs),
-               std::invalid_argument);
-}
-
 TEST(Coalescer, RegistryKnobsDriveTheFrontEnd) {
   // The universal spec options land in IngestKnobs, which map 1:1 onto
   // the Coalescer's options -- the CLI-to-ingest path benches use.

@@ -41,7 +41,7 @@ struct TempDir {
 
 CheckpointData sample_u64_frame(std::uint64_t sequence) {
   CheckpointData frame;
-  frame.impl_spec = "fig3_cas:coalesce=false";
+  frame.impl_spec = "fig3_cas:reclaim=hp";
   frame.sequence = sequence;
   frame.value_plane = "u64";
   frame.initial_m = 3;
@@ -234,6 +234,9 @@ CheckpointData pinned_versioned_frame() {
 
 CheckpointData pinned_partial_frame() {
   CheckpointData frame;
+  // A spelling an older build wrote (restore now rejects its retired
+  // option): the frame format carries the spec as opaque bytes, and this
+  // image's size and CRC are pinned below.
   frame.impl_spec = "fig3_cas:coalesce=false";
   frame.sequence = 7;
   frame.value_plane = "u64";

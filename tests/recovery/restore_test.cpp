@@ -68,7 +68,7 @@ CheckpointData disk_round_trip(core::PartialSnapshot& snap,
 TEST(Restore, RoundTripAcrossSpecs) {
   const char* specs[] = {
       "fig1_register", "fig3_cas",        "fig3_cas:value=blob",
-      "fig3_cas:value=versioned",         "fig3_cas:coalesce=false",
+      "fig3_cas:value=versioned",         "fig3_cas:reclaim=hp",
       "full_snapshot", "double_collect",  "seqlock",
       "seqlock:value=blob",               "lock",
   };
@@ -241,6 +241,27 @@ TEST(Restore, FrameWithTooManyThreadsRejected) {
   EXPECT_THROW(restore(frame), std::invalid_argument);
   // The same frame at the capacity itself restores.
   frame.max_threads = exec::kMaxPidCapacity;
+  EXPECT_EQ(restore(frame)->scan_all(), (std::vector<std::uint64_t>{0, 9, 0}));
+}
+
+// A frame written by an older build can name an option that is now
+// retired (Figure 2's ablations were once Figure 3 options too): it fails
+// as a bad frame naming the option, not with an abort.
+TEST(Restore, FrameNamingARetiredOptionRejected) {
+  exec::ThreadHandle pid;
+  auto snap = registry::make_snapshot("fig3_cas", 3, 4);
+  snap->update(1, 9);
+  CheckpointData frame =
+      disk_round_trip(*snap, "fig3_cas:coalesce=false", 3, 4);
+  ASSERT_TRUE(frame.is_full());
+  try {
+    restore(frame);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("'coalesce'"), std::string::npos)
+        << e.what();
+  }
+  frame.impl_spec = "fig3_cas";
   EXPECT_EQ(restore(frame)->scan_all(), (std::vector<std::uint64_t>{0, 9, 0}));
 }
 

@@ -9,6 +9,8 @@
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <tuple>
 
 #include "activeset/faicas_active_set.h"
@@ -143,11 +145,10 @@ TEST(SnapshotRegistry, VariantsAreDistinctAndNamedAfterTheirPlanes) {
 TEST(ActiveSetRegistry, CataloguesTheExpectedBuiltins) {
   auto& registry = ActiveSetRegistry::instance();
   for (const char* name :
-       {"register", "register_fast", "bitmap", "bitmap_fast", "faicas",
-        "faicas_fast", "lock"}) {
+       {"register", "bitmap", "faicas", "faicas_fast", "lock"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
-  EXPECT_GE(registry.all().size(), 7u);
+  EXPECT_GE(registry.all().size(), 5u);
   // Figure 2's ablations are options of faicas, not entries.
   EXPECT_EQ(registry.find("faicas_nocoalesce"), nullptr);
   EXPECT_EQ(registry.find("faicas_nopublish"), nullptr);
@@ -160,55 +161,12 @@ TEST(ActiveSetRegistry, VariantsListEachEntryThenItsAblations) {
     EXPECT_NE(make_active_set(variant.spec, 2), nullptr) << variant.spec;
   }
   EXPECT_EQ(specs, (std::vector<std::string>{
-                       "register", "register_fast", "bitmap", "bitmap_fast",
-                       "faicas", "faicas:coalesce=false",
+                       "register", "bitmap", "faicas", "faicas:coalesce=false",
                        "faicas:publish=false", "faicas_fast", "lock"}));
   std::vector<ActiveSetVariant> all = active_set_variants();
-  EXPECT_EQ(all[5].name, "faicas_coalesce_false");
-  EXPECT_EQ(all[5].entry, "faicas");
-  EXPECT_TRUE(all[5].sim_safe);
-}
-
-TEST(ActiveSetRegistry, AdaptiveOptionReachesEveryBoundedImplementation) {
-  // adaptive=false pins the full-range walk; both parse on the flag-slot
-  // implementations and the Figure 2 spec alike.
-  exec::ScopedPid pid(0);
-  for (const char* spec :
-       {"register:adaptive=false", "bitmap:adaptive=false",
-        "faicas:adaptive=false", "register:adaptive=true", "bitmap"}) {
-    auto as = make_active_set(spec, 4);
-    as->join();
-    EXPECT_EQ(as->get_set(), (std::vector<std::uint32_t>{0})) << spec;
-    as->leave();
-  }
-  auto snap = make_snapshot("fig1_register:as=bitmap,adaptive=false", 4, 2);
-  snap->update(2, 7);
-  EXPECT_EQ(snap->scan({2}), (std::vector<std::uint64_t>{7}));
-}
-
-TEST(ActiveSetRegistry, AdaptiveOptionPropagatesIntoInjectedActiveSets) {
-  // The outer adaptive= choice must reach an as=-injected active set: its
-  // collect is the walk the option A/Bs.  Observable through steps: with
-  // adaptive=false the register collect walks all n=64 slots; the default
-  // adaptive bound walks only the (much smaller) pid watermark.
-  exec::ScopedPid pid(0);
-  auto count_getset_steps = [](const char* spec) {
-    auto snap = make_snapshot(spec, 4, 64);
-    auto* fig1 = dynamic_cast<core::RegisterPartialSnapshot*>(snap.get());
-    EXPECT_NE(fig1, nullptr) << spec;
-    std::vector<std::uint32_t> out;
-    std::uint64_t before = exec::ctx().steps.total;
-    fig1->active_set().get_set(out);
-    return exec::ctx().steps.total - before;
-  };
-  EXPECT_EQ(count_getset_steps("fig1_register:as=register,adaptive=false"),
-            64u);
-  EXPECT_LT(count_getset_steps("fig1_register:as=register,adaptive=true"),
-            64u);
-  // An explicit nested choice wins over the outer one.
-  EXPECT_EQ(count_getset_steps(
-                "fig1_register:as=register;adaptive=false,adaptive=true"),
-            64u);
+  EXPECT_EQ(all[3].name, "faicas_coalesce_false");
+  EXPECT_EQ(all[3].entry, "faicas");
+  EXPECT_TRUE(all[3].sim_safe);
 }
 
 TEST(SnapshotRegistry, NamesAreUniqueAndIdentifierSafe) {
@@ -294,23 +252,57 @@ TEST(SnapshotRegistry, UnknownNameSuggestsTheClosestImplementation) {
   EXPECT_EQ(closest_snapshot_name("fig3"), "fig3_cas");
 }
 
-// Figure 3 publishes only by CAS, and Figure 2's join count is unbounded:
-// the options and entries that used to select otherwise are bad specs.
+// Options and entries that used to select something else are bad specs:
+// Figure 3 publishes only by CAS, Figure 2's join count is unbounded,
+// every object starts at 0 (or at an InitialVector's payloads) on the
+// watermark walk bound with its own active set, only the faicas entry has
+// Figure 2's ablations, the Coalescer's window is a count of writes, and
+// the Release register and bitmap sets have no entries of their own.
 TEST(SnapshotRegistry, RetiredSpellingsAreRejected) {
-  for (const char* spec :
-       {"fig3_cas:cas=false", "fig3_cas_batch:cas=false",
-        "fig3_cas:max_joins=3"}) {
+  // Each spelling's last option is the retired one; the error names it.
+  auto expect_unknown_option = [](auto make, std::string_view spec) {
+    std::string_view key = spec.substr(spec.find_last_of(":,") + 1);
+    key = key.substr(0, key.find('='));
     try {
-      make_snapshot(spec, 4, 2);
+      make(std::string(spec));
       FAIL() << "expected std::invalid_argument for " << spec;
     } catch (const std::invalid_argument& e) {
-      EXPECT_NE(std::string(e.what()).find("unknown option"),
+      EXPECT_NE(std::string(e.what()).find("unknown option '" +
+                                           std::string(key) + "'"),
                 std::string::npos)
           << spec << ": " << e.what();
     }
+  };
+  std::vector<std::string> snapshots = {
+      "fig1_register:as=bitmap",      "fig1_register:initial=7",
+      "fig1_register:adaptive=false", "fig1_register_fast:initial=7",
+      "fig1_register_fast:adaptive=false",
+      "full_snapshot:initial=7",      "full_snapshot:adaptive=false",
+      "double_collect:initial=7",     "lock:initial=7",
+      "seqlock:initial=7"};
+  for (const char* fig3 : {"fig3_cas", "fig3_cas_fast", "fig3_cas_batch"}) {
+    for (const char* option :
+         {"coalesce=false", "publish=false", "initial=7", "adaptive=false",
+          "cas=false", "max_joins=3", "batch=4,coalesce_window_us=250"}) {
+      snapshots.push_back(std::string(fig3) + ":" + option);
+    }
   }
-  EXPECT_THROW(make_active_set("faicas:max_joins=3", 2),
-               std::invalid_argument);
+  for (const std::string& spec : snapshots) {
+    expect_unknown_option(
+        [](const std::string& s) {
+          IngestKnobs knobs;
+          make_snapshot(s, 4, 2, &knobs);
+        },
+        spec);
+  }
+  for (const char* spec :
+       {"register:adaptive=false", "bitmap:adaptive=false",
+        "faicas:adaptive=false", "faicas:max_joins=3",
+        "faicas_fast:adaptive=false", "faicas_fast:coalesce=false",
+        "faicas_fast:publish=false"}) {
+    expect_unknown_option(
+        [](const std::string& s) { make_active_set(s, 2); }, spec);
+  }
   auto expect_unknown_name = [](auto make, const char* spec) {
     try {
       make(spec);
@@ -324,7 +316,8 @@ TEST(SnapshotRegistry, RetiredSpellingsAreRejected) {
   };
   expect_unknown_name([](const char* s) { make_snapshot(s, 4, 2); },
                       "fig3_write_ablation");
-  for (const char* spec : {"faicas_nocoalesce", "faicas_nopublish"}) {
+  for (const char* spec : {"faicas_nocoalesce", "faicas_nopublish",
+                           "register_fast", "bitmap_fast"}) {
     expect_unknown_name([](const char* s) { make_active_set(s, 2); }, spec);
   }
 }
@@ -401,26 +394,6 @@ TEST(SnapshotRegistry, SpecOptionsReachTheImplementation) {
     auto* cas = dynamic_cast<core::CasPartialSnapshot*>(snap.get());
     ASSERT_NE(cas, nullptr);
     EXPECT_EQ(snap->name(), "fig3-cas-hp");
-  }
-  {
-    auto snap = make_snapshot("fig1_register:initial=7", 4, 2);
-    EXPECT_EQ(snap->scan({0, 3}), (std::vector<std::uint64_t>{7, 7}));
-  }
-  {
-    // Figure 1 paired with the Figure 2 active set via a nested spec.
-    auto snap = make_snapshot("fig1_register:as=faicas", 4, 2);
-    snap->update(1, 5);
-    EXPECT_EQ(snap->scan({1}), (std::vector<std::uint64_t>{5}));
-  }
-  {
-    // Nested active-set options use ';' so they survive the outer comma
-    // split; combined with a sibling option to prove both are consumed.
-    auto snap = make_snapshot(
-        "fig1_register:as=faicas;coalesce=false;publish=false,initial=2", 4,
-        2);
-    EXPECT_EQ(snap->scan({0, 2}), (std::vector<std::uint64_t>{2, 2}));
-    snap->update(2, 9);
-    EXPECT_EQ(snap->scan({2}), (std::vector<std::uint64_t>{9}));
   }
   {
     auto as = make_active_set("faicas:coalesce=false", 2);
@@ -735,10 +708,10 @@ TEST(SnapshotRegistry, UnknownOptionSuggestsTheClosestQueriedKey) {
         << message;
   }
   try {
-    make_snapshot("fig3_cas:adaptve=false", 4, 2);
+    make_snapshot("fig3_cas:shrds=2", 4, 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("did you mean 'adaptive'"),
+    EXPECT_NE(std::string(e.what()).find("did you mean 'shards'"),
               std::string::npos)
         << e.what();
   }

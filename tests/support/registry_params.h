@@ -10,8 +10,11 @@
 #include <functional>
 #include <memory>
 #include <ostream>
+#include <string>
 #include <vector>
 
+#include "activeset/bitmap_active_set.h"
+#include "activeset/register_active_set.h"
 #include "registry/registry.h"
 
 namespace psnap::registry {
@@ -20,17 +23,12 @@ namespace psnap::registry {
 inline void PrintTo(const SnapshotVariant& variant, std::ostream* os) {
   *os << variant.spec;
 }
-inline void PrintTo(const ActiveSetVariant& variant, std::ostream* os) {
-  *os << variant.spec;
-}
 
 }  // namespace psnap::registry
 
 namespace psnap::test {
 
 using SnapshotFilter = std::function<bool(const registry::SnapshotVariant&)>;
-using ActiveSetFilter =
-    std::function<bool(const registry::ActiveSetVariant&)>;
 
 // Every registry variant (entry x value plane x reclamation plane) the
 // filter accepts.
@@ -43,13 +41,48 @@ inline std::vector<registry::SnapshotVariant> snapshot_impls(
   return out;
 }
 
-// Every active-set variant (entry, then each of its ablations) the filter
-// accepts.
-inline std::vector<registry::ActiveSetVariant> active_set_impls(
+// An active set under test: every registry active-set variant (entry, then
+// each of its ablations), then the Release instantiations that no
+// active-set entry builds, constructed directly -- Figure 1's register set
+// ("register_release", which fig1_register_fast owns) and the bitmap set
+// ("bitmap_release", which bench_adaptive_collect times).
+struct ActiveSetCase {
+  std::string name;   // identifier-safe gtest parameter name
+  std::string entry;  // registry entry of the algorithm
+  bool sim_safe = true;
+  std::function<std::unique_ptr<activeset::ActiveSet>(std::uint32_t n)> make;
+};
+
+inline void PrintTo(const ActiveSetCase& c, std::ostream* os) {
+  *os << c.name;
+}
+
+using ActiveSetFilter = std::function<bool(const ActiveSetCase&)>;
+
+// Every active-set case the filter accepts.
+inline std::vector<ActiveSetCase> active_set_impls(
     const ActiveSetFilter& filter = nullptr) {
-  std::vector<registry::ActiveSetVariant> out;
+  using primitives::Release;
+  std::vector<ActiveSetCase> all;
   for (registry::ActiveSetVariant& variant : registry::active_set_variants()) {
-    if (!filter || filter(variant)) out.push_back(std::move(variant));
+    all.push_back({variant.name, variant.entry, variant.sim_safe,
+                   [spec = variant.spec](std::uint32_t n) {
+                     return registry::make_active_set(spec, n);
+                   }});
+  }
+  all.push_back({"register_release", "register", /*sim_safe=*/false,
+                 [](std::uint32_t n) {
+                   return std::make_unique<
+                       activeset::RegisterActiveSetT<Release>>(n);
+                 }});
+  all.push_back({"bitmap_release", "bitmap", /*sim_safe=*/false,
+                 [](std::uint32_t n) {
+                   return std::make_unique<
+                       activeset::BitmapActiveSetT<Release>>(n);
+                 }});
+  std::vector<ActiveSetCase> out;
+  for (ActiveSetCase& c : all) {
+    if (!filter || filter(c)) out.push_back(std::move(c));
   }
   return out;
 }
@@ -60,11 +93,6 @@ inline std::unique_ptr<core::PartialSnapshot> make_snapshot(
   return registry::make_snapshot(variant.spec, m, n);
 }
 
-inline std::unique_ptr<activeset::ActiveSet> make_active_set(
-    const registry::ActiveSetVariant& variant, std::uint32_t n) {
-  return registry::make_active_set(variant.spec, n);
-}
-
 // gtest parameter-name generators (variant and registry names are
 // identifier-safe).
 inline std::string snapshot_param_name(
@@ -72,8 +100,8 @@ inline std::string snapshot_param_name(
   return info.param.name;
 }
 
-inline std::string active_set_param_name(
-    const ::testing::TestParamInfo<registry::ActiveSetVariant>& info) {
+inline std::string active_set_case_name(
+    const ::testing::TestParamInfo<ActiveSetCase>& info) {
   return info.param.name;
 }
 
