@@ -26,7 +26,10 @@
 // invariant must hold IN the frame (a torn checkpoint would break it),
 // and progress must be component-wise monotone against the previous
 // cycle's frame (restore never rolls back past what was durably
-// committed).  Recovery latency -- child spawn to first frame that
+// committed), and the directory must hold at most keep_frames frames
+// plus the writer's spare file and nothing else (frames are pruned by
+// recycling their files, so a kill at any instant leaves no stray file).
+// Recovery latency -- child spawn to first frame that
 // supersedes the pre-kill one -- is measured per cycle and written as a
 // JSON artifact for CI trending, with the CRC-32 kernel ("pclmul" or
 // "slicing-by-8") that checksummed the frames.
@@ -40,6 +43,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -167,6 +171,32 @@ std::uint64_t xorshift(std::uint64_t& state) {
 std::uint64_t newest_sequence(const std::string& dir) {
   auto frame = CheckpointLoader(dir).load_newest();
   return frame.has_value() ? frame->sequence : 0;
+}
+
+// Empty when `dir` holds at most keep_frames frames plus one spare file
+// (counted together: a kill between a commit's rename and its prune
+// leaves keep_frames + 1 frames and no spare) and nothing else; otherwise
+// what is wrong with it.
+std::string check_directory_bounded(const std::string& dir) {
+  const std::size_t keep = CheckpointWriter::Options{}.keep_frames;
+  const std::size_t frames = CheckpointLoader(dir).frame_paths().size();
+  std::size_t files = 0;
+  bool spare = false;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    ++files;
+    spare = spare || entry.path().filename() == CheckpointWriter::kSpareName;
+  }
+  const std::size_t known = frames + (spare ? 1 : 0);
+  if (known > keep + 1) {
+    return std::to_string(frames) + " frames" + (spare ? " and a spare" : "") +
+           ", more than keep_frames=" + std::to_string(keep) +
+           " plus one spare";
+  }
+  if (files > known) {
+    return std::to_string(files - known) +
+           " file(s) that are neither frames nor the spare";
+  }
+  return "";
 }
 
 }  // namespace
@@ -315,6 +345,12 @@ int main(int argc, char** argv) {
     }
     previous = frame->values;
     ++frames_verified;
+    if (const std::string wrong = check_directory_bounded(dir);
+        !wrong.empty()) {
+      std::fprintf(stderr, "cycle %llu: checkpoint directory unbounded: %s\n",
+                   static_cast<unsigned long long>(cycle), wrong.c_str());
+      return 1;
+    }
 
     std::printf(
         "cycle %2llu: recovered in %6.1f ms, killed after %3llu ms, "

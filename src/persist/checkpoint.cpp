@@ -1,5 +1,6 @@
 #include "persist/checkpoint.h"
 
+#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <sys/uio.h>
@@ -118,6 +119,36 @@ std::optional<std::uint64_t> frame_sequence(std::string_view name) {
     return std::nullopt;
   }
   return seq;
+}
+
+struct CloseDir {
+  void operator()(DIR* dir) const { ::closedir(dir); }
+};
+using DirHandle = std::unique_ptr<DIR, CloseDir>;
+
+DirHandle open_directory(const std::string& dir) {
+  return DirHandle(::opendir(dir.c_str()));
+}
+
+// The frames in an open directory as (sequence, file name), ascending,
+// from one readdir pass.  d_type answers "regular file?" without a stat;
+// for a symlink, or where the file system leaves d_type unknown, fstatat
+// decides (following the link, as opening it would).
+std::vector<std::pair<std::uint64_t, std::string>> list_frames(DIR* dir) {
+  std::vector<std::pair<std::uint64_t, std::string>> frames;
+  while (const dirent* entry = ::readdir(dir)) {
+    const std::optional<std::uint64_t> seq = frame_sequence(entry->d_name);
+    if (!seq) continue;
+    bool regular = entry->d_type == DT_REG;
+    if (entry->d_type == DT_UNKNOWN || entry->d_type == DT_LNK) {
+      struct stat st {};
+      regular = ::fstatat(::dirfd(dir), entry->d_name, &st, 0) == 0 &&
+                S_ISREG(st.st_mode);
+    }
+    if (regular) frames.emplace_back(*seq, entry->d_name);
+  }
+  std::sort(frames.begin(), frames.end());
+  return frames;
 }
 
 [[noreturn]] void throw_errno(const std::string& what) {
@@ -326,7 +357,9 @@ std::optional<CheckpointData> parse_frame(std::span<const std::byte> bytes,
 }
 
 CheckpointWriter::CheckpointWriter(std::string dir, Options options)
-    : dir_(std::move(dir)), options_(options) {
+    : dir_(std::move(dir)),
+      spare_path_(dir_ + "/" + std::string(kSpareName)),
+      options_(options) {
   if (options_.keep_frames < 2) options_.keep_frames = 2;
   std::error_code ec;
   fs::create_directories(dir_, ec);
@@ -334,25 +367,33 @@ CheckpointWriter::CheckpointWriter(std::string dir, Options options)
     throw std::runtime_error("CheckpointWriter: cannot create '" + dir_ +
                              "': " + ec.message());
   }
+  // The one listing: adopt the frames an earlier writer left (a spare it
+  // left needs no adopting; the first commit opens it by name).
+  if (DirHandle d = open_directory(dir_)) frames_ = list_frames(d.get());
 }
 
 std::string CheckpointWriter::commit(const CheckpointData& frame) {
   const EncodedFrame encoded = encode_frame(frame);
-  const std::string final_name =
-      std::string(kFramePrefix) + std::to_string(frame.sequence) +
-      std::string(kFrameSuffix);
-  const std::string final_path = dir_ + "/" + final_name;
-  const std::string tmp_path = final_path + ".tmp";
+  std::pair<std::uint64_t, std::string> entry(
+      frame.sequence, std::string(kFramePrefix) +
+                          std::to_string(frame.sequence) +
+                          std::string(kFrameSuffix));
+  const std::string final_path = dir_ + "/" + entry.second;
 
-  int fd = ::open(tmp_path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) throw_errno("open " + tmp_path);
+  // The spare is the inode the last prune retired: overwritten in place,
+  // then cut to the frame's size.  O_CREAT makes a fresh one only when
+  // there is none (the first commits into a directory, or after a failed
+  // commit or an outside unlink removed it).
+  int fd = ::open(spare_path_.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (fd < 0) throw_errno("open " + spare_path_);
   // Every later failure closes the file if it is open and unlinks the
-  // temp file (best effort), so failed commits leave no orphans behind;
-  // the exception reports the failing call's errno.
-  auto fail = [&tmp_path](int open_fd, const std::string& what) {
+  // spare (best effort), so a failed commit leaves the committed frames as
+  // they were and no half-written file behind; the exception reports the
+  // failing call's errno.
+  auto fail = [this](int open_fd, const std::string& what) {
     const int saved = errno;
     if (open_fd >= 0) ::close(open_fd);
-    ::unlink(tmp_path.c_str());
+    ::unlink(spare_path_.c_str());
     errno = saved;
     throw_errno(what);
   };
@@ -371,7 +412,7 @@ std::string CheckpointWriter::commit(const CheckpointData& frame) {
     ssize_t n = ::writev(fd, next, left);
     if (n < 0) {
       if (errno == EINTR) continue;
-      fail(fd, "write " + tmp_path);
+      fail(fd, "write " + spare_path_);
     }
     auto written = static_cast<std::size_t>(n);
     for (; left > 0 && written >= next->iov_len; ++next, --left) {
@@ -382,67 +423,94 @@ std::string CheckpointWriter::commit(const CheckpointData& frame) {
       next->iov_len -= written;
     }
   }
-  if (options_.sync && ::fsync(fd) != 0) fail(fd, "fsync " + tmp_path);
+  if (::ftruncate(fd, static_cast<off_t>(encoded.size())) != 0) {
+    fail(fd, "ftruncate " + spare_path_);
+  }
+  if (options_.sync && ::fdatasync(fd) != 0) {
+    fail(fd, "fdatasync " + spare_path_);
+  }
   ::close(fd);
-
-  if (::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-    fail(-1, "rename " + tmp_path + " -> " + final_path);
+  if (::rename(spare_path_.c_str(), final_path.c_str()) != 0) {
+    fail(-1, "rename " + spare_path_ + " -> " + final_path);
   }
+
+  // Prune: keep the newest keep_frames frames and the one just committed,
+  // even when its sequence is older than those.  The oldest victim is
+  // renamed to the spare name for the next commit and any others are
+  // unlinked, best effort: a victim that vanished is only forgotten.
+  // Pruning after the commit means a crash anywhere in here leaves MORE
+  // history than asked for, never less, and the directory fsync below
+  // makes the commit's rename and the spare's rename durable together, so
+  // no later commit overwrites a file a crash could bring back under a
+  // frame name.
+  auto at = std::lower_bound(frames_.begin(), frames_.end(), entry);
+  if (at == frames_.end() || *at != entry) {
+    at = frames_.insert(at, std::move(entry));
+  }
+  const auto committed = static_cast<std::size_t>(at - frames_.begin());
+  const std::size_t victims = frames_.size() > options_.keep_frames
+                                  ? frames_.size() - options_.keep_frames
+                                  : 0;
+  bool recycled = false;
+  std::size_t kept = 0;
+  for (std::size_t k = 0; k < frames_.size(); ++k) {
+    if (k >= victims || k == committed) {
+      if (kept != k) frames_[kept] = std::move(frames_[k]);
+      ++kept;
+      continue;
+    }
+    const std::string victim = dir_ + "/" + frames_[k].second;
+    if (!recycled && ::rename(victim.c_str(), spare_path_.c_str()) == 0) {
+      recycled = true;
+    } else {
+      ::unlink(victim.c_str());
+    }
+  }
+  frames_.resize(kept);
   if (options_.sync) fsync_path(dir_, /*directory=*/true);
-
-  // Prune: keep the newest keep_frames committed frames.  Pruning after
-  // the commit means a crash anywhere in here leaves MORE history than
-  // asked for, never less.  The frame just committed always stays, even
-  // when its sequence is older than the newest keep_frames on disk.
-  CheckpointLoader loader(dir_);
-  std::vector<std::string> paths = loader.frame_paths();
-  for (std::size_t k = options_.keep_frames; k < paths.size(); ++k) {
-    if (fs::path(paths[k]).filename() == final_name) continue;
-    std::error_code ec;
-    fs::remove(paths[k], ec);  // best effort
-  }
   return final_path;
 }
 
 CheckpointLoader::CheckpointLoader(std::string dir) : dir_(std::move(dir)) {}
 
 std::vector<std::string> CheckpointLoader::frame_paths() const {
-  std::vector<std::pair<std::uint64_t, std::string>> frames;
-  std::error_code ec;
-  fs::directory_iterator it(dir_, ec);
-  if (ec) return {};
-  for (const fs::directory_entry& entry : it) {
-    if (!entry.is_regular_file(ec)) continue;
-    auto seq = frame_sequence(entry.path().filename().string());
-    if (!seq) continue;
-    frames.emplace_back(*seq, entry.path().string());
-  }
-  std::sort(frames.begin(), frames.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
   std::vector<std::string> out;
-  out.reserve(frames.size());
-  for (auto& [seq, path] : frames) out.push_back(std::move(path));
+  DirHandle d = open_directory(dir_);
+  if (!d) return out;
+  const auto frames = list_frames(d.get());
+  for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
+    out.push_back(dir_ + "/" + it->second);
+  }
   return out;
 }
 
 std::optional<CheckpointData> CheckpointLoader::load_newest(
     Report* report) const {
-  for (const std::string& path : frame_paths()) {
+  // Frames open relative to the listed directory: one path walk per load.
+  DirHandle d = open_directory(dir_);
+  if (!d) return std::nullopt;
+  const auto frames = list_frames(d.get());
+  for (auto it = frames.rbegin(); it != frames.rend(); ++it) {
+    const std::string& name = it->second;
+    auto reject = [&](std::string_view why) {
+      if (report != nullptr) {
+        report->rejected.push_back(dir_ + "/" + name + ": " +
+                                   std::string(why));
+      }
+    };
     std::unique_ptr<std::byte[]> image;
     std::size_t got = 0;
     {
-      int fd = ::open(path.c_str(), O_RDONLY);
+      int fd = ::openat(::dirfd(d.get()), name.c_str(), O_RDONLY | O_CLOEXEC);
       if (fd < 0) {
-        if (report != nullptr) {
-          report->rejected.push_back(path + ": " + std::strerror(errno));
-        }
+        reject(std::strerror(errno));
         continue;
       }
-      // Committed frames never change after their rename, so the size
-      // fstat reports is the image's size: read straight into a buffer of
-      // that size, left uninitialized because the read fills it.  A short
-      // read leaves a truncated image, which the parser rejects like any
-      // other torn frame.
+      // The size fstat reports is the image's size: read straight into a
+      // buffer of that size, left uninitialized because the read fills
+      // it.  A short read leaves a truncated image, and a frame a
+      // concurrent commit retires and overwrites meanwhile a mixed one;
+      // the parser rejects either like any other torn frame.
       struct stat st {};
       bool ok = ::fstat(fd, &st) == 0;
       std::size_t size = 0;
@@ -459,9 +527,7 @@ std::optional<CheckpointData> CheckpointLoader::load_newest(
       }
       ::close(fd);
       if (!ok) {
-        if (report != nullptr) {
-          report->rejected.push_back(path + ": read failed");
-        }
+        reject("read failed");
         continue;
       }
     }
@@ -469,9 +535,7 @@ std::optional<CheckpointData> CheckpointLoader::load_newest(
     if (auto frame = parse_frame(std::span(image.get(), got), &error)) {
       return frame;
     }
-    if (report != nullptr) {
-      report->rejected.push_back(path + ": " + error);
-    }
+    reject(error);
   }
   return std::nullopt;
 }

@@ -25,23 +25,44 @@
 //   payload per entry: u64 value (planes 0/2) or u32 len + bytes (plane 1)
 //   u32     crc32 over every byte above
 //
-// Commit protocol (CheckpointWriter): write the frame to "<name>.tmp" in
-// the checkpoint directory, fsync the file, rename(2) to
-// "ckpt-<seq>.psnap", fsync the directory.  rename is atomic, so a reader
-// (or a loader after kill -9) sees either no frame or a complete one; a
-// crash mid-write leaves only a .tmp orphan the loader never considers.
+// Commit protocol (CheckpointWriter): the writer keeps one SPARE file,
+// "ckpt-spare" in the checkpoint directory -- the inode its last prune
+// retired, under a name that is not a frame name.  A commit overwrites
+// the spare in place (open, one writev loop, ftruncate to the frame's
+// size, fdatasync), then rename(2)s it to "ckpt-<seq>.psnap".  The prune
+// then renames the retired frame to the spare name, unlinks only the
+// frames beyond that one, and one directory fsync makes both renames
+// durable (on a file system that journals metadata in order, as ext4 and
+// xfs do), so no commit ever overwrites a file that a crash could bring
+// back under a frame name.  rename is atomic, so a reader (or a loader
+// after kill -9) sees either no new frame or a complete one; a crash
+// mid-write leaves only a torn spare, which the loader never considers
+// and the next commit overwrites.  In steady state a commit creates no
+// inode, unlinks none and lists no directory: the writer lists the
+// directory once, at construction, to adopt frames an earlier writer
+// left, and then tracks its own frames in memory, by sequence.  When the
+// spare is missing (the first commits, or after a failed commit, which
+// unlinks it, or an outside unlink) the same open creates it.  Pruning
+// never removes the frame just committed, even one older than the newest
+// keep_frames on disk.  Two cases are left out: frames another process
+// adds to the directory later are never pruned, and a loader running
+// concurrently with a commit may read a frame just as it is retired into
+// the spare and overwritten, and reject it on its CRC (it then falls back
+// to the next frame, as for any torn one).
+//
 // The writer builds no image: one encoder yields the header bytes (magic
 // through the index list), the payload straight from the frame's values
-// and the CRC trailer, threading the CRC through crc32_update, and one
+// and the CRC trailer, threading the CRC through crc32_update, and the
 // writev loop writes the three pieces (blob payloads are encoded into
 // the header buffer).  serialize_frame concatenates the same pieces, so
-// its image is byte for byte the file commit writes.  Pruning never
-// removes the frame just committed, even one older than the newest
-// keep_frames on disk.
+// its image is byte for byte the file commit writes.
 //
-// Load protocol (CheckpointLoader): walk frames newest-sequence-first and
-// return the first that verifies -- magic, structural bounds, and CRC
-// over the whole frame BEFORE any field is trusted.  A torn, truncated,
+// Load protocol (CheckpointLoader): list the directory in one readdir
+// pass (names parsed in place, d_type for the file type, fstatat only for
+// a symlink or where the file system leaves d_type unknown), walk frames
+// newest-sequence-first and return the first that verifies -- magic,
+// structural bounds, and CRC over the whole frame BEFORE any field is
+// trusted.  A torn, truncated,
 // or bit-flipped frame is rejected (with a reason, reported per file) and
 // the walk falls back to the previous intact frame; if nothing intact
 // remains the loader returns nullopt rather than ever returning garbage.
@@ -52,6 +73,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "primitives/value_plane.h"
@@ -94,9 +117,14 @@ std::vector<std::byte> serialize_frame(const CheckpointData& frame);
 std::optional<CheckpointData> parse_frame(std::span<const std::byte> bytes,
                                           std::string* error = nullptr);
 
-// Commits frames into a checkpoint directory via write-temp-then-rename.
+// Commits frames into a checkpoint directory by overwriting the spare
+// file and renaming it into place.  Not thread-safe: one writer per
+// directory.
 class CheckpointWriter {
  public:
+  // The spare file's name in the checkpoint directory; not a frame name.
+  static constexpr std::string_view kSpareName = "ckpt-spare";
+
   struct Options {
     // Intact frames to retain; older ones are pruned after each commit.
     // At least 2, so one bad newest frame always leaves a fallback.
@@ -106,22 +134,26 @@ class CheckpointWriter {
     bool sync = true;
   };
 
-  // Creates the directory if absent.  Throws std::runtime_error on IO
+  // Creates the directory if absent and adopts the frames already in it
+  // (pruned from the first commit on).  Throws std::runtime_error on IO
   // failure.
   CheckpointWriter(std::string dir, Options options);
   explicit CheckpointWriter(std::string dir)
       : CheckpointWriter(std::move(dir), Options{}) {}
 
   // Atomically commits one frame; returns the committed path.  Throws
-  // std::runtime_error on IO failure, after removing the frame's temp
-  // file, so the committed frames are as before the call.
+  // std::runtime_error on IO failure, after unlinking the spare, so the
+  // committed frames are as before the call.
   std::string commit(const CheckpointData& frame);
 
   const std::string& dir() const { return dir_; }
 
  private:
   std::string dir_;
+  std::string spare_path_;
   Options options_;
+  // (sequence, file name) of every frame this writer may prune, ascending.
+  std::vector<std::pair<std::uint64_t, std::string>> frames_;
 };
 
 // Reads the newest intact frame from a checkpoint directory.

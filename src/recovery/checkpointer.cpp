@@ -33,7 +33,7 @@ void Checkpointer::capture_impl(std::span<const std::uint32_t> indices,
   out.impl_spec = options_.impl_spec;
   out.initial_m = options_.initial_m;
   out.max_threads = options_.max_threads;
-  out.value_plane = std::string(snapshot_.value_plane());
+  out.value_plane.assign(snapshot_.value_plane());
   out.epoch = 0;
 
   std::chrono::microseconds delay = options_.backoff.initial;
@@ -84,10 +84,9 @@ void Checkpointer::capture_impl(std::span<const std::uint32_t> indices,
 }
 
 std::string Checkpointer::checkpoint_now() {
-  persist::CheckpointData frame;
-  capture(frame);
-  frame.sequence = next_sequence_;
-  std::string path = writer_.commit(frame);
+  capture(frame_);
+  frame_.sequence = next_sequence_;
+  std::string path = writer_.commit(frame_);
   ++next_sequence_;
   ++stats_.frames_committed;
   return path;

@@ -98,7 +98,9 @@ class Checkpointer {
 
   // capture + assign the next sequence number + commit.  Returns the
   // committed frame path.  Throws CheckpointAbandoned (scan attempts
-  // exhausted) or std::runtime_error (IO).
+  // exhausted) or std::runtime_error (IO).  Captures into one frame the
+  // Checkpointer owns, so its payload capacity survives from one
+  // checkpoint to the next.
   std::string checkpoint_now();
 
   // Periodic loop: checkpoint, sleep `interval`, repeat until `stop` is
@@ -123,6 +125,7 @@ class Checkpointer {
   Stats stats_;
   std::uint64_t next_sequence_ = 1;
   std::vector<std::uint32_t> all_indices_;  // reused full-scan index set
+  persist::CheckpointData frame_;           // reused checkpoint_now frame
 };
 
 }  // namespace psnap::recovery

@@ -33,10 +33,18 @@ std::size_t edit_distance(std::string_view a, std::string_view b) {
   return row[b.size()];
 }
 
-// "Did you mean" candidate: the closest name within an edit-distance
-// budget that scales with the typo's length (a one-character slip on a
-// short name, a couple on a long one).  Prefix matches (an abbreviated
-// name) always qualify.
+// Whether a candidate `distance` edits from `typo` is worth suggesting:
+// the budget scales with the typo's length (a one-character slip on a
+// short name, a couple on a long one) but stays below that length -- at
+// as many edits as the typo has characters, every name that long would
+// qualify, even one with no letter in common.
+bool within_suggestion_budget(std::string_view typo, std::size_t distance) {
+  const std::size_t budget = typo.size() < 6 ? 2 : typo.size() / 3;
+  return distance <= budget && distance < typo.size();
+}
+
+// "Did you mean" candidate: the closest name within the suggestion
+// budget.  Prefix matches (an abbreviated name) always qualify.
 template <class Infos>
 std::string closest_name(std::string_view name, const Infos& infos) {
   std::string best;
@@ -52,8 +60,8 @@ std::string closest_name(std::string_view name, const Infos& infos) {
       return info->name;
     }
   }
-  std::size_t budget = name.size() < 6 ? 2 : name.size() / 3;
-  return best_distance <= budget ? best : std::string();
+  return within_suggestion_budget(name, best_distance) ? best
+                                                      : std::string();
 }
 
 // The universal shape options are 32-bit; reject rather than silently
@@ -210,8 +218,7 @@ void Options::check_consumed() const {
         best = q;
       }
     }
-    std::size_t budget = entry.key.size() < 6 ? 2 : entry.key.size() / 3;
-    if (!best.empty() && best_distance <= budget) {
+    if (!best.empty() && within_suggestion_budget(entry.key, best_distance)) {
       message += "; did you mean '" + best + "'?";
     }
     throw std::invalid_argument(message);

@@ -5,6 +5,7 @@
 // lives in torn_checkpoint_test.cpp).
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <bit>
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <random>
 #include <span>
 #include <stdexcept>
@@ -392,27 +394,196 @@ TEST(CheckpointWriter, PruneKeepsTheFrameJustCommitted) {
   EXPECT_NE(paths[1].find("ckpt-11"), std::string::npos);
 }
 
+std::vector<char> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<char>(std::istreambuf_iterator<char>(in),
+                           std::istreambuf_iterator<char>());
+}
+
+ino_t inode_of(const std::string& path) {
+  struct stat st {};
+  EXPECT_EQ(::stat(path.c_str(), &st), 0) << path;
+  return st.st_ino;
+}
+
+std::string spare_path(const std::string& dir) {
+  return dir + "/" + std::string(CheckpointWriter::kSpareName);
+}
+
+// Every file in `dir` by name, with its bytes.
+std::map<std::string, std::vector<char>> directory_image(
+    const std::string& dir) {
+  std::map<std::string, std::vector<char>> out;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+    if (entry.is_regular_file()) {
+      out[entry.path().filename().string()] = read_file(entry.path());
+    }
+  }
+  return out;
+}
+
 // A commit whose rename fails (a non-empty directory squats on the final
-// frame path) throws, leaves no temp file behind, and keeps the previous
-// frame the newest intact one.
+// frame path) throws, unlinks the spare it had started to overwrite, and
+// leaves every committed frame exactly as it was before the call; the
+// next commit creates a fresh spare and succeeds.
 TEST(CheckpointWriter, FailedCommitRemovesItsTempFile) {
   TempDir dir;
   CheckpointWriter::Options options;
+  options.keep_frames = 2;
   options.sync = false;
   CheckpointWriter writer(dir.path, options);
-  writer.commit(sample_u64_frame(1));
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    writer.commit(sample_u64_frame(seq));
+  }
+  ASSERT_TRUE(fs::exists(spare_path(dir.path)));
+  const std::vector<std::string> paths_before =
+      CheckpointLoader(dir.path).frame_paths();
+  auto frames_before = directory_image(dir.path);
+  frames_before.erase(std::string(CheckpointWriter::kSpareName));
 
-  const std::string blocker = dir.path + "/ckpt-2.psnap";
+  const std::string blocker = dir.path + "/ckpt-4.psnap";
   fs::create_directory(blocker);
   std::ofstream(blocker + "/occupant") << "x";
-  EXPECT_THROW(writer.commit(sample_u64_frame(2)), std::runtime_error);
+  EXPECT_THROW(writer.commit(sample_u64_frame(4)), std::runtime_error);
 
-  for (const fs::directory_entry& entry : fs::directory_iterator(dir.path)) {
-    EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
-  }
+  EXPECT_FALSE(fs::exists(spare_path(dir.path)));
+  EXPECT_EQ(directory_image(dir.path), frames_before);
+  EXPECT_EQ(CheckpointLoader(dir.path).frame_paths(), paths_before);
   auto loaded = CheckpointLoader(dir.path).load_newest();
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(*loaded, sample_u64_frame(1));
+  EXPECT_EQ(*loaded, sample_u64_frame(3));
+
+  fs::remove_all(blocker);
+  writer.commit(sample_u64_frame(5));
+  loaded = CheckpointLoader(dir.path).load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, sample_u64_frame(5));
+}
+
+// A frame smaller than the spare it overwrites is cut to its own size: a
+// commit that left the spare's old tail in place would fail the CRC.
+// Frames that grow from commit to commit, as a growing object's do, round
+// trip too.
+TEST(CheckpointWriter, SpareIsCutToEachFramesSize) {
+  TempDir dir;
+  CheckpointWriter::Options options;
+  options.keep_frames = 2;
+  options.sync = false;
+  CheckpointWriter writer(dir.path, options);
+  CheckpointData big = pinned_versioned_frame();
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    big.sequence = seq;
+    writer.commit(big);
+  }
+  ASSERT_EQ(fs::file_size(spare_path(dir.path)),
+            serialize_frame(big).size());
+
+  const CheckpointData small = sample_u64_frame(4);
+  const std::string path = writer.commit(small);
+  const std::vector<std::byte> image = serialize_frame(small);
+  const std::vector<char> file = read_file(path);
+  ASSERT_EQ(file.size(), image.size());
+  EXPECT_EQ(std::memcmp(file.data(), image.data(), image.size()), 0);
+  auto loaded = CheckpointLoader(dir.path).load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, small);
+
+  CheckpointData growing = sample_u64_frame(5);
+  for (std::uint64_t seq = 5; seq <= 12; ++seq) {
+    growing.sequence = seq;
+    growing.num_components = static_cast<std::uint32_t>(1024 * (seq - 4));
+    growing.values.resize(growing.num_components, seq);
+    writer.commit(growing);
+    loaded = CheckpointLoader(dir.path).load_newest();
+    ASSERT_TRUE(loaded.has_value()) << "sequence " << seq;
+    EXPECT_EQ(*loaded, growing);
+  }
+}
+
+// Once keep_frames + 1 frames have been committed, every commit writes
+// into the inode the previous commit retired: the frame file is recycled,
+// not created and unlinked.
+TEST(CheckpointWriter, CommitsRecycleTheRetiredInode) {
+  TempDir dir;
+  constexpr std::uint64_t kKeep = 3;
+  CheckpointWriter::Options options;
+  options.keep_frames = kKeep;
+  options.sync = false;
+  CheckpointWriter writer(dir.path, options);
+  std::map<std::uint64_t, ino_t> inode;
+  for (std::uint64_t seq = 1; seq <= 10; ++seq) {
+    inode[seq] = inode_of(writer.commit(sample_u64_frame(seq)));
+    if (seq <= kKeep) continue;
+    // This commit retired frame seq - kKeep into the spare...
+    EXPECT_EQ(inode_of(spare_path(dir.path)), inode[seq - kKeep])
+        << "sequence " << seq;
+    // ...and was itself written into the one the previous commit retired.
+    if (seq > kKeep + 1) {
+      EXPECT_EQ(inode[seq], inode[seq - kKeep - 1]) << "sequence " << seq;
+    }
+  }
+  EXPECT_EQ(CheckpointLoader(dir.path).frame_paths().size(), kKeep);
+}
+
+// A writer over a directory an earlier writer left -- more frames than it
+// keeps and a torn spare, as a crash mid-write leaves it -- adopts both:
+// its first commit overwrites the spare and prunes to keep_frames.
+TEST(CheckpointWriter, AdoptsLeftoverFramesAndSpare) {
+  TempDir dir;
+  CheckpointWriter::Options options;
+  options.keep_frames = 8;
+  options.sync = false;
+  {
+    CheckpointWriter earlier(dir.path, options);
+    for (std::uint64_t seq = 1; seq <= 9; ++seq) {
+      earlier.commit(sample_u64_frame(seq));
+    }
+  }
+  const std::string spare = spare_path(dir.path);
+  fs::resize_file(spare, fs::file_size(spare) / 2);
+  const ino_t spare_inode = inode_of(spare);
+
+  options.keep_frames = 2;
+  CheckpointWriter writer(dir.path, options);
+  const std::string path = writer.commit(sample_u64_frame(10));
+  EXPECT_EQ(inode_of(path), spare_inode);
+
+  CheckpointLoader loader(dir.path);
+  const std::vector<std::string> paths = loader.frame_paths();
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_NE(paths[0].find("ckpt-10"), std::string::npos);
+  EXPECT_NE(paths[1].find("ckpt-9"), std::string::npos);
+  EXPECT_TRUE(fs::exists(spare));
+  EXPECT_EQ(directory_image(dir.path).size(), 3u);  // two frames + spare
+  auto loaded = loader.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, sample_u64_frame(10));
+}
+
+// Files removed behind the writer's back -- the frame its next prune
+// would recycle, then the spare -- cost the recycling, never the commit.
+TEST(CheckpointWriter, VanishedFramesAndSpareDoNotFailCommits) {
+  TempDir dir;
+  CheckpointWriter::Options options;
+  options.keep_frames = 2;
+  options.sync = false;
+  CheckpointWriter writer(dir.path, options);
+  const std::string first = writer.commit(sample_u64_frame(1));
+  writer.commit(sample_u64_frame(2));
+  fs::remove(first);
+  EXPECT_NO_THROW(writer.commit(sample_u64_frame(3)));
+  fs::remove(spare_path(dir.path));
+  EXPECT_NO_THROW(writer.commit(sample_u64_frame(4)));
+  EXPECT_NO_THROW(writer.commit(sample_u64_frame(5)));
+
+  CheckpointLoader loader(dir.path);
+  const std::vector<std::string> paths = loader.frame_paths();
+  ASSERT_EQ(paths.size(), 2u);
+  EXPECT_NE(paths[0].find("ckpt-5"), std::string::npos);
+  EXPECT_NE(paths[1].find("ckpt-4"), std::string::npos);
+  auto loaded = loader.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, sample_u64_frame(5));
 }
 
 TEST(CheckpointLoader, IgnoresTmpOrphansAndStrays) {
@@ -430,6 +601,28 @@ TEST(CheckpointLoader, IgnoresTmpOrphansAndStrays) {
   auto loaded = loader.load_newest();
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->sequence, 4u);
+}
+
+// The listing follows symlinks, as opening a frame does: a link to a
+// frame file is a frame, a link to a directory or a dangling one is not.
+TEST(CheckpointLoader, ListsSymlinksToFrameFiles) {
+  TempDir dir;
+  TempDir elsewhere;
+  CheckpointWriter::Options options;
+  options.sync = false;
+  const std::string target =
+      CheckpointWriter(elsewhere.path, options).commit(sample_u64_frame(6));
+  fs::create_symlink(target, dir.path + "/ckpt-6.psnap");
+  fs::create_directory_symlink(elsewhere.path, dir.path + "/ckpt-7.psnap");
+  fs::create_symlink(dir.path + "/missing", dir.path + "/ckpt-8.psnap");
+
+  CheckpointLoader loader(dir.path);
+  const std::vector<std::string> paths = loader.frame_paths();
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_NE(paths[0].find("ckpt-6"), std::string::npos);
+  auto loaded = loader.load_newest();
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(*loaded, sample_u64_frame(6));
 }
 
 TEST(CheckpointLoader, MissingDirectoryIsEmpty) {

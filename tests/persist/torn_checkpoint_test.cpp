@@ -167,6 +167,30 @@ TEST_F(TornCheckpointTest, SwappedFrameBodiesRejected) {
   EXPECT_EQ(*loaded, frame_a_);
 }
 
+// The writer's spare file is never a frame, whatever it holds: a torn
+// one (a crash mid-commit) and one holding a complete, newer frame image
+// (a retired frame, or a commit killed before its rename) are both
+// skipped without a rejection, and the newest frame still wins.
+TEST_F(TornCheckpointTest, SpareFileIsNeverLoaded) {
+  const std::string spare =
+      dir_.path + "/" + std::string(CheckpointWriter::kSpareName);
+  const std::vector<std::byte> newer = serialize_frame(make_frame(3));
+  const auto* chars = reinterpret_cast<const char*>(newer.data());
+  const std::vector<char> images[] = {
+      std::vector<char>(chars, chars + newer.size() / 2),
+      std::vector<char>(chars, chars + newer.size())};
+  for (const std::vector<char>& image : images) {
+    write_file(spare, image);
+    SCOPED_TRACE("spare of " + std::to_string(image.size()) + " bytes");
+    CheckpointLoader::Report report;
+    auto loaded = CheckpointLoader(dir_.path).load_newest(&report);
+    ASSERT_TRUE(loaded.has_value());
+    EXPECT_EQ(*loaded, frame_b_);
+    EXPECT_TRUE(report.rejected.empty());
+    EXPECT_EQ(CheckpointLoader(dir_.path).frame_paths().size(), 2u);
+  }
+}
+
 // A blob frame with an intact CRC whose component count (byte offset 32)
 // claims 2^32 - 1 entries: the parser must reject it on the bytes left
 // before sizing any allocation by that count, and the loader must fall

@@ -717,6 +717,31 @@ TEST(SnapshotRegistry, UnknownOptionSuggestsTheClosestQueriedKey) {
   }
 }
 
+// The suggestion budget stays below the typo's length: a 2-letter key is
+// 2 edits from every other 2-letter key, so `as` must not be offered
+// `m0`, while one-edit slips on short keys still are.
+TEST(SnapshotRegistry, ShortTyposGetNoUnrelatedSuggestion) {
+  auto message_for = [](const std::string& spec) {
+    try {
+      make_snapshot(spec, 4, 2);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    ADD_FAILURE() << "expected std::invalid_argument for " << spec;
+    return std::string();
+  };
+  std::string message = message_for("fig1_register:as=bitmap");
+  EXPECT_NE(message.find("unknown option 'as'"), std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("did you mean"), std::string::npos) << message;
+  message = message_for("fig3_cas:shard=2");
+  EXPECT_NE(message.find("did you mean 'shards'"), std::string::npos)
+      << message;
+  message = message_for("fig1_register:m1=4");
+  EXPECT_NE(message.find("did you mean 'm0'"), std::string::npos)
+      << message;
+}
+
 // ---------------------------------------------------------------------------
 // Ingest knobs (batch= / coalesce_window=) and the batch capability flag.
 // ---------------------------------------------------------------------------

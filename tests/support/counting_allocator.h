@@ -17,15 +17,19 @@ namespace psnap::test {
 // Total allocations since process start (relaxed; the suites read deltas
 // around single-threaded measurement windows).
 inline std::atomic<std::uint64_t> g_allocations{0};
+// Total bytes those allocations asked for.
+inline std::atomic<std::uint64_t> g_allocated_bytes{0};
 
 inline void* counted_alloc(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 
 inline void* counted_aligned_alloc(std::size_t size, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(size, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(align, (size + align - 1) / align * align))
     return p;
   throw std::bad_alloc();
