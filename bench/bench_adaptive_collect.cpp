@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "activeset/active_set.h"
-#include "activeset/bitmap_active_set.h"
 #include "activeset/faicas_active_set.h"
 #include "activeset/register_active_set.h"
 #include "bench/harness.h"
@@ -144,16 +143,6 @@ std::vector<AsVariant> getset_variants() {
       {"register-as-fast full-range", /*supports_free_churn=*/true,
        [](exec::ThreadRegistry&) {
          return std::make_unique<activeset::RegisterActiveSetT<Release>>(
-             kMaxThreads, exec::PidBound::fixed(kMaxThreads));
-       }},
-      {"bitmap-as-fast", /*supports_free_churn=*/true,
-       [](exec::ThreadRegistry& r) {
-         return std::make_unique<activeset::BitmapActiveSetT<Release>>(
-             kMaxThreads, exec::PidBound::watermark_of(r));
-       }},
-      {"bitmap-as-fast full-range", /*supports_free_churn=*/true,
-       [](exec::ThreadRegistry&) {
-         return std::make_unique<activeset::BitmapActiveSetT<Release>>(
              kMaxThreads, exec::PidBound::fixed(kMaxThreads));
        }},
       {"faicas-as-fast", /*supports_free_churn=*/false,

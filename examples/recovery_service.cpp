@@ -34,6 +34,10 @@
 // JSON artifact for CI trending, with the CRC-32 kernel ("pclmul" or
 // "slicing-by-8") that checksummed the frames.
 //
+// Without --dir the frames go to a fresh /tmp/psnap-recovery-XXXXXX
+// directory, which the supervisor removes when it exits, failing or not;
+// a --dir directory is left as it is.
+//
 // Exit status: 0 when every cycle survives with zero violations.
 #include <signal.h>
 #include <sys/wait.h>
@@ -46,6 +50,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -199,6 +204,20 @@ std::string check_directory_bounded(const std::string& dir) {
   return "";
 }
 
+// Removes the checkpoint directory the supervisor made with mkdtemp on
+// every return from main; a --dir directory is never handed to it.
+// Forked children leave through _exit, and the pid check keeps any other
+// exit of theirs from removing the directory under the supervisor.
+struct TempDirRemover {
+  std::string path;  // empty: nothing to remove
+  pid_t owner = ::getpid();
+  ~TempDirRemover() {
+    if (path.empty() || ::getpid() != owner) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path, ignored);
+  }
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -211,7 +230,9 @@ int main(int argc, char** argv) {
   flags.define("interval-us", "5000", "checkpoint interval (microseconds)");
   flags.define("kill-min-ms", "30", "min service lifetime before SIGKILL");
   flags.define("kill-max-ms", "120", "max service lifetime before SIGKILL");
-  flags.define("dir", "", "checkpoint directory (default: fresh temp dir)");
+  flags.define("dir", "",
+               "checkpoint directory (default: a fresh temp dir, removed "
+               "on exit)");
   flags.define("json", "", "write recovery-latency JSON artifact here");
   flags.define("seed", "1", "kill-timing seed");
   if (!flags.parse(argc, argv)) return 1;
@@ -224,12 +245,15 @@ int main(int argc, char** argv) {
   const std::string impl = flags.get_string("impl");
   std::uint64_t rng = flags.get_uint("seed") | 1;
 
-  if (stages < 2 || kill_max_ms < kill_min_ms) {
-    std::fprintf(stderr, "need --stages >= 2 and kill-max >= kill-min\n");
+  if (cycles < 1 || stages < 2 || kill_max_ms < kill_min_ms) {
+    std::fprintf(stderr,
+                 "need --cycles >= 1, --stages >= 2 and kill-max >= "
+                 "kill-min\n");
     return 1;
   }
 
   std::string dir = flags.get_string("dir");
+  TempDirRemover made_dir;
   if (dir.empty()) {
     std::string tmpl = "/tmp/psnap-recovery-XXXXXX";
     char* made = ::mkdtemp(tmpl.data());
@@ -238,6 +262,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     dir = made;
+    made_dir.path = dir;
   }
   std::printf("checkpoint dir: %s\n", dir.c_str());
 

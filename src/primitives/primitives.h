@@ -289,58 +289,6 @@ class FetchIncrementT {
   std::uint64_t label_ = exec::kNoLabel;
 };
 
-// A 64-bit word of membership bits, RMW'd one bit at a time (the bitmap
-// active set's base object; see activeset/bitmap_active_set.h).  In the
-// paper's model this is one multi-writer register holding a 64-bit value
-// whose writers use RMW primitives: a read is one register step, and each
-// single-bit fetch_or/fetch_and is one CAS-class step (an RMW on the
-// newest value in the word's modification order, like compare&swap).
-// Packing 64 membership flags into one readable register is what turns an
-// O(n) collect into the O(ceil(n/64)) word walk.
-template <class Policy = Instrumented>
-class AtomicBits {
- public:
-  AtomicBits() = default;
-
-  // Sets bit `bit`, returning the word's previous value.  One CAS-kind
-  // step: publication of membership, acq_rel in the Release runtime so
-  // the joiner's earlier stores (its announcement) are visible to any
-  // getSet that reads the bit.
-  std::uint64_t fetch_or(std::uint32_t bit) {
-    if constexpr (Policy::kCountsSteps) {
-      exec::on_step(exec::ObjKind::kCas, label_);
-    }
-    return value_.fetch_or(std::uint64_t{1} << bit, Policy::kRmw);
-  }
-
-  // Clears bit `bit`, returning the word's previous value.
-  std::uint64_t fetch_and_clear(std::uint32_t bit) {
-    if constexpr (Policy::kCountsSteps) {
-      exec::on_step(exec::ObjKind::kCas, label_);
-    }
-    return value_.fetch_and(~(std::uint64_t{1} << bit), Policy::kRmw);
-  }
-
-  // Handshake read, the getSet end of the announce/join-vs-getSet
-  // handshake: seq_cst in both runtimes, exactly like Register::load_sync
-  // (same instruction as acquire on x86/AArch64).  One register step.
-  std::uint64_t load_sync() const {
-    if constexpr (Policy::kCountsSteps) {
-      exec::on_step(exec::ObjKind::kRegister, label_);
-    }
-    return value_.load(std::memory_order_seq_cst);
-  }
-
-  // Non-step read for tests and destructors (quiescent or own-state only).
-  std::uint64_t peek() const {
-    return value_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> value_{0};
-  std::uint64_t label_ = exec::kNoLabel;
-};
-
 // The historical (and still most common) spelling: the instrumented F&I.
 using FetchIncrement = FetchIncrementT<Instrumented>;
 

@@ -13,9 +13,7 @@
 #include <memory>
 #include <string>
 
-#include "activeset/bitmap_active_set.h"
 #include "activeset/faicas_active_set.h"
-#include "activeset/lock_active_set.h"
 #include "activeset/register_active_set.h"
 #include "baseline/double_collect.h"
 #include "baseline/full_snapshot.h"
@@ -251,8 +249,6 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
                      "O(live) watermark-bounded getSet (Figure 1's "
                      "substitution)",
       .options_help = "",
-      .is_wait_free = true,
-      .counts_steps = true,
       .sim_safe = true,
       .make =
           [](std::uint32_t n, const Options&) {
@@ -260,25 +256,10 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
           },
   });
   registry.add(ActiveSetInfo{
-      .name = "bitmap",
-      .description = "one membership bit per pid in padded words; O(1) "
-                     "join/leave RMWs, O(live/64) getSet",
-      .options_help = "",
-      .is_wait_free = true,
-      .counts_steps = true,
-      .sim_safe = true,
-      .make =
-          [](std::uint32_t n, const Options&) {
-            return std::make_unique<activeset::BitmapActiveSet>(n);
-          },
-  });
-  registry.add(ActiveSetInfo{
       .name = "faicas",
       .description = "Figure 2: F&I slot allocation + CAS-published skip "
                      "list (Theorem 2)",
       .options_help = "coalesce=<bool>,publish=<bool>",
-      .is_wait_free = true,
-      .counts_steps = true,
       .sim_safe = true,
       // ABL-1: without interval coalescing the published list grows with
       // vacated runs; without the published skip list getSet's cost grows
@@ -295,25 +276,11 @@ void register_builtin_active_sets(ActiveSetRegistry& registry) {
       .description = "Figure 2 in the Release runtime (no step accounting; "
                      "wall-clock benches only)",
       .options_help = "",
-      .is_wait_free = true,
-      .counts_steps = false,
       .sim_safe = false,
       .make =
           [](std::uint32_t n, const Options&) {
             return std::make_unique<
                 activeset::FaiCasActiveSetT<primitives::Release>>(n);
-          },
-  });
-  registry.add(ActiveSetInfo{
-      .name = "lock",
-      .description = "mutex-based oracle (trivially correct; blocking)",
-      .options_help = "",
-      .is_wait_free = false,
-      .counts_steps = false,
-      .sim_safe = false,
-      .make =
-          [](std::uint32_t n, const Options& /*options*/) {
-            return std::make_unique<activeset::LockActiveSet>(n);
           },
   });
 }

@@ -538,10 +538,6 @@ std::string closest_snapshot_name(std::string_view name) {
   return closest_name(name, SnapshotRegistry::instance().all());
 }
 
-std::string closest_active_set_name(std::string_view name) {
-  return closest_name(name, ActiveSetRegistry::instance().all());
-}
-
 namespace {
 
 // Catalogues print in name order, not registration order: the output is

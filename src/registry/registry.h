@@ -14,7 +14,7 @@
 //     filter ("only wait-free variants for the crash sweeps", "only
 //     sim-safe variants under the deterministic scheduler") instead of
 //     hand-curating lists; active_set_variants() does the same for the
-//     active sets and their ablations;
+//     active sets and their ablations, whose one flag is sim_safe;
 //
 //   * construction from CLI strings: make_snapshot("fig3_cas:reclaim=hp",
 //     m, n) parses per-implementation options from a spec of the form
@@ -256,8 +256,8 @@ struct ActiveSetInfo {
   std::string name;
   std::string description;
   std::string options_help;
-  bool is_wait_free = false;
-  bool counts_steps = true;
+  // Safe under the deterministic simulation scheduler (false for the
+  // Release runtime, which never yields to it).
   bool sim_safe = true;
   // Option spellings ("coalesce=false") that active_set_variants() lists
   // as cells of their own beside the entry's default configuration.
@@ -333,7 +333,6 @@ std::string_view default_reclaim_plane(std::string_view reclaims);
 // Closest registered name by edit distance (for "did you mean"
 // diagnostics); empty when nothing is plausibly close.
 std::string closest_snapshot_name(std::string_view name);
-std::string closest_active_set_name(std::string_view name);
 
 // One line per implementation: "name  description [options]".  For the
 // --help output of bench/example binaries.

@@ -64,10 +64,20 @@ FuzzTarget target_from_spec(FuzzTarget::Kind kind, std::string spec) {
   FuzzTarget target;
   target.kind = kind;
   auto [name, opt_spec] = registry::split_spec(spec);
+  // Fuzz plans run under the sim scheduler; an entry without sim hooks
+  // (the Release runtime, the blocking baselines) would run them with no
+  // interleaving at all while the token claimed a schedule.
   if (kind == FuzzTarget::Kind::kActiveSet) {
-    if (registry::ActiveSetRegistry::instance().find(name) == nullptr) {
+    const registry::ActiveSetInfo* info =
+        registry::ActiveSetRegistry::instance().find(name);
+    if (info == nullptr) {
       throw std::invalid_argument("unknown active-set implementation '" +
                                   std::string(name) + "' in fuzz token");
+    }
+    if (!info->sim_safe) {
+      throw std::invalid_argument("active-set implementation '" +
+                                  std::string(name) +
+                                  "' is not sim-safe and cannot be fuzzed");
     }
     target.spec = std::move(spec);
     return target;
@@ -80,9 +90,6 @@ FuzzTarget target_from_spec(FuzzTarget::Kind kind, std::string spec) {
                                 "' in fuzz token (mutant tokens need the "
                                 "experimental registrations)");
   }
-  // Fuzz plans run under the sim scheduler; an entry without sim hooks
-  // (the Release runtime, the blocking baselines) would run them with no
-  // interleaving at all while the token claimed a schedule.
   if (!info->sim_safe) {
     throw std::invalid_argument("snapshot implementation '" +
                                 std::string(name) +

@@ -10,7 +10,6 @@
 #include <memory>
 #include <vector>
 
-#include "activeset/bitmap_active_set.h"
 #include "activeset/register_active_set.h"
 #include "core/register_psnap.h"
 #include "exec/exec.h"
@@ -94,46 +93,6 @@ TEST(AdaptiveStepCountTest, RegisterGetSetStepsEqualTheWalkedPrefix) {
   EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
   registry.release(a);
   registry.release(b);
-}
-
-TEST(AdaptiveStepCountTest, BitmapGetSetReadsOneWordPer64Pids) {
-  ThreadRegistry registry(128);
-  BitmapActiveSet adaptive(128, PidBound::watermark_of(registry));
-  BitmapActiveSet full(128, PidBound::fixed(128));
-  std::uint32_t a = registry.acquire();
-
-  exec::ScopedPid pid(0);
-  // join and leave are one RMW step each.
-  EXPECT_EQ(steps_during([&] { adaptive.join(); }), 1u);
-  full.join();
-  std::vector<std::uint32_t> out;
-  // Watermark 1 -> one word read; the fixed bound walks ceil(128/64) = 2.
-  EXPECT_EQ(steps_during([&] { adaptive.get_set(out); }), 1u);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(steps_during([&] { full.get_set(out); }), 2u);
-  EXPECT_EQ(out, (std::vector<std::uint32_t>{0}));
-  EXPECT_EQ(steps_during([&] { adaptive.leave(); }), 1u);
-  registry.release(a);
-}
-
-TEST(AdaptiveStepCountTest, BitmapMembersSpanningWordsAreCollectedSorted) {
-  BitmapActiveSet as(128, PidBound::fixed(128));
-  for (std::uint32_t p : {127u, 64u, 63u, 0u, 65u}) {
-    exec::ScopedPid pid(p);
-    as.join();
-  }
-  {
-    exec::ScopedPid pid(1);
-    EXPECT_EQ(as.get_set(),
-              (std::vector<std::uint32_t>{0, 63, 64, 65, 127}));
-  }
-  // Pop one member per word and re-collect.
-  for (std::uint32_t p : {64u, 127u}) {
-    exec::ScopedPid pop(p);
-    as.leave();
-  }
-  exec::ScopedPid pid(1);
-  EXPECT_EQ(as.get_set(), (std::vector<std::uint32_t>{0, 63, 65}));
 }
 
 // Figure 1's bound reaches the register active set it owns: with the

@@ -8,10 +8,9 @@
 //     bound) and its capacity is reused -- never shrunk -- by every later
 //     collect;
 //   * with a stable membership, repeated getSets perform ZERO heap
-//     allocations, for every implementation (the mutex oracle included:
-//     its std::set nodes churn on join/leave, not on reads);
-//   * under membership churn the register and bitmap sets stay
-//     allocation-free too (their per-pid state is written in place), and
+//     allocations, for every implementation;
+//   * under membership churn the register set stays allocation-free too
+//     (its per-pid flags are written in place), and
 //     so does Figure 2 once its skip-list pool is warm: each publication
 //     builds the new interval list in place in a recycled node, and the
 //     vacated-slot gathering reuses a capacity-retaining scratch.  Its one
@@ -88,12 +87,11 @@ INSTANTIATE_TEST_SUITE_P(AllImplementations, GetSetAllocTest,
                          ::testing::ValuesIn(test::active_set_impls()),
                          test::active_set_case_name);
 
-// Churn-phase allocation freedom for the flag-per-pid implementations:
-// join/leave write per-pid state in place, so even collects interleaved
-// with membership churn must stay off the heap.  (Figure 2 has its own
-// churn test below: its skip-list pool needs a warm-up past two EBR grace
-// periods, longer than this one.  The mutex oracle allocates set nodes
-// per join.)
+// Churn-phase allocation freedom for the flag-per-pid register set, in
+// both runtimes: join/leave write per-pid state in place, so even
+// collects interleaved with membership churn must stay off the heap.
+// (Figure 2 has its own churn test below: its skip-list pool needs a
+// warm-up past two EBR grace periods, longer than this one.)
 class GetSetChurnAllocTest
     : public ::testing::TestWithParam<test::ActiveSetCase> {};
 
@@ -142,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(
     FlagPerPidImplementations, GetSetChurnAllocTest,
     ::testing::ValuesIn(test::active_set_impls(
         [](const test::ActiveSetCase& v) {
-          return v.entry == "register" || v.entry == "bitmap";
+          return v.entry == "register";
         })),
     test::active_set_case_name);
 

@@ -144,11 +144,10 @@ TEST(SnapshotRegistry, VariantsAreDistinctAndNamedAfterTheirPlanes) {
 
 TEST(ActiveSetRegistry, CataloguesTheExpectedBuiltins) {
   auto& registry = ActiveSetRegistry::instance();
-  for (const char* name :
-       {"register", "bitmap", "faicas", "faicas_fast", "lock"}) {
+  for (const char* name : {"register", "faicas", "faicas_fast"}) {
     EXPECT_NE(registry.find(name), nullptr) << name;
   }
-  EXPECT_GE(registry.all().size(), 5u);
+  EXPECT_EQ(registry.all().size(), 3u);
   // Figure 2's ablations are options of faicas, not entries.
   EXPECT_EQ(registry.find("faicas_nocoalesce"), nullptr);
   EXPECT_EQ(registry.find("faicas_nopublish"), nullptr);
@@ -161,12 +160,12 @@ TEST(ActiveSetRegistry, VariantsListEachEntryThenItsAblations) {
     EXPECT_NE(make_active_set(variant.spec, 2), nullptr) << variant.spec;
   }
   EXPECT_EQ(specs, (std::vector<std::string>{
-                       "register", "bitmap", "faicas", "faicas:coalesce=false",
-                       "faicas:publish=false", "faicas_fast", "lock"}));
+                       "register", "faicas", "faicas:coalesce=false",
+                       "faicas:publish=false", "faicas_fast"}));
   std::vector<ActiveSetVariant> all = active_set_variants();
-  EXPECT_EQ(all[3].name, "faicas_coalesce_false");
-  EXPECT_EQ(all[3].entry, "faicas");
-  EXPECT_TRUE(all[3].sim_safe);
+  EXPECT_EQ(all[2].name, "faicas_coalesce_false");
+  EXPECT_EQ(all[2].entry, "faicas");
+  EXPECT_TRUE(all[2].sim_safe);
 }
 
 TEST(SnapshotRegistry, NamesAreUniqueAndIdentifierSafe) {
@@ -257,7 +256,8 @@ TEST(SnapshotRegistry, UnknownNameSuggestsTheClosestImplementation) {
 // every object starts at 0 (or at an InitialVector's payloads) on the
 // watermark walk bound with its own active set, only the faicas entry has
 // Figure 2's ablations, the Coalescer's window is a count of writes, and
-// the Release register and bitmap sets have no entries of their own.
+// the Release register set has no entry of its own, and the bitmap and
+// mutex active sets are gone.
 TEST(SnapshotRegistry, RetiredSpellingsAreRejected) {
   // Each spelling's last option is the retired one; the error names it.
   auto expect_unknown_option = [](auto make, std::string_view spec) {
@@ -296,29 +296,32 @@ TEST(SnapshotRegistry, RetiredSpellingsAreRejected) {
         spec);
   }
   for (const char* spec :
-       {"register:adaptive=false", "bitmap:adaptive=false",
-        "faicas:adaptive=false", "faicas:max_joins=3",
-        "faicas_fast:adaptive=false", "faicas_fast:coalesce=false",
-        "faicas_fast:publish=false"}) {
+       {"register:adaptive=false", "faicas:adaptive=false",
+        "faicas:max_joins=3", "faicas_fast:adaptive=false",
+        "faicas_fast:coalesce=false", "faicas_fast:publish=false"}) {
     expect_unknown_option(
         [](const std::string& s) { make_active_set(s, 2); }, spec);
   }
-  auto expect_unknown_name = [](auto make, const char* spec) {
+  auto expect_unknown_name = [](auto make, const char* spec,
+                                const std::string& catalogue) {
     try {
       make(spec);
       FAIL() << "expected std::invalid_argument for " << spec;
     } catch (const std::invalid_argument& e) {
       std::string message = e.what();
       EXPECT_NE(message.find("unknown"), std::string::npos) << message;
-      EXPECT_NE(message.find("known implementations"), std::string::npos)
+      EXPECT_NE(message.find("known implementations:\n" + catalogue),
+                std::string::npos)
           << "catalogue missing from: " << message;
     }
   };
   expect_unknown_name([](const char* s) { make_snapshot(s, 4, 2); },
-                      "fig3_write_ablation");
+                      "fig3_write_ablation", snapshot_catalogue());
   for (const char* spec : {"faicas_nocoalesce", "faicas_nopublish",
-                           "register_fast", "bitmap_fast"}) {
-    expect_unknown_name([](const char* s) { make_active_set(s, 2); }, spec);
+                           "register_fast", "bitmap_fast", "bitmap",
+                           "lock"}) {
+    expect_unknown_name([](const char* s) { make_active_set(s, 2); }, spec,
+                        active_set_catalogue());
   }
 }
 

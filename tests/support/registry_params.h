@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "activeset/bitmap_active_set.h"
 #include "activeset/register_active_set.h"
 #include "registry/registry.h"
 
@@ -42,10 +41,9 @@ inline std::vector<registry::SnapshotVariant> snapshot_impls(
 }
 
 // An active set under test: every registry active-set variant (entry, then
-// each of its ablations), then the Release instantiations that no
+// each of its ablations), then the one Release instantiation that no
 // active-set entry builds, constructed directly -- Figure 1's register set
-// ("register_release", which fig1_register_fast owns) and the bitmap set
-// ("bitmap_release", which bench_adaptive_collect times).
+// ("register_release", which fig1_register_fast owns).
 struct ActiveSetCase {
   std::string name;   // identifier-safe gtest parameter name
   std::string entry;  // registry entry of the algorithm
@@ -74,11 +72,6 @@ inline std::vector<ActiveSetCase> active_set_impls(
                  [](std::uint32_t n) {
                    return std::make_unique<
                        activeset::RegisterActiveSetT<Release>>(n);
-                 }});
-  all.push_back({"bitmap_release", "bitmap", /*sim_safe=*/false,
-                 [](std::uint32_t n) {
-                   return std::make_unique<
-                       activeset::BitmapActiveSetT<Release>>(n);
                  }});
   std::vector<ActiveSetCase> out;
   for (ActiveSetCase& c : all) {

@@ -122,6 +122,36 @@ TEST(FuzzCoverage, TargetFromSpecRejectsEntriesWithoutSimHooks) {
   EXPECT_THROW(decode_token("psnapfuzz/1|snap|fig3_cas_fast:value=u64|m0=2|"
                             "procs=3|ops=5|op=1d|sched=9"),
                std::invalid_argument);
+  rejected = 0;
+  for (const registry::ActiveSetInfo* info :
+       registry::ActiveSetRegistry::instance().all()) {
+    if (info->sim_safe) continue;
+    EXPECT_THROW(target_from_spec(FuzzTarget::Kind::kActiveSet, info->name),
+                 std::invalid_argument)
+        << info->name;
+    ++rejected;
+  }
+  EXPECT_GE(rejected, 1u);
+  EXPECT_THROW(decode_token("psnapfuzz/1|aset|faicas_fast|m0=1|procs=3|"
+                            "ops=4|op=7|sched=2f"),
+               std::invalid_argument);
+}
+
+// Active sets that are no longer registered fail to decode by name rather
+// than replaying against some other implementation.
+TEST(FuzzCoverage, TokensNamingRetiredActiveSetsDoNotDecode) {
+  for (const char* name : {"bitmap", "lock"}) {
+    try {
+      decode_token(std::string("psnapfuzz/1|aset|") + name +
+                   "|m0=1|procs=3|ops=4|op=7|sched=2f");
+      ADD_FAILURE() << "expected std::invalid_argument for " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "unknown active-set implementation"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(FuzzCoverage, CapabilityFlagsMatchTheRegistryEntry) {
