@@ -73,6 +73,8 @@ void run(std::uint64_t rounds) {
               bench::measured_steps([&] { as.get_set(members); })));
         }
       }
+      // Reading C pins the set's EBR domain, which needs a pid too.
+      exec::ScopedPid pid(2);
       table.add_row({variant.label, TablePrinter::fmt(volume),
                      TablePrinter::fmt(std::uint64_t(faicas.published_intervals())),
                      TablePrinter::fmt(getset_cost.mean()),

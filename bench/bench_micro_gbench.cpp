@@ -74,6 +74,7 @@ BENCHMARK(BM_FetchIncrement<primitives::Release>)->Name(
     "BM_FetchIncrement/release");
 
 void BM_EbrPinUnpin(benchmark::State& state) {
+  exec::ScopedPid pid(0);
   reclaim::EbrDomain domain;
   for (auto _ : state) {
     auto guard = domain.pin();
@@ -83,6 +84,7 @@ void BM_EbrPinUnpin(benchmark::State& state) {
 BENCHMARK(BM_EbrPinUnpin);
 
 void BM_EbrRetireReclaim(benchmark::State& state) {
+  exec::ScopedPid pid(0);
   reclaim::EbrDomain domain;
   for (auto _ : state) {
     domain.retire(new std::uint64_t(1));
@@ -91,6 +93,7 @@ void BM_EbrRetireReclaim(benchmark::State& state) {
 BENCHMARK(BM_EbrRetireReclaim);
 
 void BM_HazardProtect(benchmark::State& state) {
+  exec::ScopedPid pid(0);
   reclaim::HazardDomain domain;
   std::atomic<std::uint64_t*> src{new std::uint64_t(7)};
   for (auto _ : state) {

@@ -90,10 +90,14 @@ std::uint64_t xorshift(std::uint64_t& state) {
 
 // ---- The service child: pipeline + checkpointer + live oracle --------
 
+// Threads a service child registers: its stages, the checkpointer, the
+// oracle and main.
+std::uint32_t service_threads(std::uint32_t stages) { return stages + 3; }
+
 [[noreturn]] void service_main(const std::string& impl, std::uint32_t stages,
                                const std::string& dir,
                                std::uint64_t interval_us) {
-  const std::uint32_t max_threads = stages + 3;  // stages, ckpt, oracle, main
+  const std::uint32_t max_threads = service_threads(stages);
 
   // Rollback restore: resume from the newest intact frame if one
   // survived the previous life, else start fresh.
@@ -252,6 +256,29 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  // Validate the spec up front (the child would only report exit codes).
+  // A spec's max_threads= overrides the count the child builds with, so it
+  // must also hold every thread the child registers.
+  const std::uint32_t needed = service_threads(stages);
+  try {
+    psnap::registry::make_snapshot(impl, stages, needed);
+    const std::uint64_t max_threads =
+        psnap::registry::Options::parse(psnap::registry::split_spec(impl).second)
+            .get_uint("max_threads", needed);
+    if (max_threads < needed) {
+      std::fprintf(stderr,
+                   "--impl=%s: max_threads=%llu is below the %u threads a "
+                   "service registers (--stages=%u + 3); need max_threads "
+                   ">= %u\n",
+                   impl.c_str(), static_cast<unsigned long long>(max_threads),
+                   needed, stages, needed);
+      return 1;
+    }
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return 1;
+  }
+
   std::string dir = flags.get_string("dir");
   TempDirRemover made_dir;
   if (dir.empty()) {
@@ -265,14 +292,6 @@ int main(int argc, char** argv) {
     made_dir.path = dir;
   }
   std::printf("checkpoint dir: %s\n", dir.c_str());
-
-  // Validate the spec up front (the child would only report exit codes).
-  try {
-    psnap::registry::make_snapshot(impl, stages, 1);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    return 1;
-  }
 
   std::vector<double> recovery_ms;
   std::vector<std::uint64_t> previous;  // last verified frame's values

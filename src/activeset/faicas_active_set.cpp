@@ -33,21 +33,23 @@ void FaiCasActiveSetT<Policy>::join() {
   PSNAP_ASSERT(pid < n_);
   std::uint64_t l = h_.fetch_increment();  // 1-based slot index
   i_.at(l - 1).store(kIdBase + pid);
-  my_slot_.at(pid).value = l;
+  my_slot_.at(pid)->slot = l;
 }
 
 template <class Policy>
 void FaiCasActiveSetT<Policy>::leave() {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
-  std::uint64_t l = my_slot_.at(pid).value;
+  std::uint64_t& l = my_slot_.at(pid)->slot;
   PSNAP_ASSERT_MSG(l != 0, "leave without a preceding join");
   i_.at(l - 1).store(kVacated);
-  my_slot_.at(pid).value = 0;
+  l = 0;
 }
 
 template <class Policy>
 void FaiCasActiveSetT<Policy>::get_set(std::vector<std::uint32_t>& out) {
+  const std::uint32_t pid = exec::ctx().pid;
+  PSNAP_ASSERT(pid < n_);
   out.clear();
   // Reserve once at the population bound; repeated collects then reuse
   // the caller's capacity with no member-by-member growth (the get_set
@@ -58,12 +60,7 @@ void FaiCasActiveSetT<Policy>::get_set(std::vector<std::uint32_t>& out) {
   const SkipList* old_c = c_.load();
   std::uint64_t h = h_.read();
 
-  // Reusable vacated-slot scratch: per native thread, cleared per call,
-  // capacity retained -- so collects stay allocation-free even while
-  // concurrent churn keeps producing vacated slots to gather.  (Not a
-  // member: concurrent getSets by different threads must not share it.)
-  static thread_local std::vector<std::uint64_t> vacated_scratch;
-  std::vector<std::uint64_t>& vacated = vacated_scratch;
+  std::vector<std::uint64_t>& vacated = my_slot_.at(pid)->vacated;
   vacated.clear();
   const IntervalSet empty;
   const IntervalSet& skip =

@@ -142,10 +142,16 @@ class FaiCasActiveSetT final : public ActiveSet {
   primitives::CasObject<const SkipList*, Policy> c_;
   segarray::SegmentedArray<primitives::Register<std::uint64_t, Policy>> i_;
 
-  // Per-process slot index from the most recent join (local state), in
-  // grow-only per-pid storage so a dynamic thread population only pays for
-  // the pids it actually registers.
-  core::PerPidStorage<CachelinePadded<std::uint64_t>> my_slot_;
+  // Per-process local state, in grow-only per-pid storage so a dynamic
+  // thread population only pays for the pids it actually registers: the
+  // slot index from the most recent join, and getSet's vacated-slot
+  // scratch (cleared per call, capacity retained, so collects stay
+  // allocation-free while churn keeps producing vacated slots).
+  struct PidState {
+    std::uint64_t slot = 0;
+    std::vector<std::uint64_t> vacated;
+  };
+  core::PerPidStorage<CachelinePadded<PidState>> my_slot_;
 
   // Declared before ebr_: ebr_'s destructor flushes retired lists into it.
   reclaim::Pool<SkipList> pool_;

@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "core/op_stats.h"
+#include "exec/capacity.h"
 #include "exec/exec.h"
 
 namespace psnap::baseline {
@@ -16,7 +17,7 @@ DoubleCollectSnapshot::DoubleCollectSnapshot(
       n_(max_processes),
       max_collects_(max_collects_per_scan) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= exec::kMaxPidCapacity,
                    "max_processes exceeds the pid-slot capacity");
   build_components(0, initial.count(), initial);
 }
@@ -77,7 +78,7 @@ void DoubleCollectSnapshot::update_batch(
   PSNAP_ASSERT(pid < n_);
   core::OpStats& stats = core::tls_op_stats();
   stats.reset();
-  core::ScanContext& ctx = core::tls_scan_context();
+  core::ScanContext& ctx = core::pid_scan_context();
   ctx.begin();
   auto guard = ebr_.pin();
 

@@ -5,6 +5,7 @@
 #include "common/assert.h"
 #include "core/moved_twice.h"
 #include "core/op_stats.h"
+#include "exec/capacity.h"
 #include "exec/exec.h"
 #include "exec/pid_bound.h"
 
@@ -14,7 +15,7 @@ FullSnapshot::FullSnapshot(core::InitialVector initial,
                            std::uint32_t max_processes)
     : size_(initial.count()), n_(max_processes) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= exec::kMaxPidCapacity,
                    "max_processes exceeds the pid-slot capacity");
   build_components(0, initial.count(), initial);
 }
@@ -125,7 +126,7 @@ void FullSnapshot::update(std::uint32_t i, std::uint64_t v) {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
   core::tls_op_stats().reset();
-  core::ScanContext& ctx = core::tls_scan_context();
+  core::ScanContext& ctx = core::pid_scan_context();
   ctx.begin();
   auto guard = ebr_.pin();
 
@@ -141,7 +142,7 @@ void FullSnapshot::update_batch(std::span<const core::BatchEntry> entries) {
   for (const core::BatchEntry& e : entries) PSNAP_ASSERT(e.index < m);
   core::OpStats& stats = core::tls_op_stats();
   stats.reset();
-  core::ScanContext& ctx = core::tls_scan_context();
+  core::ScanContext& ctx = core::pid_scan_context();
   ctx.begin();
   auto guard = ebr_.pin();
 

@@ -126,7 +126,7 @@ void SeqlockSnapshotT<Value>::do_update_batch(std::span<const EntryT> entries,
   for (const EntryT& e : entries) PSNAP_ASSERT(e.index < m);
   core::OpStats& stats = core::tls_op_stats();
   stats.reset();
-  core::ScanContext& ctx = core::tls_scan_context();
+  core::ScanContext& ctx = core::pid_scan_context();
   ctx.begin();
 
   // Coalesce duplicate indices, later entries winning.

@@ -5,6 +5,7 @@
 
 #include "common/assert.h"
 #include "core/op_stats.h"
+#include "exec/capacity.h"
 #include "exec/exec.h"
 
 namespace psnap::core {
@@ -63,7 +64,7 @@ CasPartialSnapshotT<Policy, Value>::CasPartialSnapshotT(
                             : reclaim::Plane::Kind::kEbr,
              options.reclaim_shards, kComponentSegmentSize) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= exec::kMaxPidCapacity,
                    "max_processes exceeds the pid-slot capacity");
   // The registry rejects this spelling before construction; the assert is
   // the backstop for direct construction.
@@ -330,7 +331,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
     std::uint32_t pid = exec::ctx().pid;
     PSNAP_ASSERT(pid < n_);
     tls_op_stats().reset();
-    ScanContext& ctx = tls_scan_context();
+    ScanContext& ctx = pid_scan_context();
     ctx.begin();
     Op op(plane_);
     op.pin_component(i);
@@ -540,7 +541,7 @@ void CasPartialSnapshotT<Policy, Value>::do_update_batch(
 
   OpStats& stats = tls_op_stats();
   stats.reset();
-  ScanContext& ctx = tls_scan_context();
+  ScanContext& ctx = pid_scan_context();
   ctx.begin();
   Op op(plane_);
   op.pin_meta();

@@ -1,10 +1,9 @@
 #include "core/op_stats.h"
 
+#include "exec/exec.h"
+
 namespace psnap::core {
 
-OpStats& tls_op_stats() {
-  thread_local OpStats stats;
-  return stats;
-}
+OpStats& tls_op_stats() { return exec::ctx().op_stats; }
 
 }  // namespace psnap::core

@@ -4,7 +4,8 @@
 // runs.  The benchmark harness reads them after each call to reproduce the
 // quantities Theorems 1-3 are stated in (collects per embedded scan,
 // embedded-scan argument counts, getSet sizes) without perturbing the
-// algorithms.  Thread-local, so concurrent benchmark threads see their own.
+// algorithms.  They live in the caller's exec::ThreadCtx, so concurrent
+// benchmark threads see their own.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,8 @@ struct OpStats {
   void reset() { *this = OpStats{}; }
 };
 
-// Stats of the most recent operation performed by this thread.
+// Stats of the most recent operation performed by this thread
+// (exec::ctx().op_stats).
 OpStats& tls_op_stats();
 
 }  // namespace psnap::core

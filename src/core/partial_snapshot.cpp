@@ -32,7 +32,7 @@ namespace {
 
 void PartialSnapshot::scan(std::span<const std::uint32_t> indices,
                            std::vector<std::uint64_t>& out) {
-  scan(indices, out, tls_scan_context());
+  scan(indices, out, pid_scan_context());
 }
 
 void PartialSnapshot::update_blob(std::uint32_t i,
@@ -67,7 +67,7 @@ void PartialSnapshot::scan_blobs(std::span<const std::uint32_t> /*indices*/,
 
 void PartialSnapshot::scan_blobs(std::span<const std::uint32_t> indices,
                                  std::vector<value::Blob>& out) {
-  scan_blobs(indices, out, tls_scan_context());
+  scan_blobs(indices, out, pid_scan_context());
 }
 
 std::uint64_t PartialSnapshot::scan_versioned(
@@ -78,7 +78,7 @@ std::uint64_t PartialSnapshot::scan_versioned(
 
 std::uint64_t PartialSnapshot::scan_versioned(
     std::span<const std::uint32_t> indices, std::vector<std::uint64_t>& out) {
-  return scan_versioned(indices, out, tls_scan_context());
+  return scan_versioned(indices, out, pid_scan_context());
 }
 
 std::vector<std::uint64_t> PartialSnapshot::scan_all() {

@@ -180,7 +180,7 @@ class PartialSnapshot {
   // `ctx` provides the operation's scratch storage (collect buffers,
   // canonical index set, embedded-scan view); reusing one context across
   // calls makes the steady-state scan allocation-free.  The two-argument
-  // overload forwards a thread-local context.
+  // overload forwards the calling pid's context (pid_scan_context()).
   virtual void scan(std::span<const std::uint32_t> indices,
                     std::vector<std::uint64_t>& out, ScanContext& ctx) = 0;
 

@@ -5,6 +5,7 @@
 #include "common/assert.h"
 #include "core/moved_twice.h"
 #include "core/op_stats.h"
+#include "exec/capacity.h"
 #include "exec/exec.h"
 
 namespace psnap::core {
@@ -17,7 +18,7 @@ RegisterPartialSnapshotT<Policy, Value>::RegisterPartialSnapshotT(
       bound_(bound),
       as_(max_processes, bound) {
   PSNAP_ASSERT(initial.count() > 0 && n_ > 0);
-  PSNAP_ASSERT_MSG(n_ <= reclaim::EbrDomain::kPidSlots,
+  PSNAP_ASSERT_MSG(n_ <= exec::kMaxPidCapacity,
                    "max_processes exceeds the pid-slot capacity");
   build_components(0, initial.count(), initial);
 }
@@ -140,7 +141,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_update(std::uint32_t i,
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
   tls_op_stats().reset();
-  ScanContext& ctx = tls_scan_context();
+  ScanContext& ctx = pid_scan_context();
   ctx.begin();
   auto guard = ebr_.pin();
 

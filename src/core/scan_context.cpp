@@ -3,11 +3,22 @@
 #include <algorithm>
 
 #include "common/assert.h"
+#include "common/padding.h"
+#include "exec/capacity.h"
+#include "exec/exec.h"
 
 namespace psnap::core {
 
 namespace {
+
 constexpr std::size_t kMinBlockBytes = 4096;
+
+// One context per pid, padded so adjacent pids (which run on different
+// cores) never share a line.  A released pid's capacity passes to its next
+// holder through the registry's release/acquire hand-off, as an EBR slot's
+// retired list does.
+CachelinePadded<ScanContext> scan_contexts[exec::kMaxPidCapacity];
+
 }  // namespace
 
 void* ScanArena::take_bytes(std::size_t bytes, std::size_t align) {
@@ -43,9 +54,12 @@ std::size_t ScanArena::allocated_bytes() const {
   return total;
 }
 
-ScanContext& tls_scan_context() {
-  thread_local ScanContext ctx;
-  return ctx;
+ScanContext& pid_scan_context() {
+  const std::uint32_t pid = exec::ctx().pid;
+  PSNAP_ASSERT_MSG(pid < exec::kMaxPidCapacity,
+                   "the scan scratch is per pid: register the thread through "
+                   "exec::ThreadHandle or exec::ScopedPid first");
+  return scan_contexts[pid].value;
 }
 
 }  // namespace psnap::core

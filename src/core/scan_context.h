@@ -16,7 +16,7 @@
 // counting global allocator.
 //
 // Callers that do not care pass nothing: the two-argument
-// PartialSnapshot::scan overload forwards a thread-local context.
+// PartialSnapshot::scan overload forwards the calling pid's context.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +73,8 @@ class ScanArena {
 };
 
 // Scratch buffers shared by every PartialSnapshot implementation.  One
-// context serves one operation at a time; operations on the same thread
-// reuse it (via tls_scan_context()) so capacity accumulates to the
+// context serves one operation at a time; operations by the same pid
+// reuse it (via pid_scan_context()) so capacity accumulates to the
 // steady-state watermark and stays there.
 struct ScanContext {
   // Canonicalized (sorted, duplicate-free) argument indices of a scan.
@@ -88,7 +88,7 @@ struct ScanContext {
   // condition (2) copies the borrowed view into it).
   View view;
   // Blob-plane twin of `view` (primitives/value_plane.h): a context
-  // serves either plane, so the one tls_scan_context() covers direct and
+  // serves either plane, so the one pid_scan_context() covers direct and
   // indirect objects alike.  Blob entries retain their byte buffers'
   // capacity across operations, keeping the indirect steady state
   // allocation-free too.
@@ -112,7 +112,9 @@ inline BlobView& view_for<value::Blob>(ScanContext& ctx) {
 }
 
 // The context used by the convenience PartialSnapshot::scan overload and
-// by update()'s embedded machinery.  One per thread, lazily constructed.
-ScanContext& tls_scan_context();
+// by update()'s embedded machinery: the calling pid's entry in one static
+// table of exec::kMaxPidCapacity contexts.  Aborts on a thread without a
+// pid.
+ScanContext& pid_scan_context();
 
 }  // namespace psnap::core

@@ -1,19 +1,17 @@
 // The one process-capacity constant every pid-keyed table derives from.
 //
 // Pids index per-process slot arrays all over the system: the thread
-// registry's allocation bitmap, EBR and hazard-pointer per-thread slots,
-// pool free lists, announcement registers.  Those tables must agree on the
-// ceiling -- a pid the registry can hand out must have a slot everywhere --
-// and historically they did so by repeating the literal (the 128->192 bump
-// in PR 6 had to be made in two places by hand).  This header is the single
-// definition; everything else is derived:
+// registry's allocation bitmap, EBR and hazard-pointer slots, pool free
+// lists, the per-pid scan scratch, announcement registers.  Those tables
+// must agree on the ceiling -- a pid the registry can hand out must have a
+// slot everywhere -- so each sizes off this one constant under this one
+// name (exec::ThreadRegistry::kMaxCapacity is an alias):
 //
-//   exec::ThreadRegistry::kMaxCapacity  == kMaxPidCapacity
-//   reclaim::kPidSlots                  == kMaxPidCapacity
-//   reclaim::EbrDomain / HazardDomain / Pool slot tables size off
-//   reclaim::kTotalSlots (pid slots + anonymous-thread slots)
+//   reclaim::EbrDomain / HazardDomain      kMaxPidCapacity slots
+//   reclaim::Pool                          shards x kMaxPidCapacity lists
+//   core::pid_scan_context()               kMaxPidCapacity contexts
 //
-// Raising the ceiling is now one edit here.
+// Raising the ceiling is one edit here.
 #pragma once
 
 #include <cstdint>

@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/op_stats.h"
+
 namespace psnap::exec {
 
 // Kinds of shared base objects, for per-kind step breakdowns.
@@ -68,14 +70,21 @@ class AccessLogger {
 
 inline constexpr std::uint32_t kInvalidPid = ~std::uint32_t{0};
 
-// Per-thread execution context.  pid identifies the logical process (index
-// into per-process arrays such as the announcement registers); it must be
-// set before invoking any algorithm operation.
+// Per-thread execution context, the library's one thread-local object.  pid
+// identifies the logical process; it must be set (exec::ThreadHandle or
+// exec::ScopedPid) before invoking any algorithm operation.  Every other
+// piece of per-process state -- announcement registers, EBR and hazard
+// slots, pool free lists, the scan scratch (core::pid_scan_context()) --
+// lives in a table indexed by pid, so it follows the pid, not the thread.
+// What stays here belongs to the thread: its step counts, the installed
+// hook and logger, and its last operation's stats.
 struct ThreadCtx {
   std::uint32_t pid = kInvalidPid;
   StepCounters steps;
   SimHook* hook = nullptr;
   AccessLogger* logger = nullptr;
+  // The calling thread's most recent operation (core::tls_op_stats()).
+  core::OpStats op_stats;
 };
 
 ThreadCtx& ctx();

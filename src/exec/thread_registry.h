@@ -45,9 +45,9 @@ namespace psnap::exec {
 
 class ThreadRegistry {
  public:
-  // Capacity ceiling shared with the reclamation layer's pid-keyed slot
-  // range (reclaim::kPidSlots; see exec/capacity.h for the one
-  // definition); a registry can be smaller, never larger.
+  // Capacity ceiling shared with every pid-keyed table (see
+  // exec/capacity.h for the one definition); a registry can be smaller,
+  // never larger.
   static constexpr std::uint32_t kMaxCapacity = kMaxPidCapacity;
 
   explicit ThreadRegistry(std::uint32_t max_threads = kMaxCapacity);

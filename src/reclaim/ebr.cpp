@@ -1,7 +1,5 @@
 #include "reclaim/ebr.h"
 
-#include <unordered_map>
-
 #include "common/assert.h"
 #include "exec/exec.h"
 
@@ -9,26 +7,12 @@ namespace psnap::reclaim {
 
 namespace {
 
-std::uint64_t next_domain_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Per-thread cache for ANONYMOUS slots only: domain id -> slot index.
-// Keyed by id, not pointer, so a domain reallocated at a previous domain's
-// address cannot alias its slots.  (Pid-keyed slots need no cache: the slot
-// IS the pid.)
-std::unordered_map<std::uint64_t, std::uint32_t>& slot_cache() {
-  thread_local std::unordered_map<std::uint64_t, std::uint32_t> cache;
-  return cache;
-}
-
 // Retire-list length that triggers a reclamation attempt.
 constexpr std::size_t kReclaimThreshold = 64;
 
 }  // namespace
 
-EbrDomain::EbrDomain() : domain_id_(next_domain_id()), slots_(kTotalSlots) {}
+EbrDomain::EbrDomain() : slots_(exec::kMaxPidCapacity) {}
 
 EbrDomain::~EbrDomain() {
   // Precondition: quiescent.  Free everything outstanding.  The callback
@@ -46,43 +30,26 @@ EbrDomain::~EbrDomain() {
   }
 }
 
-std::uint32_t EbrDomain::slot_for_this_thread() {
-  // Registered threads: the slot is the pid.  Distinct live threads never
-  // share a pid (exec::ThreadRegistry invariant), and a reused pid's slot
-  // state is handed over through the registry's release/acquire pair.  A
-  // thread must therefore not drop its pid (ThreadHandle destruction)
-  // while pinned or mid-operation on this domain.
+std::uint32_t EbrDomain::thread_slot() {
+  // The slot is the pid.  Distinct live threads never share a pid
+  // (exec::ThreadRegistry invariant), and a reused pid's slot state is
+  // handed over through the registry's release/acquire pair.  A thread
+  // must therefore not drop its pid (ThreadHandle destruction) while
+  // pinned or mid-operation on this domain.
   std::uint32_t pid = exec::ctx().pid;
-  if (pid != exec::kInvalidPid) {
-    PSNAP_ASSERT_MSG(pid < kPidSlots, "pid exceeds the EBR pid-slot range");
-    Slot& slot = slots_[pid];
-    if (!slot.in_use.load(std::memory_order_relaxed)) {
-      // Marks the slot live for try_reclaim's walk; never cleared (a slot
-      // that held retired nodes stays scannable).  Only the pid's current
-      // holder stores here, so the plain store cannot race another writer.
-      slot.in_use.store(true, std::memory_order_release);
-    }
-    return pid;
+  PSNAP_ASSERT_MSG(pid < exec::kMaxPidCapacity, kNoPidMessage);
+  Slot& slot = slots_[pid];
+  if (!slot.in_use.load(std::memory_order_relaxed)) {
+    // Marks the slot live for try_reclaim's walk; never cleared (a slot
+    // that held retired nodes stays scannable).  Only the pid's current
+    // holder stores here, so the plain store cannot race another writer.
+    slot.in_use.store(true, std::memory_order_release);
   }
-  // Anonymous threads: sticky CAS-claimed slots above the pid range,
-  // cached per (thread, domain).
-  auto& cache = slot_cache();
-  auto it = cache.find(domain_id_);
-  if (it != cache.end()) return it->second;
-  for (std::uint32_t i = kPidSlots; i < kTotalSlots; ++i) {
-    bool expected = false;
-    if (slots_[i].in_use.compare_exchange_strong(expected, true,
-                                                 std::memory_order_acq_rel)) {
-      cache.emplace(domain_id_, i);
-      return i;
-    }
-  }
-  PSNAP_ASSERT_MSG(false, "EbrDomain anonymous-thread capacity exhausted");
-  return 0;  // unreachable
+  return pid;
 }
 
 std::uint32_t EbrDomain::enter() {
-  std::uint32_t slot_index = slot_for_this_thread();
+  std::uint32_t slot_index = thread_slot();
   Slot& slot = slots_[slot_index];
   ++slot.depth;
   if (slot.depth > 1) return slot_index;  // reentrant: already pinned
@@ -116,7 +83,7 @@ EbrDomain::Guard::~Guard() { domain_.exit(slot_); }
 
 void EbrDomain::retire_raw(void* node, void* ctx, RecycleFn fn) {
   PSNAP_ASSERT(node != nullptr);
-  Slot& slot = slots_[slot_for_this_thread()];
+  Slot& slot = slots_[thread_slot()];
   slot.retired.push_back(
       RetiredNode{node, ctx, fn,
                   global_epoch_.load(std::memory_order_seq_cst)});
@@ -148,7 +115,7 @@ void EbrDomain::try_reclaim() {
   // generations behind the current one.
   std::uint64_t now = global_epoch_.load(std::memory_order_seq_cst);
   if (now < 2) return;
-  free_eligible(slot_for_this_thread(), now - 2);
+  free_eligible(thread_slot(), now - 2);
 }
 
 void EbrDomain::free_eligible(std::uint32_t slot_index,

@@ -22,7 +22,8 @@
 // padded Slot) and summed on read.  The only shared read-modify-writes an
 // operation performs are the paper's base objects and the EBR epoch CAS;
 // bookkeeping never adds one.  retired_count()/freed_count() therefore
-// cost a walk over kTotalSlots and are exact once writers are quiescent.
+// cost a walk over exec::kMaxPidCapacity slots and are exact once
+// writers are quiescent.
 #pragma once
 
 #include <atomic>
@@ -36,20 +37,14 @@ namespace psnap::reclaim {
 
 class EbrDomain {
  public:
-  // Per-thread state is keyed by the caller's *registered pid* when it has
-  // one (exec::ThreadRegistry hands out pids below kPidSlots and reuses
-  // them after release), so a churning thread population of any size works
-  // as long as at most kPidSlots pids are live at once.  The release/
-  // acquire CAS pair in the registry orders the hand-off, so a pid's
-  // retired list simply transfers to the slot's next holder.  Threads
-  // without a pid (direct reclaim tests, bookkeeping threads) fall back to
-  // sticky CAS-claimed slots in [kPidSlots, kTotalSlots).  The layout is
-  // the shared one in reclaim/slots.h, derived from the thread registry's
-  // capacity constant; the aliases below are kept for existing callers.
-  static constexpr std::uint32_t kPidSlots = reclaim::kPidSlots;
-  static constexpr std::uint32_t kAnonSlots = reclaim::kAnonSlots;
-  static constexpr std::uint32_t kTotalSlots = reclaim::kTotalSlots;
-
+  // Per-process state is keyed by the caller's registered pid
+  // (exec::ThreadRegistry hands out pids below exec::kMaxPidCapacity and
+  // reuses them after release), so a churning thread population of any
+  // size works as long as at most kMaxPidCapacity pids are live at once.
+  // The release/acquire CAS pair in the registry orders the hand-off, so a
+  // pid's retired list simply transfers to the slot's next holder.  A
+  // thread without a pid aborts on its first pin or retire (the layout and
+  // the contract are in reclaim/slots.h).
   EbrDomain();
   // Precondition: no thread is pinned and no operation is in flight.
   // Frees every outstanding retired node.
@@ -106,11 +101,10 @@ class EbrDomain {
   // nodes into a typed free list rather than returning them to the heap.
   void retire_raw(void* node, void* ctx, RecycleFn fn);
 
-  // Per-thread slot index in [0, kTotalSlots) for this domain: the
-  // caller's registered pid when it has one, a sticky anonymous slot
-  // otherwise.  Used by Pool to give each thread its own free list without
-  // a second thread-registration mechanism.
-  std::uint32_t thread_slot() { return slot_for_this_thread(); }
+  // Per-process slot index for this domain: the caller's registered pid.
+  // Used by Pool to give each pid its own free list without a second
+  // registration mechanism.
+  std::uint32_t thread_slot();
 
   // Attempts to advance the epoch and free eligible nodes.  Called
   // automatically on retire-list pressure; exposed for tests.
@@ -146,11 +140,9 @@ class EbrDomain {
     SlotCounter freed_count;
   };
 
-  std::uint32_t slot_for_this_thread();
   void free_eligible(std::uint32_t slot_index, std::uint64_t safe_epoch);
 
   std::atomic<std::uint64_t> global_epoch_{0};
-  const std::uint64_t domain_id_;
   std::vector<Slot> slots_;
 };
 

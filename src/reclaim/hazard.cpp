@@ -1,7 +1,6 @@
 #include "reclaim/hazard.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "common/assert.h"
 #include "exec/exec.h"
@@ -10,26 +9,13 @@ namespace psnap::reclaim {
 
 namespace {
 
-std::uint64_t next_domain_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-// Per-thread cache for ANONYMOUS slots only (see reclaim/ebr.cpp, which
-// uses the identical layout): domain id -> slot index.
-std::unordered_map<std::uint64_t, std::uint32_t>& slot_cache() {
-  thread_local std::unordered_map<std::uint64_t, std::uint32_t> cache;
-  return cache;
-}
-
 // Floor for the adaptive scan threshold: below this, scans would run so
 // often their O(claimed * K) walk dominates.
 constexpr std::size_t kMinScanThreshold = 64;
 
 }  // namespace
 
-HazardDomain::HazardDomain()
-    : domain_id_(next_domain_id()), slots_(kTotalSlots) {}
+HazardDomain::HazardDomain() : slots_(exec::kMaxPidCapacity) {}
 
 HazardDomain::~HazardDomain() {
   for (std::uint32_t s = 0; s < slots_.size(); ++s) {
@@ -42,43 +28,26 @@ HazardDomain::~HazardDomain() {
   }
 }
 
-std::uint32_t HazardDomain::slot_for_this_thread() {
-  // Registered threads: the slot is the pid (shared layout with
-  // EbrDomain; see reclaim/slots.h for why).
+std::uint32_t HazardDomain::thread_slot() {
+  // The slot is the pid (shared layout with EbrDomain; see
+  // reclaim/slots.h for why).
   std::uint32_t pid = exec::ctx().pid;
-  if (pid != exec::kInvalidPid) {
-    PSNAP_ASSERT_MSG(pid < kPidSlots, "pid exceeds the hazard pid-slot range");
-    Slot& slot = slots_[pid];
-    if (!slot.in_use.load(std::memory_order_relaxed)) {
-      // Only the pid's current holder stores here, so the plain store
-      // cannot race another writer; never cleared (a slot that held
-      // retired nodes stays scannable).
-      slot.in_use.store(true, std::memory_order_release);
-      claimed_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return pid;
+  PSNAP_ASSERT_MSG(pid < exec::kMaxPidCapacity, kNoPidMessage);
+  Slot& slot = slots_[pid];
+  if (!slot.in_use.load(std::memory_order_relaxed)) {
+    // Only the pid's current holder stores here, so the plain store
+    // cannot race another writer; never cleared (a slot that held
+    // retired nodes stays scannable).
+    slot.in_use.store(true, std::memory_order_release);
+    claimed_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Anonymous threads: sticky CAS-claimed slots above the pid range.
-  auto& cache = slot_cache();
-  auto it = cache.find(domain_id_);
-  if (it != cache.end()) return it->second;
-  for (std::uint32_t i = kPidSlots; i < kTotalSlots; ++i) {
-    bool expected = false;
-    if (slots_[i].in_use.compare_exchange_strong(expected, true,
-                                                 std::memory_order_acq_rel)) {
-      claimed_.fetch_add(1, std::memory_order_relaxed);
-      cache.emplace(domain_id_, i);
-      return i;
-    }
-  }
-  PSNAP_ASSERT_MSG(false, "HazardDomain anonymous-thread capacity exhausted");
-  return 0;  // unreachable
+  return pid;
 }
 
 void* HazardDomain::protect_raw(const std::atomic<void*>& src,
                                 std::uint32_t index) {
   PSNAP_ASSERT(index < kHazardsPerThread);
-  Slot& slot = slots_[slot_for_this_thread()];
+  Slot& slot = slots_[thread_slot()];
   void* p = src.load(std::memory_order_seq_cst);
   while (true) {
     slot.hazards[index].store(p, std::memory_order_seq_cst);
@@ -90,24 +59,24 @@ void* HazardDomain::protect_raw(const std::atomic<void*>& src,
 
 void HazardDomain::set(std::uint32_t index, const void* p) {
   PSNAP_ASSERT(index < kHazardsPerThread);
-  slots_[slot_for_this_thread()].hazards[index].store(
+  slots_[thread_slot()].hazards[index].store(
       const_cast<void*>(p), std::memory_order_seq_cst);
 }
 
 void HazardDomain::clear(std::uint32_t index) {
   PSNAP_ASSERT(index < kHazardsPerThread);
-  slots_[slot_for_this_thread()].hazards[index].store(
+  slots_[thread_slot()].hazards[index].store(
       nullptr, std::memory_order_seq_cst);
 }
 
 void HazardDomain::clear_all() {
-  Slot& slot = slots_[slot_for_this_thread()];
+  Slot& slot = slots_[thread_slot()];
   for (auto& h : slot.hazards) h.store(nullptr, std::memory_order_seq_cst);
 }
 
 void HazardDomain::retire_raw(void* node, void* ctx, RecycleFn fn) {
   PSNAP_ASSERT(node != nullptr);
-  Slot& slot = slots_[slot_for_this_thread()];
+  Slot& slot = slots_[thread_slot()];
   slot.retired.push_back(RetiredNode{node, ctx, fn});
   slot.retired_count.add();
   // Michael's amortized bound, scaled to the slots actually claimed
@@ -124,7 +93,7 @@ void HazardDomain::retire_raw(void* node, void* ctx, RecycleFn fn) {
 }
 
 void HazardDomain::scan_and_free() {
-  std::uint32_t my_slot = slot_for_this_thread();
+  std::uint32_t my_slot = thread_slot();
   Slot& mine = slots_[my_slot];
   std::vector<void*>& protected_ptrs = mine.scan_scratch;
   protected_ptrs.clear();

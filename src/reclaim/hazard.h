@@ -8,10 +8,9 @@
 // reclamation of AT MOST kHazardsPerThread records, which is what bounds
 // pool residency under the RCL bench's parked-scanner workload.
 //
-// Per-thread slots use the shared reclaim/slots.h layout (the slot is the
-// registered pid, with CAS-claimed anonymous slots above the pid range),
-// so reclaim::Pool can key free lists the same way it does for EBR
-// domains.
+// Per-process slots use the shared reclaim/slots.h layout (the slot is the
+// registered pid), so reclaim::Pool can key free lists the same way it
+// does for EBR domains.
 //
 // Two usage styles:
 //   * protect(src, index): the classic self-validating protect loop.
@@ -93,10 +92,9 @@ class HazardDomain {
   // tests.
   void scan_and_free();
 
-  // Per-thread slot index in [0, kTotalSlots): the caller's registered pid
-  // when it has one, a sticky anonymous slot otherwise.  Shared layout
+  // Per-process slot index: the caller's registered pid.  Shared layout
   // with EbrDomain::thread_slot() so one Pool serves both substrates.
-  std::uint32_t thread_slot() { return slot_for_this_thread(); }
+  std::uint32_t thread_slot();
 
   std::uint64_t retired_count() const;
   std::uint64_t freed_count() const;
@@ -124,14 +122,11 @@ class HazardDomain {
     SlotCounter freed_count;
   };
 
-  std::uint32_t slot_for_this_thread();
-
-  const std::uint64_t domain_id_;
-  // Slots ever claimed (pid or anonymous); drives the adaptive scan
-  // threshold.  Michael's 2*capacity*K bound with the full kTotalSlots
-  // capacity (~1800 nodes) would never trigger inside a short test's
-  // warmup; scaling by slots actually claimed keeps garbage proportional
-  // to the real thread population.
+  // Pid slots ever claimed; drives the adaptive scan threshold.  Michael's
+  // 2*capacity*K bound with the full kMaxPidCapacity capacity (~1500
+  // nodes) would never trigger inside a short test's warmup; scaling by
+  // slots actually claimed keeps garbage proportional to the real thread
+  // population.
   std::atomic<std::uint32_t> claimed_{0};
   std::vector<Slot> slots_;
 };

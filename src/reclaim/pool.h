@@ -17,7 +17,7 @@
 //   * acquire(domain) pops the calling thread's free list, falling back to
 //     `new T()` only while the pool is still warming up.
 //
-// Free lists are per (shard, thread-slot).  Thread slots use the shared
+// Free lists are per (shard, pid slot).  Pid slots use the shared
 // reclaim/slots.h layout -- a registered thread resolves to the SAME slot
 // index in every EbrDomain and HazardDomain -- so one Pool serves every
 // shard of a reclaim::Plane (or its hazard domain): nodes retired through
@@ -56,10 +56,11 @@ class Pool {
   // reclaim through a single domain (the default everywhere) use the
   // one-bank default and never pass a shard index.
   explicit Pool(std::uint32_t shards = 1)
-      : lists_(std::size_t{shards} * kTotalSlots), shard_ctx_(shards) {
+      : lists_(std::size_t{shards} * exec::kMaxPidCapacity),
+        shard_ctx_(shards) {
     PSNAP_ASSERT(shards >= 1);
     for (std::uint32_t s = 0; s < shards; ++s) {
-      shard_ctx_[s] = ShardCtx{this, s * kTotalSlots};
+      shard_ctx_[s] = ShardCtx{this, s * exec::kMaxPidCapacity};
     }
   }
 
@@ -208,7 +209,7 @@ class Pool {
   }
 
   std::size_t flat_index(std::uint32_t shard, std::uint32_t slot) const {
-    return std::size_t{shard} * kTotalSlots + slot;
+    return std::size_t{shard} * exec::kMaxPidCapacity + slot;
   }
 
   void put_at(std::size_t index, T* node) {

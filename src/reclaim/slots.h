@@ -1,19 +1,17 @@
-// Per-thread slot layout shared by every reclamation domain.
+// Per-process slot layout shared by every reclamation domain.
 //
 // Both reclamation substrates (reclaim::EbrDomain, reclaim::HazardDomain)
-// and the free-list pools on top of them (reclaim::Pool) key per-thread
-// state by the same slot index:
-//
-//   * slots [0, kPidSlots): the caller's registered pid (the slot IS the
-//     pid).  Derived from exec::kMaxPidCapacity -- the one constant the
-//     thread registry sizes its bitmap from -- so any pid the registry
-//     can hand out has a slot in every domain by construction.
-//   * slots [kPidSlots, kTotalSlots): sticky CAS-claimed slots for
-//     threads without a pid (direct reclaim tests, bookkeeping threads).
+// and the free-list pools on top of them (reclaim::Pool) key per-process
+// state by the caller's registered pid: the slot IS the pid, so a domain
+// has exec::kMaxPidCapacity slots -- the one constant the thread registry
+// sizes its bitmap from -- and any pid the registry can hand out has a
+// slot in every domain by construction.  A thread without a pid has no
+// slot: it must register through exec::ThreadHandle or exec::ScopedPid
+// before it pins, protects or retires (exec/exec.h's contract).
 //
 // Keying by pid (rather than per-domain claims) is what lets one Pool
-// serve several domains: a registered thread resolves to the SAME slot in
-// every domain, so nodes retired through any shard's domain surface on the
+// serve several domains: a thread resolves to the SAME slot in every
+// domain, so nodes retired through any shard's domain surface on the
 // retiring thread's one free list.
 #pragma once
 
@@ -24,9 +22,10 @@
 
 namespace psnap::reclaim {
 
-inline constexpr std::uint32_t kPidSlots = exec::kMaxPidCapacity;
-inline constexpr std::uint32_t kAnonSlots = 32;
-inline constexpr std::uint32_t kTotalSlots = kPidSlots + kAnonSlots;
+// What a slot lookup on a thread without a pid aborts with.
+inline constexpr const char* kNoPidMessage =
+    "reclamation needs a pid below exec::kMaxPidCapacity: register the "
+    "thread through exec::ThreadHandle or exec::ScopedPid first";
 
 // The counter idiom for operation paths: a counter lives in the slot of
 // the thread that bumps it, so it has exactly one writer (the slot's

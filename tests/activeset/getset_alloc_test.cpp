@@ -152,10 +152,10 @@ INSTANTIATE_TEST_SUITE_P(
 // every join stays inside the first 1024-slot segment.
 template <class Policy>
 void run_faicas_churn_alloc_test() {
+  exec::ScopedPid pid(1);
   FaiCasActiveSetT<Policy> as(kN);
   std::vector<std::uint32_t> out;
   auto churn_round = [&] {
-    exec::ScopedPid pid(1);
     as.join();
     as.leave();
     as.get_set(out);  // gathers + publishes the vacated slot

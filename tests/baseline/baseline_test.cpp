@@ -87,22 +87,44 @@ TEST(DoubleCollect, NoCapNeverThrows) {
 }
 
 TEST(Seqlock, WritersAreMutuallyExclusive) {
+  // Each writer batches the pair {0: v, 1: v} with values no other writer
+  // uses.  A writer that entered another's critical section would leave a
+  // mixed pair, which a concurrent scan or the final scan would return.
   SeqlockSnapshot snap(4);
-  constexpr int kWriters = 4;
+  constexpr std::uint32_t kWriters = 4;
   constexpr std::uint64_t kWritesEach = 20000;
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&snap] {
-      for (std::uint64_t k = 0; k < kWritesEach; ++k) {
-        snap.update(0, k);
+  std::atomic<std::uint32_t> finished{0};
+  std::atomic<std::uint64_t> scans{0};
+  std::atomic<std::uint64_t> mixed{0};
+  std::vector<std::thread> threads;
+  for (std::uint32_t w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&snap, &finished, w] {
+      exec::ScopedPid pid(w);
+      for (std::uint64_t k = 1; k <= kWritesEach; ++k) {
+        const std::uint64_t v = w * kWritesEach + k;
+        const core::BatchEntry pair[] = {{0, v}, {1, v}};
+        snap.update_batch(pair);
       }
+      finished.fetch_add(1);
     });
   }
-  for (auto& t : writers) t.join();
-  // Version counter: exactly two increments per write.
+  threads.emplace_back([&] {
+    exec::ScopedPid pid(kWriters);
+    std::vector<std::uint64_t> out;
+    do {
+      snap.scan(std::vector<std::uint32_t>{0, 1}, out);
+      scans.fetch_add(1);
+      if (out[0] != out[1]) mixed.fetch_add(1);
+    } while (finished.load() < kWriters);
+  });
+  for (auto& t : threads) t.join();
+  EXPECT_GT(scans.load(), 0u);
+  EXPECT_EQ(mixed.load(), 0u);
+  exec::ScopedPid pid(0);
   std::vector<std::uint64_t> out;
-  snap.scan(std::vector<std::uint32_t>{0}, out);  // sanity: readable after
-  SUCCEED();
+  snap.scan(std::vector<std::uint32_t>{0, 1}, out);
+  EXPECT_EQ(out[0], out[1]);
+  EXPECT_NE(out[0], 0u);
 }
 
 // Runs a capped seqlock scan of `scan_indices` against an updater
@@ -246,6 +268,7 @@ TEST(Lock, SequentiallyCorrectUnderConcurrency) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&snap, t] {
+      exec::ScopedPid pid(static_cast<std::uint32_t>(t));
       std::vector<std::uint64_t> out;
       for (std::uint64_t k = 0; k < 5000; ++k) {
         snap.update(static_cast<std::uint32_t>(t), k);

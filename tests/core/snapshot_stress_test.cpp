@@ -14,8 +14,11 @@
 #include "core/cas_psnap.h"
 #include "core/op_stats.h"
 #include "core/partial_snapshot.h"
+#include "core/scan_context.h"
 #include "exec/exec.h"
+#include "exec/thread_registry.h"
 #include "registry/registry.h"
+#include "tests/support/counting_allocator.h"
 #include "tests/support/registry_params.h"
 #include "verify/realtime_checker.h"
 
@@ -173,6 +176,59 @@ TEST_P(SnapshotStressTest, PerComponentMonotonicity) {
   });
   writer.join();
   scanner.join();
+}
+
+// A released pid's per-process state -- the scan scratch
+// (pid_scan_context()), reclaim slots, pool free lists, the announcement
+// register -- passes to the pid's next holder.  Thread B starts while
+// thread A still holds the registry's one free pid and acquires it only
+// after A releases it, so the registry's release/acquire pair is the only
+// edge ordering A's writes to that state before B's (TSan checks it).  B
+// scans with A's scratch, so its first scan of A's shape allocates
+// nothing.
+TEST_P(SnapshotStressTest, PidHandOffPassesScanScratch) {
+  exec::ThreadRegistry registry(1);
+  auto snap = test::make_snapshot(GetParam(), 48, registry.max_threads());
+  const std::vector<std::uint32_t> indices = wide_window(1);
+  std::atomic<bool> released{false};
+  const ScanContext* a_scratch = nullptr;
+  std::uint32_t a_pid = exec::kInvalidPid;
+
+  // Enough rounds to take the pid's pool free lists and retired lists
+  // (retire threshold 64) to their steady-state capacity as well.  Each
+  // round ends with a scan, so the scratch is left at the scan's shape.
+  auto update_and_scan = [&](std::vector<std::uint64_t>& out) {
+    for (std::uint64_t k = 1; k <= 1000; ++k) {
+      snap->update(indices[k % indices.size()], k);
+      snap->scan(indices, out);
+    }
+  };
+  std::thread a([&] {
+    {
+      exec::ThreadHandle pid(registry);
+      a_pid = pid.pid();
+      a_scratch = &pid_scan_context();
+      std::vector<std::uint64_t> out;
+      update_and_scan(out);
+    }
+    released.store(true, std::memory_order_relaxed);
+  });
+  std::thread b([&] {
+    while (!released.load(std::memory_order_relaxed)) {
+      std::this_thread::yield();
+    }
+    exec::ThreadHandle pid(registry);
+    EXPECT_EQ(pid.pid(), a_pid);
+    EXPECT_EQ(&pid_scan_context(), a_scratch);
+    std::vector<std::uint64_t> out;
+    out.reserve(indices.size());
+    const std::uint64_t before = test::g_allocations.load();
+    snap->scan(indices, out);
+    EXPECT_EQ(test::g_allocations.load() - before, 0u) << GetParam().name;
+    update_and_scan(out);
+  });
+  a.join();
+  b.join();
 }
 
 // Yields the scanner's CPU on every read of a churned component: the

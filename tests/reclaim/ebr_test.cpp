@@ -20,8 +20,12 @@ struct Tracked {
 };
 std::atomic<int> Tracked::live{0};
 
+// Every pin, retire and reclaim runs under a pid: the slot IS the pid,
+// and a thread without one aborts (EbrDeathTest below).
+
 TEST(Ebr, RetiredNodesFreedAfterQuiescence) {
   Tracked::live = 0;
+  exec::ScopedPid pid(0);
   {
     EbrDomain domain;
     for (int i = 0; i < 10; ++i) {
@@ -37,6 +41,7 @@ TEST(Ebr, RetiredNodesFreedAfterQuiescence) {
 
 TEST(Ebr, DestructorDrainsOutstanding) {
   Tracked::live = 0;
+  exec::ScopedPid pid(0);
   {
     EbrDomain domain;
     for (int i = 0; i < 7; ++i) domain.retire(new Tracked);
@@ -47,11 +52,13 @@ TEST(Ebr, DestructorDrainsOutstanding) {
 
 TEST(Ebr, PinBlocksReclamation) {
   Tracked::live = 0;
+  exec::ScopedPid pid(0);
   EbrDomain domain;
   std::atomic<bool> pinned{false};
   std::atomic<bool> release{false};
 
   std::thread reader([&] {
+    exec::ScopedPid reader_pid(1);
     auto guard = domain.pin();
     pinned = true;
     while (!release) std::this_thread::yield();
@@ -72,6 +79,7 @@ TEST(Ebr, PinBlocksReclamation) {
 }
 
 TEST(Ebr, GuardIsReentrant) {
+  exec::ScopedPid pid(0);
   EbrDomain domain;
   auto outer = domain.pin();
   {
@@ -82,6 +90,7 @@ TEST(Ebr, GuardIsReentrant) {
 }
 
 TEST(Ebr, EpochAdvancesWhenUnpinned) {
+  exec::ScopedPid pid(0);
   EbrDomain domain;
   std::uint64_t e0 = domain.global_epoch();
   domain.try_reclaim();
@@ -90,10 +99,12 @@ TEST(Ebr, EpochAdvancesWhenUnpinned) {
 }
 
 TEST(Ebr, EpochFrozenWhilePinnedBehind) {
+  exec::ScopedPid pid(0);
   EbrDomain domain;
   std::atomic<bool> pinned{false};
   std::atomic<bool> release{false};
   std::thread reader([&] {
+    exec::ScopedPid reader_pid(1);
     auto guard = domain.pin();
     pinned = true;
     while (!release) std::this_thread::yield();
@@ -119,7 +130,8 @@ TEST(Ebr, StressManyThreads) {
     std::vector<std::thread> threads;
     threads.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&domain] {
+      threads.emplace_back([&domain, t] {
+        exec::ScopedPid pid(static_cast<std::uint32_t>(t));
         for (int i = 0; i < kOpsPerThread; ++i) {
           auto guard = domain.pin();
           domain.retire(new Tracked);
@@ -165,7 +177,10 @@ TEST(Ebr, SlotCountersExactAcrossThreadsAndPidHandover) {
 }
 
 TEST(Ebr, ManyDomainsIndependent) {
+  // One pid, one slot in each of 20 domains: each domain's destructor
+  // frees only the node retired through it.
   Tracked::live = 0;
+  exec::ScopedPid pid(0);
   std::vector<std::unique_ptr<EbrDomain>> domains;
   for (int d = 0; d < 20; ++d) {
     domains.push_back(std::make_unique<EbrDomain>());
@@ -178,11 +193,22 @@ TEST(Ebr, ManyDomainsIndependent) {
 TEST(EbrDeathTest, DestroyWhilePinnedAborts) {
   EXPECT_DEATH(
       {
+        exec::ScopedPid pid(0);
         auto* domain = new EbrDomain;
         auto guard = domain->pin();
         delete domain;
       },
       "pinned");
+}
+
+TEST(EbrDeathTest, PinOrRetireWithoutPidAborts) {
+  // exec/exec.h's contract: a pid before any operation.  There is no
+  // fallback slot for a thread without one.
+  EbrDomain domain;
+  EXPECT_DEATH({ auto guard = domain.pin(); },
+               "exec::ThreadHandle or exec::ScopedPid");
+  EXPECT_DEATH(domain.retire(new Tracked),
+               "exec::ThreadHandle or exec::ScopedPid");
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "exec/exec.h"
-#include "reclaim/slots.h"
 #include "tests/support/pid_handover.h"
 
 namespace psnap::reclaim {
@@ -21,7 +20,11 @@ struct Node {
 };
 std::atomic<int> Node::live{0};
 
+// Every protect, retire and scan runs under a pid: the slot IS the pid,
+// and a thread without one aborts (HazardDeathTest below).
+
 TEST(Hazard, ProtectReturnsCurrentPointer) {
+  exec::ScopedPid pid(0);
   HazardDomain domain;
   std::atomic<Node*> src{new Node};
   Node* p = domain.protect(src, 0);
@@ -32,6 +35,7 @@ TEST(Hazard, ProtectReturnsCurrentPointer) {
 
 TEST(Hazard, ProtectedNodeSurvivesScan) {
   Node::live = 0;
+  exec::ScopedPid pid(0);
   HazardDomain domain;
   std::atomic<Node*> src{new Node};
   Node* p = domain.protect(src, 0);
@@ -44,6 +48,7 @@ TEST(Hazard, ProtectedNodeSurvivesScan) {
 }
 
 TEST(Hazard, UnprotectedNodesFreedByScan) {
+  exec::ScopedPid pid(0);
   Node::live = 0;
   HazardDomain domain;
   for (int i = 0; i < 50; ++i) domain.retire(new Node);
@@ -54,6 +59,7 @@ TEST(Hazard, UnprotectedNodesFreedByScan) {
 
 TEST(Hazard, DestructorDrains) {
   Node::live = 0;
+  exec::ScopedPid pid(0);
   {
     HazardDomain domain;
     for (int i = 0; i < 9; ++i) domain.retire(new Node);
@@ -66,12 +72,14 @@ TEST(Hazard, ProtectFollowsConcurrentSwaps) {
   // pointer was both the source value and published as hazardous at one
   // instant, so it can never be freed under us.
   Node::live = 0;
+  exec::ScopedPid pid(0);
   {
     HazardDomain domain;
     std::atomic<Node*> src{new Node};
     std::atomic<bool> stop{false};
 
     std::thread swapper([&] {
+      exec::ScopedPid swapper_pid(1);
       while (!stop) {
         Node* fresh = new Node;
         Node* old = src.exchange(fresh);
@@ -88,13 +96,14 @@ TEST(Hazard, ProtectFollowsConcurrentSwaps) {
     stop = true;
     swapper.join();
     delete src.load();
-    // Retired nodes sit in the swapper's per-thread list; only the domain
+    // Retired nodes sit in the swapper's pid slot; only the domain
     // destructor drains other threads' lists.
   }
   EXPECT_EQ(Node::live.load(), 0);
 }
 
 TEST(Hazard, MultipleIndicesIndependent) {
+  exec::ScopedPid pid(0);
   HazardDomain domain;
   std::atomic<Node*> a{new Node}, b{new Node};
   Node* pa = domain.protect(a, 0);
@@ -112,9 +121,10 @@ TEST(Hazard, MultipleIndicesIndependent) {
 
 TEST(Hazard, AdaptiveRetirePressureTriggersAutomaticScan) {
   Node::live = 0;
+  exec::ScopedPid pid(0);
   HazardDomain domain;
   // With one claimed slot the adaptive threshold bottoms out at the floor
-  // (64), not Michael's fixed 2 * kTotalSlots * K (~1800) -- a
+  // (64), not Michael's fixed 2 * kMaxPidCapacity * K (1536) -- a
   // single-thread workload must not be able to pile up thousands of nodes
   // before the first automatic scan.
   for (int i = 0; i < 200; ++i) domain.retire(new Node);
@@ -125,22 +135,15 @@ TEST(Hazard, RegisteredThreadUsesItsPidSlot) {
   // Shared slot layout with EbrDomain: a registered thread's slot IS its
   // pid, so one Pool keyed by these indices serves both substrates.
   HazardDomain domain;
-  {
-    exec::ScopedPid pid(7);
-    EXPECT_EQ(domain.thread_slot(), 7u);
-  }
-  // Without a pid the thread falls back to a sticky anonymous slot above
-  // the pid range.
-  std::uint32_t anon = domain.thread_slot();
-  EXPECT_GE(anon, kPidSlots);
-  EXPECT_LT(anon, kTotalSlots);
-  EXPECT_EQ(domain.thread_slot(), anon);  // sticky
+  exec::ScopedPid pid(7);
+  EXPECT_EQ(domain.thread_slot(), 7u);
 }
 
 TEST(Hazard, SetPlusCallerValidationProtects) {
   // The raw set() + caller-side validation style reclaim::Plane::Op uses:
   // publish, re-read, and the pointer is protected.
   Node::live = 0;
+  exec::ScopedPid pid(0);
   HazardDomain domain;
   std::atomic<Node*> src{new Node};
   Node* p = src.load();
@@ -226,6 +229,7 @@ TEST(Hazard, ParkedReaderBlocksOnlyProtectedRecords) {
   // parked reader would pin its entry epoch and freeze every later
   // retirement in the domain.
   Node::live = 0;
+  exec::ScopedPid pid(0);
   HazardDomain domain;
   std::atomic<Node*> held{new Node};
   Node* parked = domain.protect(held, 0);  // the parked reader's record
@@ -233,6 +237,7 @@ TEST(Hazard, ParkedReaderBlocksOnlyProtectedRecords) {
   // A writer churns through many other records while the reader stays
   // parked; every one of them must be reclaimed promptly.
   std::thread writer([&] {
+    exec::ScopedPid writer_pid(1);
     for (int i = 0; i < 500; ++i) domain.retire(new Node);
     domain.scan_and_free();
   });
@@ -248,6 +253,17 @@ TEST(Hazard, ParkedReaderBlocksOnlyProtectedRecords) {
   domain.clear(0);
   domain.scan_and_free();
   EXPECT_EQ(Node::live.load(), 0);
+}
+
+TEST(HazardDeathTest, ProtectOrRetireWithoutPidAborts) {
+  // exec/exec.h's contract: a pid before any operation.  There is no
+  // fallback slot for a thread without one.
+  HazardDomain domain;
+  std::atomic<Node*> src{nullptr};
+  EXPECT_DEATH((void)domain.protect(src, 0),
+               "exec::ThreadHandle or exec::ScopedPid");
+  EXPECT_DEATH(domain.retire(new Node),
+               "exec::ThreadHandle or exec::ScopedPid");
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "exec/exec.h"
 #include "primitives/primitives.h"
 #include "reclaim/pool.h"
 
@@ -58,6 +59,7 @@ TEST(Plane, ParkedPinStallsOnlyItsOwnShard) {
   // The point of sharding: a reader parked in shard 0 freezes shard 0's
   // reclamation but leaves every other shard advancing freely.  With one
   // global domain the same parked pin would freeze ALL of it.
+  exec::ScopedPid pid(0);
   Node::live = 0;
   {
     Plane plane(Kind::kEbr, 2, /*segment_components=*/1);
@@ -93,6 +95,7 @@ TEST(Plane, ParkedPinStallsOnlyItsOwnShard) {
 }
 
 TEST(Plane, OpPinsOnDemandAndIsIdempotent) {
+  exec::ScopedPid pid(0);
   Plane plane(Kind::kEbr, 4, /*segment_components=*/2);
   {
     Plane::Op op(plane);
@@ -125,6 +128,7 @@ std::uint64_t advance(Plane& plane, std::uint32_t shard, int calls) {
 }
 
 TEST(Plane, SingleShardPinComponentsPinsShardZeroOnce) {
+  exec::ScopedPid pid(0);
   Plane plane;  // 1 shard
   {
     // An empty span pins nothing: the epoch advances on every call.
@@ -146,6 +150,7 @@ TEST(Plane, SingleShardPinComponentsPinsShardZeroOnce) {
 }
 
 TEST(Plane, MultiShardPinComponentsHoldsExactlyTheirShards) {
+  exec::ScopedPid pid(0);
   Plane plane(Kind::kEbr, 8, /*segment_components=*/1024);
   // Segments 0, 1 and 9: shards 0, 1 and 9 % 8 == 1.
   const std::array<std::uint32_t, 3> comps{5, 1030, 9300};
@@ -168,6 +173,7 @@ TEST(Plane, MultiShardPinComponentsHoldsExactlyTheirShards) {
 TEST(Plane, OpNestsWithPlainGuards) {
   // Op uses the domains' reentrant enter/exit protocol, so nesting with
   // EbrDomain::Guard (either order) must be safe and must not unpin early.
+  exec::ScopedPid pid(0);
   Plane plane(Kind::kEbr, 2, /*segment_components=*/1);
   {
     EbrDomain::Guard outer(plane.domain(0));
@@ -190,6 +196,7 @@ TEST(Plane, OnePoolServesAllShards) {
   // The slots.h invariant in action: a thread resolves to the same slot in
   // every shard's domain, so a single Pool with per-shard banks recycles
   // nodes retired through any shard back to the retiring thread.
+  exec::ScopedPid pid(0);
   Node::live = 0;
   {
     Plane plane(Kind::kEbr, 2, /*segment_components=*/1);
@@ -230,6 +237,7 @@ TEST(Plane, ConcurrentShardTrafficIsIndependent) {
     std::array<std::thread, 4> threads;
     for (std::uint32_t s = 0; s < 4; ++s) {
       threads[s] = std::thread([&plane, s] {
+        exec::ScopedPid pid(s);
         for (int i = 0; i < 2000; ++i) {
           Plane::Op op(plane);
           op.pin_component(s);
@@ -250,6 +258,7 @@ TEST(Plane, HpOpUnwoundAfterProtectLeavesNoHazard) {
   // The hp half of the guard: pins are no-ops, protect() publishes a
   // validated hazard, and the Op's destructor clears it even when an
   // exception unwinds the operation (the crash sweep's injected halts).
+  exec::ScopedPid pid(0);
   Node::live = 0;
   {
     Plane plane(Kind::kHazard);

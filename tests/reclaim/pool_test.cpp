@@ -42,6 +42,7 @@ struct Node {
 };
 
 TEST(PoolTest, RecycleWaitsForTheGracePeriod) {
+  exec::ScopedPid pid(0);
   EbrDomain domain;
   Pool<Node> pool;
   Node* node = pool.acquire(domain).release();
@@ -68,6 +69,7 @@ TEST(PoolTest, RecycleWaitsForTheGracePeriod) {
 }
 
 TEST(PoolTest, PutLocalSkipsTheGracePeriodAndKeepsContents) {
+  exec::ScopedPid pid(0);
   EbrDomain domain;
   Pool<Node> pool;
   Node* node = pool.acquire(domain).release();
@@ -85,6 +87,7 @@ TEST(PoolTest, PutLocalSkipsTheGracePeriodAndKeepsContents) {
 }
 
 TEST(PoolTest, DomainDestructionFlushesRetiredNodesIntoThePool) {
+  exec::ScopedPid pid(0);
   Pool<Node> pool;
   {
     EbrDomain domain;
