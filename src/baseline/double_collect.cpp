@@ -111,12 +111,12 @@ void DoubleCollectSnapshot::scan(std::span<const std::uint32_t> indices,
   ctx.begin();
   auto guard = ebr_.pin();
 
-  ctx.canonical.assign(indices.begin(), indices.end());
-  core::canonicalize(ctx.canonical);
+  const std::span<const std::uint32_t> canonical =
+      core::canonical_indices(indices, ctx.canonical);
   std::span<const SimpleRecord*> prev =
-      ctx.arena.take<const SimpleRecord*>(ctx.canonical.size());
+      ctx.arena.take<const SimpleRecord*>(canonical.size());
   std::span<const SimpleRecord*> cur =
-      ctx.arena.take<const SimpleRecord*>(ctx.canonical.size());
+      ctx.arena.take<const SimpleRecord*>(canonical.size());
   bool have_prev = false;
 
   while (true) {
@@ -124,8 +124,8 @@ void DoubleCollectSnapshot::scan(std::span<const std::uint32_t> indices,
     if (max_collects_ != 0 && stats.collects > max_collects_) {
       throw StarvationError(stats.collects - 1);
     }
-    for (std::size_t j = 0; j < ctx.canonical.size(); ++j) {
-      cur[j] = r_.at(ctx.canonical[j]).load();
+    for (std::size_t j = 0; j < canonical.size(); ++j) {
+      cur[j] = r_.at(canonical[j]).load();
     }
     if (have_prev && std::equal(cur.begin(), cur.end(), prev.begin())) {
       break;
@@ -134,13 +134,18 @@ void DoubleCollectSnapshot::scan(std::span<const std::uint32_t> indices,
     have_prev = true;
   }
 
-  // Still pinned: the collected records cannot be reclaimed under us.
-  // Each index's record is found with a forward cursor over the canonical
-  // set.
+  // Still pinned: the collected records cannot be reclaimed under us.  A
+  // strictly increasing caller's set is the one collected, so cur[k] is
+  // indices[k]'s record; any other caller finds each index's record with a
+  // forward cursor over the canonical set.
+  out.resize(indices.size());
+  if (canonical.data() == indices.data()) {
+    for (std::size_t k = 0; k < indices.size(); ++k) out[k] = cur[k]->value;
+    return;
+  }
   std::size_t cursor = 0;
-  out.reserve(indices.size());
-  for (std::uint32_t i : indices) {
-    out.push_back(cur[core::cursor_find(ctx.canonical, i, cursor)]->value);
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    out[k] = cur[core::cursor_find(canonical, indices[k], cursor)]->value;
   }
 }
 

@@ -19,8 +19,9 @@ namespace {
 // (kInitPid, index) can collide with no real pid, and -- unlike pointers
 // under hp, where an address can be recycled into a fresh publication
 // between collects -- a tag read from a protected record stays meaningful
-// after the protection moves on.  Arena storage zero-fills this, which is
-// exactly its empty state.
+// after the protection moves on.  Three distinct tags take three collects,
+// so the table is built only when a third collect starts, from the tags
+// the first two collects left in the collect buffers.
 struct PerLocation {
   std::uint64_t ctrs[3];
   std::uint32_t pids[3];
@@ -137,11 +138,8 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     -> const ViewV& {
   OpStats& stats = tls_op_stats();
   stats.embedded_args = args.size();
+  if (args.empty()) return kEmptyView<ValueType>;
   ViewV& view = view_for<ValueType>(ctx);
-  if (args.empty()) {
-    view.clear();
-    return view;
-  }
 
   // Condition-(2) bookkeeping: per *location*, the distinct records seen
   // there in first-seen order; the third one's view is borrowed.
@@ -154,7 +152,9 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
   // location, and the borrow dereferences a pointer obtained by an acquire
   // load from that location, so the borrowed record's view is fully
   // visible; no cross-location ordering is consumed here.
-  std::span<PerLocation> seen_loc = ctx.arena.take<PerLocation>(args.size());
+  // Three distinct tags take three collects, so nothing can fire in the
+  // first two: the table is taken and filled when the third starts.
+  std::span<PerLocation> seen_loc;
 
   // Paper: "let (v, view, c, id) be the third value seen in that
   // location".  Unlike Figure 1 this is by observation order, not by
@@ -184,13 +184,22 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
   std::span<std::uint64_t> cur_ctr = ctx.arena.take<std::uint64_t>(args.size());
   std::span<std::uint32_t> prev_pid = ctx.arena.take<std::uint32_t>(args.size());
   std::span<std::uint32_t> cur_pid = ctx.arena.take<std::uint32_t>(args.size());
-  bool have_prev = false;
+  std::uint64_t collect = 0;
 
   const std::uint64_t collect_bound = 2ull * args.size() + 3;
   const bool validates = plane_.validates_each_read();
 
   while (true) {
     ++stats.collects;
+    if (++collect == 3) {
+      // Two swaps in, cur_* holds the first collect's tags and prev_* the
+      // second's: noted in that order, which is the order observed.
+      seen_loc = ctx.arena.take<PerLocation>(args.size());
+      for (std::size_t j = 0; j < args.size(); ++j) {
+        (void)note_loc(j, cur_pid[j], cur_ctr[j]);
+        (void)note_loc(j, prev_pid[j], prev_ctr[j]);
+      }
+    }
     // Theorem 3's wait-freedom argument: every pair of differing
     // consecutive collects means some location changed, and a location can
     // change at most twice before its third distinct value fires
@@ -237,7 +246,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
           view[j].index = args[j];
           Value::copy(rec->value, view[j].value);
         }
-        if (note_loc(j, cur_pid[j], cur_ctr[j])) {
+        if (collect >= 3 && note_loc(j, cur_pid[j], cur_ctr[j])) {
           borrow = rec;
           stats.borrowed = true;
           // Copy (capacity-reusing, down to the blob plane's per-entry byte
@@ -251,7 +260,7 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
       }
     }
     if (borrow != nullptr) return view;
-    if (have_prev &&
+    if (collect >= 2 &&
         std::equal(cur_pid.begin(), cur_pid.end(), prev_pid.begin()) &&
         std::equal(cur_ctr.begin(), cur_ctr.end(), prev_ctr.begin())) {
       if (validates) return view;  // filled under protection above
@@ -266,7 +275,6 @@ auto CasPartialSnapshotT<Policy, Value>::embedded_scan(
     }
     std::swap(prev_pid, cur_pid);
     std::swap(prev_ctr, cur_ctr);
-    have_prev = true;
   }
 }
 
@@ -697,10 +705,10 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   ctx.begin();
   Op op(plane_);
 
-  ctx.canonical.assign(indices.begin(), indices.end());
-  canonicalize(ctx.canonical);
+  const std::span<const std::uint32_t> canonical =
+      canonical_indices(indices, ctx.canonical);
   op.pin_meta();
-  op.pin_components(ctx.canonical);
+  op.pin_components(canonical);
 
   // Publish the announcement only when the set actually changed.  S[pid]
   // is single-writer (only this process stores to it), so peeking our own
@@ -714,9 +722,10 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   // plane: S[pid] is single-writer, so only this process ever retires it,
   // and it has not done so yet.
   const IndexSet* announced = s_.at(pid)->peek();
-  if (announced == nullptr || announced->indices != ctx.canonical) {
+  if (announced == nullptr ||
+      !std::ranges::equal(announced->indices, canonical)) {
     auto announce = plane_.acquire_meta(announce_pool_);
-    announce->indices.assign(ctx.canonical.begin(), ctx.canonical.end());
+    announce->indices.assign(canonical.begin(), canonical.end());
     const IndexSet* old_announce = s_.at(pid)->exchange(announce.get());
     announce.release();
     if (old_announce != nullptr) {
@@ -730,7 +739,7 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
   // could miss us after our embedded scan has already begun -- which
   // would break the condition-(2) borrow coverage argument.
   primitives::protocol_fence<Policy>();
-  const ViewV& view = embedded_scan(op, ctx.canonical, ctx);
+  const ViewV& view = embedded_scan(op, canonical, ctx);
   as_->leave();
 
   extract_view(view, indices, emit);
@@ -871,11 +880,10 @@ void CasPartialSnapshotT<Policy, Value>::scan(
     do_scan_versioned(indices, out);
     return;
   }
-  out.clear();
+  out.resize(indices.size());
   if (indices.empty()) return;
-  out.reserve(indices.size());
-  do_scan(indices, ctx, [&](std::size_t, const ValueType& v) {
-    out.push_back(Value::decode(v));
+  do_scan(indices, ctx, [&](std::size_t k, const ValueType& v) {
+    out[k] = Value::decode(v);
   });
 }
 

@@ -172,10 +172,14 @@ class PartialSnapshot {
 
   // Reads the given components atomically; out[k] receives the value of
   // indices[k] (indices may be unsorted and may contain duplicates; an
-  // empty set yields an empty result).  Clears and fills `out`.  The
+  // empty set yields an empty result).  Resizes and fills `out`.  The
   // scan's local work beyond its shared-memory steps -- canonicalizing the
   // index set and extracting the result -- is O(r) for strictly increasing
-  // indices and O(r log r) otherwise.
+  // indices and O(r log r) otherwise.  A strictly increasing set is read in
+  // place (core::canonical_indices: no copy) and, when the view holds
+  // exactly those components, its result is copied by position; unsorted
+  // or repeating sets, and borrowed views that cover more than the scan's
+  // set, find each component with a forward cursor (core::extract_view).
   //
   // `ctx` provides the operation's scratch storage (collect buffers,
   // canonical index set, embedded-scan view); reusing one context across

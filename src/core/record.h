@@ -76,7 +76,7 @@ struct ViewEntryT {
 };
 
 // A view is a vector of ViewEntryT sorted by component index.  A scan
-// extracts its components from it with view_find's forward cursor.
+// extracts its components from it with extract_view.
 template <class V>
 using ViewT = std::vector<ViewEntryT<V>>;
 
@@ -124,20 +124,36 @@ const ViewEntryT<V>* view_find(const ViewT<V>& view, std::uint32_t index,
 }
 
 // A scan's result extraction: emit(k, value) receives indices[k]'s value
-// in `view`, looked up in the caller's order with one forward cursor.  The
-// correctness argument guarantees every announced index is present,
-// borrowed views included.
+// in `view`.  When the view has as many entries as the caller asked for
+// and the caller's indices are the canonical set the scan collected, entry
+// k is component indices[k]: it is copied by position, its index checked
+// as it goes.  From the first entry that does not match -- an unsorted or
+// repeating caller, or a borrowed superset view -- the rest are looked up
+// in the caller's order with one forward cursor.  The correctness argument
+// guarantees every announced index is present, borrowed views included.
 template <class V, class Emit>
 void extract_view(const ViewT<V>& view, std::span<const std::uint32_t> indices,
                   Emit&& emit) {
-  std::size_t cursor = 0;
-  for (std::size_t k = 0; k < indices.size(); ++k) {
+  std::size_t k = 0;
+  if (view.size() == indices.size()) {
+    for (; k < indices.size() && view[k].index == indices[k]; ++k) {
+      emit(k, view[k].value);
+    }
+  }
+  std::size_t cursor = k;
+  for (; k < indices.size(); ++k) {
     const ViewEntryT<V>* e = view_find(view, indices[k], cursor);
     PSNAP_ASSERT_MSG(e != nullptr,
                      "borrowed view is missing an announced component");
     emit(k, e->value);
   }
 }
+
+// The view an embedded scan of no components returns: an update with no
+// scanners.  Not a context's view, so the context's entries -- and on the
+// blob plane their byte buffers -- survive for the pid's next scan.
+template <class V>
+inline const ViewT<V> kEmptyView{};
 
 // The part of a record both kinds of plane share: the payload and the
 // (pid, counter) tag.
@@ -253,5 +269,13 @@ struct IndexSet {
 // Canonicalizes an index list in place: sorted, duplicates removed.  A
 // strictly increasing list costs one linear check and no sort.
 void canonicalize(std::vector<std::uint32_t>& indices);
+
+// A scan's canonical index set.  A non-empty, strictly increasing
+// `indices` already is one and comes back as is: no copy.  Any other set
+// is copied into `canonical` and canonicalized there, and the returned
+// span views `canonical`.
+std::span<const std::uint32_t> canonical_indices(
+    std::span<const std::uint32_t> indices,
+    std::vector<std::uint32_t>& canonical);
 
 }  // namespace psnap::core

@@ -53,11 +53,8 @@ auto RegisterPartialSnapshotT<Policy, Value>::embedded_scan(
     std::span<const std::uint32_t> args, ScanContext& ctx) -> const ViewV& {
   OpStats& stats = tls_op_stats();
   stats.embedded_args = args.size();
+  if (args.empty()) return kEmptyView<ValueType>;
   ViewV& view = view_for<ValueType>(ctx);
-  if (args.empty()) {
-    view.clear();
-    return view;
-  }
 
   // Condition-(2) bookkeeping.  The paper phrases the rule as "three
   // different values written by the same process have been seen (in any
@@ -217,8 +214,8 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
   ctx.begin();
   auto guard = ebr_.pin();
 
-  ctx.canonical.assign(indices.begin(), indices.end());
-  canonicalize(ctx.canonical);
+  const std::span<const std::uint32_t> canonical =
+      canonical_indices(indices, ctx.canonical);
 
   // Announce, then join: an update whose getSet sees us joined is
   // guaranteed to read our announcement (in Release mode: the join store
@@ -230,9 +227,10 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
   // pooled, so even shape-alternating scans allocate nothing in steady
   // state.
   const IndexSet* announced = a_.at(pid)->peek();
-  if (announced == nullptr || announced->indices != ctx.canonical) {
+  if (announced == nullptr ||
+      !std::ranges::equal(announced->indices, canonical)) {
     auto announce = announce_pool_.acquire(ebr_);
-    announce->indices.assign(ctx.canonical.begin(), ctx.canonical.end());
+    announce->indices.assign(canonical.begin(), canonical.end());
     const IndexSet* old_announce = a_.at(pid)->exchange(announce.get());
     announce.release();
     if (old_announce != nullptr) {
@@ -246,7 +244,7 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
   // could miss us after our embedded scan has already begun -- which
   // would break the condition-(2) borrow coverage argument.
   primitives::protocol_fence<Policy>();
-  const ViewV& view = embedded_scan(ctx.canonical, ctx);
+  const ViewV& view = embedded_scan(canonical, ctx);
   as_.leave();
 
   extract_view(view, indices, emit);
@@ -256,11 +254,10 @@ template <class Policy, class Value>
 void RegisterPartialSnapshotT<Policy, Value>::scan(
     std::span<const std::uint32_t> indices, std::vector<std::uint64_t>& out,
     ScanContext& ctx) {
-  out.clear();
+  out.resize(indices.size());
   if (indices.empty()) return;
-  out.reserve(indices.size());
-  do_scan(indices, ctx, [&](std::size_t, const ValueType& v) {
-    out.push_back(Value::decode(v));
+  do_scan(indices, ctx, [&](std::size_t k, const ValueType& v) {
+    out[k] = Value::decode(v);
   });
 }
 

@@ -77,7 +77,8 @@ class ScanArena {
 // reuse it (via pid_scan_context()) so capacity accumulates to the
 // steady-state watermark and stays there.
 struct ScanContext {
-  // Canonicalized (sorted, duplicate-free) argument indices of a scan.
+  // Canonicalized (sorted, duplicate-free) argument indices of a scan
+  // whose own indices are not strictly increasing (canonical_indices).
   std::vector<std::uint32_t> canonical;
   // Update path: getSet result and the union of announced index sets.
   std::vector<std::uint32_t> scanners;

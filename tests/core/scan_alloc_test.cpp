@@ -16,6 +16,7 @@
 // segment growth cannot fire mid-measurement.
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <vector>
 
 #include "core/partial_snapshot.h"
@@ -134,6 +135,49 @@ TEST_F(ScanAllocTest, ExplicitContextIsReusableAcrossSnapshots) {
     b->scan(kIndices, out, ctx);
   }
   EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u);
+}
+
+TEST_F(ScanAllocTest, IncreasingScansNeverFillTheCanonicalCopy) {
+  // A strictly increasing index set is read in place: the context's
+  // canonical copy is only for unsorted or repeating sets.
+  exec::ScopedPid pid(0);
+  for (const char* spec : {"fig3_cas", "fig1_register", "double_collect"}) {
+    auto snap = warmed(spec);
+    ScanContext ctx;
+    std::vector<std::uint64_t> out;
+    for (int i = 0; i < 8; ++i) snap->scan(kIndices, out, ctx);
+    snap->scan(std::vector<std::uint32_t>{5, 6, 63}, out, ctx);
+    EXPECT_EQ(ctx.canonical.capacity(), 0u) << spec;
+    EXPECT_EQ(out, (std::vector<std::uint64_t>{1005, 1006, 1063})) << spec;
+    snap->scan(std::vector<std::uint32_t>{6, 5, 5}, out, ctx);
+    EXPECT_EQ(out, (std::vector<std::uint64_t>{1006, 1005, 1005})) << spec;
+    EXPECT_GT(ctx.canonical.capacity(), 0u) << spec;
+  }
+}
+
+TEST_F(ScanAllocTest, BlobPlaneUpdatesBetweenScansAreAllocationFree) {
+  // An update with no scanner embeds a scan of no components.  The pid's
+  // scan scratch -- on the blob plane, one byte buffer per view entry --
+  // must survive it, or the next scan allocates a buffer per component.
+  exec::ScopedPid pid(0);
+  std::vector<std::uint32_t> wide(37);
+  std::iota(wide.begin(), wide.end(), 20u);
+  for (const char* spec :
+       {"fig1_register:value=blob", "fig1_register_fast:value=blob",
+        "fig3_cas:value=blob", "fig3_cas_fast:value=blob"}) {
+    auto snap = registry::make_snapshot(spec, 64, 4);
+    std::vector<std::uint64_t> out;
+    auto round = [&](int k) {
+      snap->update(static_cast<std::uint32_t>(k % 64), 3000 + k);
+      snap->scan(wide, out);
+    };
+    for (int k = 0; k < 300; ++k) round(k);
+    const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    for (int k = 300; k < 600; ++k) round(k);
+    EXPECT_EQ(g_allocations.load(std::memory_order_relaxed) - before, 0u)
+        << spec;
+    EXPECT_EQ(out.size(), wide.size()) << spec;
+  }
 }
 
 TEST(ScanArenaTest, ReusesBlocksAcrossResets) {

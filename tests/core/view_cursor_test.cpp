@@ -1,6 +1,7 @@
 // The scan's local bookkeeping (core/record.h): the forward-cursor lookup
-// that extracts a scan's result from its view, and the canonicalization of
-// its index set.
+// that extracts a scan's result from its view, the positional extraction
+// an increasing scan takes instead, and the canonicalization of its index
+// set.
 //
 // view_find must agree with std::lower_bound for every query order a
 // caller may use -- increasing, descending, repeating, absent -- on views
@@ -13,6 +14,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -182,6 +184,101 @@ TEST(Canonicalize, SortsAndDedupsOnlyWhenNeeded) {
     canonicalize(in);
     EXPECT_EQ(in, want);
   }
+}
+
+TEST(CanonicalIndices, StrictlyIncreasingSetsAreReadInPlace) {
+  using Indices = std::vector<std::uint32_t>;
+  for (const Indices& in : {Indices{7}, Indices{1, 4, 9}, Indices{0, 1, 2}}) {
+    Indices scratch;
+    const std::span<const std::uint32_t> got = canonical_indices(in, scratch);
+    EXPECT_EQ(got.data(), in.data());
+    EXPECT_EQ(got.size(), in.size());
+    EXPECT_EQ(scratch.capacity(), 0u);
+  }
+}
+
+TEST(CanonicalIndices, OtherSetsAreCopiedAndCanonicalized) {
+  using Indices = std::vector<std::uint32_t>;
+  for (const auto& [in, want] : {std::pair{Indices{9, 1, 4}, Indices{1, 4, 9}},
+                                 {Indices{1, 4, 4, 9}, Indices{1, 4, 9}},
+                                 {Indices{2, 2}, Indices{2}},
+                                 {Indices{}, Indices{}}}) {
+    Indices scratch{77, 78, 79, 80, 81};  // stale contents are replaced
+    const std::span<const std::uint32_t> got = canonical_indices(in, scratch);
+    EXPECT_EQ(got.data(), scratch.data());
+    EXPECT_EQ(Indices(got.begin(), got.end()), want);
+    EXPECT_EQ(scratch, want);
+  }
+}
+
+// extract_view's answer for `indices`, as (position, value) pairs in the
+// order emitted.
+std::vector<std::pair<std::size_t, std::uint64_t>> extracted(
+    const View& view, const std::vector<std::uint32_t>& indices) {
+  std::vector<std::pair<std::size_t, std::uint64_t>> got;
+  extract_view(view, indices, [&](std::size_t k, std::uint64_t v) {
+    got.emplace_back(k, v);
+  });
+  return got;
+}
+
+// Every position once, in order, with the reference lookup's value.
+void expect_extracts(const View& view,
+                     const std::vector<std::uint32_t>& indices) {
+  const auto got = extracted(view, indices);
+  ASSERT_EQ(got.size(), indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    const ViewEntry* want = reference_find(view, indices[k]);
+    ASSERT_NE(want, nullptr) << indices[k];
+    EXPECT_EQ(got[k].first, k);
+    EXPECT_EQ(got[k].second, want->value) << "position " << k;
+  }
+}
+
+TEST(ExtractView, PositionalAndCursorPathsAgree) {
+  Xoshiro256 rng(61);
+  for (std::size_t size : {1u, 2u, 5u, 64u, 300u}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const View view = random_view(rng, size);
+      std::vector<std::uint32_t> exact;
+      for (const ViewEntry& e : view) exact.push_back(e.index);
+      // The exact set: every entry by position.
+      expect_extracts(view, exact);
+
+      // A subset of a superset view, as a borrowed view serves it.
+      std::vector<std::uint32_t> subset;
+      for (std::uint32_t k : exact) {
+        if (rng.next_bool(0.5)) subset.push_back(k);
+      }
+      if (subset.empty()) subset.push_back(exact.back());
+      expect_extracts(view, subset);
+
+      // The same components unsorted: a view of as many entries that
+      // matches by position only in part.
+      std::vector<std::uint32_t> unsorted = exact;
+      rng.shuffle(unsorted);
+      expect_extracts(view, unsorted);
+      expect_extracts(view, {exact.rbegin(), exact.rend()});
+
+      // Repeating callers, of the view's size and longer.
+      std::vector<std::uint32_t> repeating = exact;
+      repeating.back() = repeating.front();
+      expect_extracts(view, repeating);
+      repeating.push_back(exact[size / 2]);
+      expect_extracts(view, repeating);
+    }
+  }
+  EXPECT_TRUE(extracted(View{}, {}).empty());
+}
+
+TEST(ExtractViewDeathTest, MissingComponentAborts) {
+  // A view of the caller's size that lacks one of its components: the
+  // positional pass stops at the mismatch and the cursor does not find it.
+  const View view{{1, 11}, {2, 12}, {4, 14}};
+  EXPECT_DEATH((void)extracted(view, {1, 2, 3}),
+               "missing an announced component");
+  EXPECT_DEATH((void)extracted(view, {0, 1, 2}),
+               "missing an announced component");
 }
 
 }  // namespace
