@@ -104,15 +104,15 @@ void DoubleCollectSnapshot::scan(std::span<const std::uint32_t> indices,
                                  core::ScanContext& ctx) {
   out.clear();
   if (indices.empty()) return;
-  const std::uint32_t m = size_.load();
-  for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
   core::OpStats& stats = core::tls_op_stats();
   stats.reset();
   ctx.begin();
   auto guard = ebr_.pin();
 
+  // Sorted, so its last index is the largest the caller asked for.
   const std::span<const std::uint32_t> canonical =
       core::canonical_indices(indices, ctx.canonical);
+  PSNAP_ASSERT(canonical.back() < size_.load());
   std::span<const SimpleRecord*> prev =
       ctx.arena.take<const SimpleRecord*>(canonical.size());
   std::span<const SimpleRecord*> cur =

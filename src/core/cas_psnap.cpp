@@ -699,14 +699,14 @@ void CasPartialSnapshotT<Policy, Value>::do_scan(
     Emit&& emit) {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
-  const std::uint32_t m = size_.load();
-  for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
   tls_op_stats().reset();
   ctx.begin();
   Op op(plane_);
 
+  // Sorted, so its last index is the largest the caller asked for.
   const std::span<const std::uint32_t> canonical =
       canonical_indices(indices, ctx.canonical);
+  PSNAP_ASSERT(canonical.back() < size_.load());
   op.pin_meta();
   op.pin_components(canonical);
 

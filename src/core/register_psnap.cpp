@@ -208,14 +208,14 @@ void RegisterPartialSnapshotT<Policy, Value>::do_scan(
     Emit&& emit) {
   std::uint32_t pid = exec::ctx().pid;
   PSNAP_ASSERT(pid < n_);
-  const std::uint32_t m = size_.load();
-  for (std::uint32_t i : indices) PSNAP_ASSERT(i < m);
   tls_op_stats().reset();
   ctx.begin();
   auto guard = ebr_.pin();
 
+  // Sorted, so its last index is the largest the caller asked for.
   const std::span<const std::uint32_t> canonical =
       canonical_indices(indices, ctx.canonical);
+  PSNAP_ASSERT(canonical.back() < size_.load());
 
   // Announce, then join: an update whose getSet sees us joined is
   // guaranteed to read our announcement (in Release mode: the join store

@@ -80,6 +80,15 @@ TEST_P(SnapshotContractTest, EmptyScanReturnsEmpty) {
   EXPECT_TRUE(snap->scan(std::span<const std::uint32_t>(none)).empty());
 }
 
+// An index past the last component fails the scan's bounds check, whether
+// it ends an increasing set or opens an unsorted one.
+TEST_P(SnapshotContractTest, ScanOfAnAbsentComponentAborts) {
+  auto snap = make(4);
+  exec::ScopedPid pid(0);
+  EXPECT_DEATH((void)snap->scan({1, 4}), "psnap invariant violated");
+  EXPECT_DEATH((void)snap->scan({4, 1, 1}), "psnap invariant violated");
+}
+
 TEST_P(SnapshotContractTest, ScanAllCoversEveryComponent) {
   auto snap = make(5);
   exec::ScopedPid pid(0);
