@@ -134,18 +134,13 @@ void DoubleCollectSnapshot::scan(std::span<const std::uint32_t> indices,
     have_prev = true;
   }
 
-  // Still pinned: the collected records cannot be reclaimed under us.  A
-  // strictly increasing caller's set is the one collected, so cur[k] is
-  // indices[k]'s record; any other caller finds each index's record with a
-  // forward cursor over the canonical set.
-  out.resize(indices.size());
-  if (canonical.data() == indices.data()) {
-    for (std::size_t k = 0; k < indices.size(); ++k) out[k] = cur[k]->value;
-    return;
-  }
+  // Still pinned: the collected records cannot be reclaimed under us.
+  // Each index's record is found with a forward cursor over the canonical
+  // set.
   std::size_t cursor = 0;
-  for (std::size_t k = 0; k < indices.size(); ++k) {
-    out[k] = cur[core::cursor_find(canonical, indices[k], cursor)]->value;
+  out.reserve(indices.size());
+  for (std::uint32_t i : indices) {
+    out.push_back(cur[core::cursor_find(canonical, i, cursor)]->value);
   }
 }
 
